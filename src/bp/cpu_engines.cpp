@@ -9,11 +9,13 @@
 //
 // Composition over the runtime layer (DESIGN.md §5b): NodeFrontier /
 // DenseSweep / EdgeFrontier schedules, the every-iteration convergence
-// cadence, and the sequential backend. The bodies below are the paradigm
-// kernels with their original metering, untouched.
+// cadence, and the sequential backend. The Node engine is one body over a
+// family kernel (family_kernels.h); the Edge engine's accumulator forms
+// are tabular, and other families run the shared Jacobi sweep.
 #include <vector>
 
 #include "bp/engines_internal.h"
+#include "bp/family_kernels.h"
 #include "bp/runtime/backend.h"
 #include "bp/runtime/convergence.h"
 #include "bp/runtime/driver.h"
@@ -32,7 +34,7 @@ using graph::EdgeId;
 using graph::FactorGraph;
 using graph::NodeId;
 
-/// Common base handling profile storage and result finalization.
+/// Common base handling profile storage.
 class CpuEngineBase : public Engine {
  public:
   explicit CpuEngineBase(perf::HardwareProfile profile)
@@ -47,11 +49,6 @@ class CpuEngineBase : public Engine {
   }
 
  protected:
-  void finish(BpResult& r, const util::Timer& timer) const {
-    r.stats.time = perf::model_time(r.stats.counters, profile_);
-    r.stats.host_seconds = timer.seconds();
-  }
-
   perf::HardwareProfile profile_;
 };
 
@@ -71,32 +68,34 @@ class CpuNodeEngine final : public CpuEngineBase {
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
                                 const BpOptions& opts) const override {
     // Per-graph family dispatch (§5g): decided once, before any loop.
-    if (graph::is_ldpc(g.family())) {
-      return run_ldpc_node_sweep(g, opts, profile_);
-    }
+    return graph::is_ldpc(g.family()) ? sweep<LdpcKernel>(g, opts)
+                                      : sweep<TabularKernel>(g, opts);
+  }
+
+ private:
+  template <typename Kernel>
+  [[nodiscard]] BpResult sweep(const FactorGraph& g,
+                               const BpOptions& opts) const {
     const util::Timer timer;
     BpResult r;
     r.beliefs = runtime::initial_state(g, opts);
     perf::Meter meter(r.stats.counters);
 
     const auto& in = g.in_csr();
-    const auto& joints = g.joints();
 
     // Work queue (§3.5): indices of unconverged nodes; starts full — or
     // from the perturbed region on a seeded warm re-query (§5h).
     runtime::NodeFrontier sched(g, opts.work_queue, opts.frontier_seed.get());
     const runtime::ConvergenceController ctl(
         opts, runtime::ConvergenceController::Cadence::kEveryIteration);
+    Kernel kernel(g, opts, ctl, r.beliefs, meter);
     const runtime::SequentialBackend backend;
 
-    // Hoisted hot-loop scratch: prev-copy and message block are
-    // arity-aware (only padded live lanes move), not full 32-float
-    // payloads.
-    EdgeBlockScratch scratch;
-    BeliefVec prev;
+    // Hoisted hot-loop scratch.
+    typename Kernel::Worker worker;
     runtime::run_loop(
         opts, r.stats, ctl, sched,
-        [&](std::uint32_t, runtime::IterationOutcome& out) {
+        [&](std::uint32_t iter, runtime::IterationOutcome& out) {
           out.delta = backend.reduce_range(
               0, sched.size(),
               [&](std::uint64_t lo, std::uint64_t hi, unsigned,
@@ -108,39 +107,22 @@ class CpuNodeEngine final : public CpuEngineBase {
                   // belief keeps its current (initial) value.
                   if (in.degree(v) == 0) continue;
                   ++out.processed;
-                  const std::uint32_t b = g.arity(v);
-
-                  // Local previous copy (Algorithm 1 line 5).
-                  graph::copy_belief(prev, r.beliefs[v]);
-                  meter.rand_read(belief_bytes(b));
-
-                  // Pull from every parent (lines 6-9): scattered lookups,
-                  // the Node paradigm's cost (§3.3). Per Algorithm 1, the
-                  // new belief combines the incoming updates only — priors
-                  // enter as the initial state. Parents run through the
-                  // batched message kernel block by block.
-                  BeliefVec acc = BeliefVec::ones(b);
-                  meter.seq_read(sizeof(std::uint64_t));  // CSR offset
-                  pull_parents_blocked(in.neighbors(v), r.beliefs, joints,
-                                       meter, scratch, acc);
-                  graph::normalize(acc);
-                  meter.flop(2ull * b);
-                  meter.flop(ctl.damp(acc, prev));
-                  graph::copy_belief(r.beliefs[v], acc);
-                  meter.rand_write(belief_bytes(b));
-
-                  const float d = graph::l1_diff(prev, acc);
-                  meter.flop(2ull * b);
+                  const float d = kernel.update(worker, v, meter);
                   partial += d;
                   if (sched.queued() && ctl.element_active(d)) {
-                    sched.keep(meter, v);
+                    kernel.keep(meter, iter, v,
+                                [&](NodeId u) { sched.keep(meter, u); });
                   }
                 }
               });
+          if (ctl.should_check(iter) && kernel.syndrome_met(meter)) {
+            out.delta = 0.0;  // decode succeeded: trip the global rule
+          }
         },
         [] { return 0.0; },  // delta is never deferred on the CPU
         [&] { return perf::model_time(r.stats.counters, profile_); });
-    finish(r, timer);
+    kernel.finish(r.stats, meter, /*settled=*/true);
+    finish(r, timer, profile_);
     return r;
   }
 };
@@ -160,13 +142,26 @@ class CpuEdgeEngine final : public CpuEngineBase {
  protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
                                 const BpOptions& opts) const override {
-    if (graph::is_ldpc(g.family())) {
-      return run_ldpc_edge_sweep(g, opts, profile_);
-    }
+    if (graph::is_ldpc(g.family())) return run_jacobi<LdpcKernel>(g, opts);
     return opts.work_queue ? run_queued(g, opts) : run_full(g, opts);
   }
 
  private:
+  /// Families without log-space accumulators sweep Jacobi-style. The work
+  /// queue has no incremental form there, so queued runs sweep densely too.
+  template <typename Kernel>
+  [[nodiscard]] BpResult run_jacobi(const FactorGraph& g,
+                                    const BpOptions& opts) const {
+    const util::Timer timer;
+    BpResult r;
+    r.beliefs = runtime::initial_state(g, opts);
+    std::vector<WorkerSink> sinks(1);
+    runtime::SequentialBackend backend;
+    jacobi_sweep<Kernel>(g, opts, profile_, backend, sinks, r);
+    finish(r, timer, profile_, sinks);
+    return r;
+  }
+
   /// Jacobi-per-iteration form: reset accumulators, push every edge,
   /// derive beliefs. DenseSweep schedule — every edge, every iteration.
   [[nodiscard]] BpResult run_full(const FactorGraph& g,
@@ -258,7 +253,7 @@ class CpuEdgeEngine final : public CpuEngineBase {
         },
         [] { return 0.0; },
         [&] { return perf::model_time(r.stats.counters, profile_); });
-    finish(r, timer);
+    finish(r, timer, profile_);
     return r;
   }
 
@@ -372,7 +367,7 @@ class CpuEdgeEngine final : public CpuEngineBase {
         },
         [] { return 0.0; },
         [&] { return perf::model_time(r.stats.counters, profile_); });
-    finish(r, timer);
+    finish(r, timer, profile_);
     return r;
   }
 };

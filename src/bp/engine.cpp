@@ -176,7 +176,7 @@ bool engine_supports_family(EngineKind kind,
     case EngineKind::kCudaEdge:
     case EngineKind::kAccEdge:
     // Sharded execution keeps per-shard belief state only; the LDPC
-    // runners' per-edge LLR messages have no ghost representation yet.
+    // kernel's per-edge LLR messages have no ghost representation yet.
     case EngineKind::kSharded:
       return false;
     default:
@@ -186,7 +186,7 @@ bool engine_supports_family(EngineKind kind,
 
 bool engine_supports_warm_start(EngineKind kind,
                                 graph::FactorFamily family) noexcept {
-  // The LDPC runners hold their state in per-edge log-likelihood-ratio
+  // The LDPC kernel holds its state in per-edge log-likelihood-ratio
   // messages, not beliefs, so a belief overlay cannot seed them; the tree
   // baseline is exact and start-independent; the simulated-device engines
   // model a fresh upload of uniform state per run.

@@ -53,7 +53,7 @@ enum class EngineKind {
 /// (DESIGN.md §5h). Warm starts are a CPU-engine, tabular-family feature:
 /// the tree baseline's exact two-pass answer is start-independent, the
 /// simulated-device engines re-upload uniform state by design, and the
-/// LDPC runners keep message state in log-likelihood ratios that a belief
+/// LDPC kernel keeps message state in log-likelihood ratios that a belief
 /// overlay cannot express. Engine::run enforces this.
 [[nodiscard]] bool engine_supports_warm_start(
     EngineKind kind, graph::FactorFamily family) noexcept;

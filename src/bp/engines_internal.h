@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -14,6 +15,10 @@
 #include "graph/belief_kernels.h"
 #include "graph/csr.h"
 #include "graph/factor_graph.h"
+#include "parallel/thread_pool.h"
+#include "perf/cost_model.h"
+#include "perf/profiles.h"
+#include "util/timer.h"
 
 namespace credo::bp::internal {
 
@@ -32,31 +37,68 @@ std::unique_ptr<Engine> make_splash(const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_sharded(const perf::HardwareProfile& p);
 
 // ---------------------------------------------------------------------------
-// LDPC family runners (ldpc_engines.cpp, DESIGN.md §5g). The supporting
-// engines branch on graph::is_ldpc(g.family()) once at do_run entry and
-// delegate to these free functions — per-graph dispatch, so the tabular hot
-// paths compile unchanged and pay nothing. Each runner keeps its paradigm's
-// schedule/driver composition; only the kernel body is the closed-form
-// tanh-domain update instead of the joint-matrix product.
+// Team set-up and result finalization, shared by every CPU engine.
 // ---------------------------------------------------------------------------
 
-BpResult run_ldpc_node_sweep(const graph::FactorGraph& g,
-                             const BpOptions& opts,
-                             const perf::HardwareProfile& profile);
-BpResult run_ldpc_edge_sweep(const graph::FactorGraph& g,
-                             const BpOptions& opts,
-                             const perf::HardwareProfile& profile);
-BpResult run_ldpc_node_parallel(const graph::FactorGraph& g,
-                                const BpOptions& opts,
-                                const perf::HardwareProfile& profile);
-BpResult run_ldpc_edge_parallel(const graph::FactorGraph& g,
-                                const BpOptions& opts,
-                                const perf::HardwareProfile& profile);
-BpResult run_ldpc_residual(const graph::FactorGraph& g, const BpOptions& opts,
-                           const perf::HardwareProfile& profile);
-BpResult run_ldpc_relaxed(const graph::FactorGraph& g, const BpOptions& opts,
-                          EngineKind kind,
-                          const perf::HardwareProfile& profile);
+/// Fixed scheduler seed ("credosch"): relaxed runs are reproducible per
+/// (graph, options, team size) with no extra knob; a one-worker run
+/// replays exactly.
+inline constexpr std::uint64_t kSchedSeed = 0x637265646f736368ULL;
+
+/// Per-worker metering sinks, cache-line padded so the bookkeeping itself
+/// does not contend. Folded into the run's counters by finish().
+struct alignas(64) WorkerSink {
+  perf::Counters counters;
+};
+
+/// The modelled profile of the run's team: opts.threads workers (the §2.4
+/// sweep runs 2/4/8 threads; 0 keeps the profile's own width), at most
+/// `max_team`. The engine's profile is kept when the team matches it.
+inline perf::HardwareProfile effective_profile(
+    const perf::HardwareProfile& profile, const BpOptions& opts,
+    unsigned max_team = ~0u) {
+  const unsigned requested =
+      opts.threads != 0 ? opts.threads
+                        : static_cast<unsigned>(profile.parallel_units);
+  const unsigned team = std::max(1u, std::min(requested, max_team));
+  if (static_cast<int>(team) == profile.parallel_units) return profile;
+  return perf::cpu_i7_7700hq_parallel(static_cast<int>(team));
+}
+
+/// Picks the team for `prof`: the caller-provided shared pool (serve
+/// layer, DESIGN.md §5c) when its size matches, else a run-local pool in
+/// `local`. The shared pool supports one dispatcher at a time — callers
+/// serialize access around run().
+inline parallel::ThreadPool& select_pool(
+    const BpOptions& opts, const perf::HardwareProfile& prof,
+    std::optional<parallel::ThreadPool>& local) {
+  const auto team = static_cast<unsigned>(prof.parallel_units);
+  if (opts.shared_pool && opts.shared_pool->size() == team) {
+    return *opts.shared_pool;
+  }
+  local.emplace(team);
+  return *local;
+}
+
+/// Telemetry view of "counters so far": the main counters plus every
+/// worker sink, folded the same way finish() folds them at the end.
+inline perf::TimeBreakdown snapshot_time(const perf::Counters& main,
+                                         std::span<const WorkerSink> sinks,
+                                         const perf::HardwareProfile& p) {
+  perf::Counters total = main;
+  for (const auto& s : sinks) total.add(s.counters);
+  return perf::model_time(total, p);
+}
+
+/// Folds the worker sinks into the run's counters, then stamps the
+/// modelled time on `p` and the host time since `timer` started.
+inline void finish(BpResult& r, const util::Timer& timer,
+                   const perf::HardwareProfile& p,
+                   std::span<const WorkerSink> sinks = {}) {
+  for (const auto& s : sinks) r.stats.counters.add(s.counters);
+  r.stats.time = perf::model_time(r.stats.counters, p);
+  r.stats.host_seconds = timer.seconds();
+}
 
 /// Messages are clamped away from zero before entering log space so a
 /// contradicting observation cannot produce -inf accumulators.
@@ -173,15 +215,6 @@ inline void pull_parents_blocked(std::span<const graph::Csr::Entry> nbrs,
       meter.flop(graph::combine(acc, s.msgs[k]));
     }
   }
-}
-
-inline void pull_parents_blocked(std::span<const graph::Csr::Entry> nbrs,
-                                 const std::vector<graph::BeliefVec>& beliefs,
-                                 const graph::JointStore& joints,
-                                 perf::Meter& meter, EdgeBlockScratch& s,
-                                 graph::BeliefVec& acc) {
-  pull_parents_blocked(nbrs, beliefs, joints, meter, s, acc,
-                       [](graph::NodeId) noexcept { return false; });
 }
 
 }  // namespace credo::bp::internal

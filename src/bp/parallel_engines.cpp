@@ -11,11 +11,13 @@
 // Composition over the runtime layer (DESIGN.md §5b): the PoolBackend owns
 // the fork/join dispatch (and its parallel_region charge), the
 // FragmentedNodeFrontier owns the §3.5 per-worker queue fragments, and the
-// every-iteration controller owns thresholds and damping.
+// every-iteration controller owns thresholds and damping. The Node engine
+// is one body over a family kernel (family_kernels.h).
 #include <optional>
 #include <vector>
 
 #include "bp/engines_internal.h"
+#include "bp/family_kernels.h"
 #include "bp/runtime/backend.h"
 #include "bp/runtime/convergence.h"
 #include "bp/runtime/driver.h"
@@ -36,12 +38,6 @@ using graph::FactorGraph;
 using graph::NodeId;
 using parallel::ThreadPool;
 
-/// Per-worker metering sinks, cache-line padded so the bookkeeping itself
-/// does not contend.
-struct alignas(64) WorkerSink {
-  perf::Counters counters;
-};
-
 class OmpEngineBase : public Engine {
  public:
   explicit OmpEngineBase(perf::HardwareProfile profile)
@@ -56,51 +52,6 @@ class OmpEngineBase : public Engine {
   }
 
  protected:
-  /// Picks the team: the caller-provided shared pool (serve layer,
-  /// DESIGN.md §5c) when its size matches the effective team, else a
-  /// run-local pool. The shared pool supports one dispatcher at a time —
-  /// callers serialize access around run().
-  [[nodiscard]] static parallel::ThreadPool& select_pool(
-      const BpOptions& opts, const perf::HardwareProfile& prof,
-      std::optional<parallel::ThreadPool>& local) {
-    if (opts.shared_pool &&
-        opts.shared_pool->size() ==
-            static_cast<unsigned>(prof.parallel_units)) {
-      return *opts.shared_pool;
-    }
-    local.emplace(static_cast<unsigned>(prof.parallel_units));
-    return *local;
-  }
-
-  /// Honors opts.threads when it differs from the profile's team size
-  /// (the §2.4 sweep runs 2/4/8 threads).
-  [[nodiscard]] perf::HardwareProfile effective_profile(
-      const BpOptions& opts) const {
-    if (opts.threads == 0 ||
-        static_cast<int>(opts.threads) == profile_.parallel_units) {
-      return profile_;
-    }
-    return perf::cpu_i7_7700hq_parallel(static_cast<int>(opts.threads));
-  }
-
-  void finish(BpResult& r, const util::Timer& timer,
-              const perf::HardwareProfile& p,
-              std::vector<WorkerSink>& sinks) const {
-    for (const auto& s : sinks) r.stats.counters.add(s.counters);
-    r.stats.time = perf::model_time(r.stats.counters, p);
-    r.stats.host_seconds = timer.seconds();
-  }
-
-  /// Telemetry view of "counters so far": main counters plus every
-  /// worker sink, folded the same way finish() folds them at the end.
-  [[nodiscard]] perf::TimeBreakdown snapshot_time(
-      const BpResult& r, const std::vector<WorkerSink>& sinks,
-      const perf::HardwareProfile& p) const {
-    perf::Counters total = r.stats.counters;
-    for (const auto& s : sinks) total.add(s.counters);
-    return perf::model_time(total, p);
-  }
-
   perf::HardwareProfile profile_;
 };
 
@@ -119,29 +70,36 @@ class OmpNodeEngine final : public OmpEngineBase {
  protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
                                 const BpOptions& opts) const override {
-    if (graph::is_ldpc(g.family())) {
-      return run_ldpc_node_parallel(g, opts, profile_);
-    }
+    return graph::is_ldpc(g.family()) ? sweep<LdpcKernel>(g, opts)
+                                      : sweep<TabularKernel>(g, opts);
+  }
+
+ private:
+  template <typename Kernel>
+  [[nodiscard]] BpResult sweep(const FactorGraph& g,
+                               const BpOptions& opts) const {
     const util::Timer timer;
-    const perf::HardwareProfile prof = effective_profile(opts);
+    const perf::HardwareProfile prof = effective_profile(profile_, opts);
     std::optional<ThreadPool> local_pool;
     ThreadPool& pool = select_pool(opts, prof, local_pool);
     std::vector<WorkerSink> sinks(pool.size());
 
     BpResult r;
     r.beliefs = runtime::initial_state(g, opts);
+    perf::Meter main_meter(r.stats.counters);
     const auto& in = g.in_csr();
-    const auto& joints = g.joints();
 
     runtime::FragmentedNodeFrontier sched(g, opts.work_queue, pool.size(),
                                           opts.frontier_seed.get());
     const runtime::ConvergenceController ctl(
         opts, runtime::ConvergenceController::Cadence::kEveryIteration);
+    Kernel kernel(g, opts, ctl, r.beliefs, main_meter);
+    std::vector<typename Kernel::Worker> workers(pool.size());
     runtime::PoolBackend backend(pool, opts, r.stats.counters);
 
     runtime::run_loop(
         opts, r.stats, ctl, sched,
-        [&](std::uint32_t, runtime::IterationOutcome& out) {
+        [&](std::uint32_t iter, runtime::IterationOutcome& out) {
           const std::uint64_t count = sched.size();
           // One parallel region per iteration: node loop + sum reduction
           // ("#pragma omp parallel for reduction(+:sum)"). Chunk-granular
@@ -151,42 +109,30 @@ class OmpNodeEngine final : public OmpEngineBase {
               0, count,
               [&](std::uint64_t lo, std::uint64_t hi, unsigned w,
                   double& partial) {
-                thread_local EdgeBlockScratch scratch;
-                thread_local BeliefVec prev;
                 perf::Meter meter(sinks[w].counters);
+                typename Kernel::Worker& worker = workers[w];
                 for (std::uint64_t qi = lo; qi < hi; ++qi) {
                   const NodeId v = sched.at(meter, qi);
                   if (!sched.queued() && g.observed(v)) continue;
                   if (in.degree(v) == 0) continue;  // no updates to combine
-                  const std::uint32_t b = g.arity(v);
-                  graph::copy_belief(prev, r.beliefs[v]);
-                  meter.rand_read(belief_bytes(b));
-                  BeliefVec acc = BeliefVec::ones(b);
-                  meter.seq_read(sizeof(std::uint64_t));
                   // In-place (chaotic) reads: a neighbor may already hold
-                  // its new belief this iteration — standard async BP. The
-                  // batched kernel reads every parent of v before
-                  // combining, which is the same snapshot the per-edge walk
-                  // saw (v's own belief only moves after the walk).
-                  pull_parents_blocked(in.neighbors(v), r.beliefs, joints,
-                                       meter, scratch, acc);
-                  graph::normalize(acc);
-                  meter.flop(2ull * b);
-                  meter.flop(ctl.damp(acc, prev));
-                  graph::copy_belief(r.beliefs[v], acc);
-                  meter.rand_write(belief_bytes(b));
-                  const float d = graph::l1_diff(prev, acc);
-                  meter.flop(2ull * b);
+                  // its new state this iteration — standard async BP.
+                  const float d = kernel.update(worker, v, meter);
                   partial += d;
                   if (sched.queued() && ctl.element_active(d)) {
-                    sched.keep(meter, w, v);
+                    kernel.keep(meter, iter, v,
+                                [&](NodeId u) { sched.keep(meter, w, u); });
                   }
                 }
               });
           out.processed = count;
+          if (ctl.should_check(iter) && kernel.syndrome_met(main_meter)) {
+            out.delta = 0.0;  // decode succeeded: trip the global rule
+          }
         },
         [] { return 0.0; },
-        [&] { return snapshot_time(r, sinks, prof); });
+        [&] { return snapshot_time(r.stats.counters, sinks, prof); });
+    kernel.finish(r.stats, main_meter, /*settled=*/true);
     finish(r, timer, prof, sinks);
     return r;
   }
@@ -207,17 +153,23 @@ class OmpEdgeEngine final : public OmpEngineBase {
  protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
                                 const BpOptions& opts) const override {
-    if (graph::is_ldpc(g.family())) {
-      return run_ldpc_edge_parallel(g, opts, profile_);
-    }
     const util::Timer timer;
-    const perf::HardwareProfile prof = effective_profile(opts);
+    const perf::HardwareProfile prof = effective_profile(profile_, opts);
     std::optional<ThreadPool> local_pool;
     ThreadPool& pool = select_pool(opts, prof, local_pool);
     std::vector<WorkerSink> sinks(pool.size());
 
     BpResult r;
     r.beliefs = runtime::initial_state(g, opts);
+    runtime::PoolBackend backend(pool, opts, r.stats.counters);
+    if (graph::is_ldpc(g.family())) {
+      // Closed-form families sweep Jacobi-style: reads come from the
+      // previous snapshot and writes are node-disjoint, so the region
+      // needs none of the accumulator form's atomic combines.
+      jacobi_sweep<LdpcKernel>(g, opts, prof, backend, sinks, r);
+      finish(r, timer, prof, sinks);
+      return r;
+    }
     const NodeId n = g.num_nodes();
     const auto& edges = g.edges();
     const auto& joints = g.joints();
@@ -230,7 +182,6 @@ class OmpEdgeEngine final : public OmpEngineBase {
     runtime::DenseSweep sched(edges.size());
     const runtime::ConvergenceController ctl(
         opts, runtime::ConvergenceController::Cadence::kEveryIteration);
-    runtime::PoolBackend backend(pool, opts, r.stats.counters);
 
     runtime::run_loop(
         opts, r.stats, ctl, sched,
@@ -321,7 +272,7 @@ class OmpEdgeEngine final : public OmpEngineBase {
               });
         },
         [] { return 0.0; },
-        [&] { return snapshot_time(r, sinks, prof); });
+        [&] { return snapshot_time(r.stats.counters, sinks, prof); });
     finish(r, timer, prof, sinks);
     return r;
   }

@@ -1,30 +1,32 @@
 // Relaxed concurrent residual engines (DESIGN.md §5f).
 //
-// Same update body as the sequential residual engine — pull parents
-// through the batched message kernel, normalize, damp, L1 delta — but the
-// schedule is one of the relaxed concurrent policies of mq_schedule.h and
-// the drain runs as ONE fork/join region over the team:
+// Same update body as the sequential residual engine — one family kernel
+// (family_kernels.h) — but the schedule is one of the relaxed concurrent
+// policies of mq_schedule.h and the drain runs as ONE fork/join region
+// over the team:
 //
 //  * Residual MQ ("residual-mq") — MultiQueueSchedule: each worker loops
 //    pop/update/record against k sharded heaps. Pops are approximately
 //    max-residual, which preserves residual scheduling's update efficiency
-//    while removing the exact engine's single serial heap.
+//    while removing the exact engine's single serial heap. With one shard
+//    it is the "residual-locked" baseline: one exact heap behind one lock.
 //
 //  * Splash ("splash") — SplashSchedule: each pop claims a root, grows a
 //    bounded disjoint BFS subtree (graph::bfs_subtree) and sweeps it
 //    leaf→root→leaf as one batch, amortizing the priority pop over
 //    splash_max_size cache-friendly updates.
 //
-// Like the OpenMP engines, belief reads are in-place (chaotic): a worker
-// may read a parent mid-write by another worker. The claim flags guarantee
-// no two workers ever *update* the same node concurrently, which is the
-// invariant residual splash needs; torn parent reads are the standard
-// async-BP relaxation the §2.4 engines already make.
+// Like the OpenMP engines, reads are in-place (chaotic): a worker may read
+// a parent mid-write by another worker. The claim flags guarantee no two
+// workers ever *update* the same node concurrently, which is the invariant
+// residual splash needs; torn parent reads are the standard async-BP
+// relaxation the §2.4 engines already make.
 #include <atomic>
 #include <optional>
 #include <vector>
 
 #include "bp/engines_internal.h"
+#include "bp/family_kernels.h"
 #include "bp/runtime/convergence.h"
 #include "bp/runtime/driver.h"
 #include "bp/runtime/init.h"
@@ -38,29 +40,21 @@
 namespace credo::bp::internal {
 namespace {
 
-using graph::BeliefVec;
 using graph::FactorGraph;
 using graph::NodeId;
 using parallel::ThreadPool;
 
-/// Fixed scheduler seed: runs are reproducible per (graph, options,
-/// team size) with no extra knob; a one-worker run replays exactly.
-constexpr std::uint64_t kSchedSeed = 0x637265646f736368ULL;  // "credosch"
-
-/// Per-worker metering sinks, cache-line padded (same shape as the §2.4
-/// engines').
-struct alignas(64) WorkerSink {
-  perf::Counters counters;
-};
-
-class RelaxedEngineBase : public Engine {
+class RelaxedEngine final : public Engine {
  public:
-  explicit RelaxedEngineBase(perf::HardwareProfile profile)
-      : profile_(std::move(profile)) {
+  /// `kind` is residual-locked, residual-mq or splash.
+  RelaxedEngine(perf::HardwareProfile profile, EngineKind kind)
+      : profile_(std::move(profile)), kind_(kind) {
     CREDO_CHECK_MSG(profile_.kind == perf::PlatformKind::kCpuParallel,
                     "relaxed priority engine requires a CPU-parallel "
                     "profile");
   }
+
+  [[nodiscard]] EngineKind kind() const noexcept override { return kind_; }
 
   [[nodiscard]] const perf::HardwareProfile& hardware()
       const noexcept override {
@@ -68,285 +62,131 @@ class RelaxedEngineBase : public Engine {
   }
 
  protected:
-  [[nodiscard]] static parallel::ThreadPool& select_pool(
-      const BpOptions& opts, const perf::HardwareProfile& prof,
-      std::optional<parallel::ThreadPool>& local) {
-    if (opts.shared_pool &&
-        opts.shared_pool->size() ==
-            static_cast<unsigned>(prof.parallel_units)) {
-      return *opts.shared_pool;
-    }
-    local.emplace(static_cast<unsigned>(prof.parallel_units));
-    return *local;
-  }
-
-  [[nodiscard]] perf::HardwareProfile effective_profile(
-      const BpOptions& opts) const {
-    if (opts.threads == 0 ||
-        static_cast<int>(opts.threads) == profile_.parallel_units) {
-      return profile_;
-    }
-    return perf::cpu_i7_7700hq_parallel(static_cast<int>(opts.threads));
-  }
-
-  void finish(BpResult& r, const util::Timer& timer,
-              const perf::HardwareProfile& p,
-              std::vector<WorkerSink>& sinks) const {
-    for (const auto& s : sinks) r.stats.counters.add(s.counters);
-    r.stats.time = perf::model_time(r.stats.counters, p);
-    r.stats.host_seconds = timer.seconds();
-  }
-
-  [[nodiscard]] perf::TimeBreakdown snapshot_time(
-      const BpResult& r, const std::vector<WorkerSink>& sinks,
-      const perf::HardwareProfile& p) const {
-    perf::Counters total = r.stats.counters;
-    for (const auto& s : sinks) total.add(s.counters);
-    return perf::model_time(total, p);
-  }
-
-  /// Beliefs never charged as cache-resident: the MQ engine's pops land on
-  /// unrelated nodes, so every touch is a scattered DRAM access.
-  struct NeverNear {
-    constexpr bool operator()(NodeId) const noexcept { return false; }
-  };
-
-  /// The shared node-update body: recompute v's belief from its parents.
-  /// Metering matches the sequential residual engine event for event,
-  /// except that belief touches for which `near(node)` holds are charged
-  /// as cache-resident — the splash engine passes its just-pulled subtree.
-  template <typename NearPred = NeverNear>
-  static float update_node(const FactorGraph& g,
-                           const runtime::ConvergenceController& ctl,
-                           std::vector<BeliefVec>& beliefs, NodeId v,
-                           perf::Meter& meter, EdgeBlockScratch& scratch,
-                           BeliefVec& prev, NearPred near = NearPred{}) {
-    graph::copy_belief(prev, beliefs[v]);
-    if (near(v)) {
-      meter.near_read(belief_bytes(prev.size));
-    } else {
-      meter.rand_read(belief_bytes(prev.size));
-    }
-    BeliefVec acc = BeliefVec::ones(g.arity(v));
-    meter.seq_read(sizeof(std::uint64_t));
-    pull_parents_blocked(g.in_csr().neighbors(v), beliefs, g.joints(),
-                         meter, scratch, acc, near);
-    graph::normalize(acc);
-    meter.flop(2ull * acc.size);
-    meter.flop(ctl.damp(acc, prev));
-    graph::copy_belief(beliefs[v], acc);
-    if (near(v)) {
-      meter.near_write(belief_bytes(acc.size));
-    } else {
-      meter.rand_write(belief_bytes(acc.size));
-    }
-    const float d = graph::l1_diff(prev, acc);
-    meter.flop(2ull * acc.size);
-    return d;
-  }
-
-  perf::HardwareProfile profile_;
-};
-
-// ---------------------------------------------------------------------------
-// Residual MQ
-// ---------------------------------------------------------------------------
-
-class ResidualMqEngine final : public RelaxedEngineBase {
- public:
-  /// `locked` selects the concurrency baseline: one exact heap behind one
-  /// lock (MultiQueueSchedule with a single shard) instead of the relaxed
-  /// sharded configuration — the "residual-locked" engine the §5f bench
-  /// measures the relaxation against.
-  ResidualMqEngine(perf::HardwareProfile profile, bool locked)
-      : RelaxedEngineBase(std::move(profile)), locked_(locked) {}
-
-  [[nodiscard]] EngineKind kind() const noexcept override {
-    return locked_ ? EngineKind::kResidualLocked : EngineKind::kResidualMq;
-  }
-
- protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
                                 const BpOptions& opts) const override {
-    if (graph::is_ldpc(g.family())) {
-      return run_ldpc_relaxed(g, opts, kind(), profile_);
-    }
-    const util::Timer timer;
-    const perf::HardwareProfile prof = effective_profile(opts);
-    std::optional<ThreadPool> local_pool;
-    ThreadPool& pool = select_pool(opts, prof, local_pool);
-    std::vector<WorkerSink> sinks(pool.size());
-
-    BpResult r;
-    r.beliefs = runtime::initial_state(g, opts);
-    const NodeId n = g.num_nodes();
-
-    const runtime::ConvergenceController ctl(
-        opts, runtime::ConvergenceController::Cadence::kEveryIteration);
-    runtime::MultiQueueSchedule sched(g, ctl, pool.size(),
-                                      opts.sched_queues_per_thread,
-                                      kSchedSeed,
-                                      locked_ ? 1u : 0u,
-                                      opts.frontier_seed.get());
-
-    // The whole drain is one fork/join region (vs. one per sweep for the
-    // §2.4 engines): team wake/join is paid once per run.
-    perf::Meter main_meter(r.stats.counters);
-    main_meter.parallel_region();
-
-    std::atomic<float> last_delta{0.0f};
-    runtime::run_relaxed_priority_loop(
-        opts, n, r.stats, sched, pool,
-        [&](unsigned w) -> std::uint64_t {
-          perf::Meter meter(sinks[w].counters);
-          NodeId v = 0;
-          if (!sched.try_pop(w, meter, v)) return 0;
-          thread_local EdgeBlockScratch scratch;
-          thread_local BeliefVec prev;
-          const float d =
-              update_node(g, ctl, r.beliefs, v, meter, scratch, prev);
-          sched.record(w, meter, v, d);
-          last_delta.store(d, std::memory_order_relaxed);
-          return 1;
-        },
-        [&] { return snapshot_time(r, sinks, prof); });
-    r.stats.final_delta = last_delta.load(std::memory_order_relaxed);
-
-    const runtime::SchedStats ss = sched.stats();
-    runtime::observe_sched_run(ss.pops, ss.stale_pops, ss.inversions,
-                               sched.heap_peaks());
-    finish(r, timer, prof, sinks);
-    return r;
+    return graph::is_ldpc(g.family()) ? drain<LdpcKernel>(g, opts)
+                                      : drain<TabularKernel>(g, opts);
   }
 
  private:
-  bool locked_;
-};
-
-// ---------------------------------------------------------------------------
-// Splash
-// ---------------------------------------------------------------------------
-
-class SplashEngine final : public RelaxedEngineBase {
- public:
-  using RelaxedEngineBase::RelaxedEngineBase;
-
-  [[nodiscard]] EngineKind kind() const noexcept override {
-    return EngineKind::kSplash;
-  }
-
- protected:
-  [[nodiscard]] BpResult do_run(const FactorGraph& g,
-                                const BpOptions& opts) const override {
-    if (graph::is_ldpc(g.family())) {
-      return run_ldpc_relaxed(g, opts, kind(), profile_);
-    }
+  template <typename Kernel>
+  [[nodiscard]] BpResult drain(const FactorGraph& g,
+                               const BpOptions& opts) const {
     const util::Timer timer;
-    const perf::HardwareProfile prof = effective_profile(opts);
+    const perf::HardwareProfile prof = effective_profile(profile_, opts);
     std::optional<ThreadPool> local_pool;
     ThreadPool& pool = select_pool(opts, prof, local_pool);
     std::vector<WorkerSink> sinks(pool.size());
 
     BpResult r;
     r.beliefs = runtime::initial_state(g, opts);
+    perf::Meter main_meter(r.stats.counters);
     const NodeId n = g.num_nodes();
 
     const runtime::ConvergenceController ctl(
         opts, runtime::ConvergenceController::Cadence::kEveryIteration);
-    runtime::SplashSchedule sched(g, ctl, pool.size(),
-                                  opts.sched_queues_per_thread,
-                                  opts.splash_max_size, kSchedSeed,
-                                  opts.frontier_seed.get());
+    Kernel kernel(g, opts, ctl, r.beliefs, main_meter);
+    std::vector<typename Kernel::Worker> workers(pool.size());
 
-    // Per-worker splash scratch: the subtree, pre-splash belief copies
-    // (total per-node deltas are measured against them), the deltas, and
-    // an epoch-stamped membership map (splash_max_size nodes fit in L2, so
-    // in-subtree belief touches after the first pull are near accesses).
-    struct SplashScratch {
-      std::vector<NodeId> sub;
-      std::vector<BeliefVec> before;
-      std::vector<float> deltas;       // total change across the splash
-      std::vector<float> last_deltas;  // change of the final-pass update
-      std::vector<std::uint32_t> stamp;
-      std::uint32_t epoch = 0;
-    };
-    std::vector<SplashScratch> scratches(pool.size());
-
-    perf::Meter main_meter(r.stats.counters);
+    // The whole drain is one fork/join region (vs. one per sweep for the
+    // §2.4 engines): team wake/join is paid once per run.
     main_meter.parallel_region();
 
     std::atomic<float> last_delta{0.0f};
-    runtime::run_relaxed_priority_loop(
-        opts, n, r.stats, sched, pool,
-        [&](unsigned w) -> std::uint64_t {
-          perf::Meter meter(sinks[w].counters);
-          SplashScratch& sc = scratches[w];
-          if (!sched.try_pop_subtree(w, meter, sc.sub)) return 0;
-          thread_local EdgeBlockScratch scratch;
-          thread_local BeliefVec prev;
-          const std::size_t m = sc.sub.size();
-          sc.before.resize(m);
-          sc.deltas.resize(m);
-          sc.last_deltas.resize(m);
-          if (sc.stamp.size() < n) sc.stamp.assign(n, 0);
-          if (++sc.epoch == 0) {  // uint32 wrap: restart the stamp space
-            std::fill(sc.stamp.begin(), sc.stamp.end(), 0u);
-            sc.epoch = 1;
-          }
-          // First touch pulls each subtree belief from DRAM; the sweeps
-          // below then hit the cache-resident copy (in_subtree below).
-          for (std::size_t i = 0; i < m; ++i) {
-            graph::copy_belief(sc.before[i], r.beliefs[sc.sub[i]]);
-            meter.rand_read(belief_bytes(sc.before[i].size));
-            sc.stamp[sc.sub[i]] = sc.epoch;
-          }
-          const auto in_subtree = [&sc](NodeId u) noexcept {
-            return sc.stamp[u] == sc.epoch;
-          };
-          // Leaf→root half-sweep (skipped for a lone root), then
-          // root→leaf: information flows up the subtree and back down in
-          // one batch — two updates per node instead of two pops.
-          if (m > 1) {
-            for (std::size_t i = m; i-- > 0;) {
-              update_node(g, ctl, r.beliefs, sc.sub[i], meter, scratch,
-                          prev, in_subtree);
-            }
-          }
-          float last = 0.0f;
-          for (std::size_t i = 0; i < m; ++i) {
-            sc.last_deltas[i] = update_node(g, ctl, r.beliefs, sc.sub[i],
-                                            meter, scratch, prev, in_subtree);
-            sc.deltas[i] = graph::l1_diff(sc.before[i], r.beliefs[sc.sub[i]]);
-            meter.flop(2ull * sc.before[i].size);
-            last = sc.deltas[i];
-          }
-          sched.record_subtree(w, meter, sc.sub, sc.deltas, sc.last_deltas);
-          last_delta.store(last, std::memory_order_relaxed);
-          return m > 1 ? 2 * m : 1;
-        },
-        [&] { return snapshot_time(r, sinks, prof); });
-    r.stats.final_delta = last_delta.load(std::memory_order_relaxed);
+    const auto run = [&](auto& sched, auto&& step) {
+      runtime::run_relaxed_priority_loop(
+          opts, n, r.stats, sched, pool,
+          [&](unsigned w) -> std::uint64_t {
+            perf::Meter meter(sinks[w].counters);
+            return step(w, workers[w], meter);
+          },
+          // Runs under the driver's epoch mutex, charged to the main
+          // counters, while the rest of the team keeps updating: a pass
+          // is provisional until kernel.finish re-checks the joined state.
+          [&] { return kernel.syndrome_met(main_meter); },
+          [&] { return snapshot_time(r.stats.counters, sinks, prof); });
+      const runtime::SchedStats ss = sched.stats();
+      runtime::observe_sched_run(ss.pops, ss.stale_pops, ss.inversions,
+                                 sched.heap_peaks());
+    };
 
-    const runtime::SchedStats ss = sched.stats();
-    runtime::observe_sched_run(ss.pops, ss.stale_pops, ss.inversions,
-                               sched.heap_peaks());
+    if (kind_ == EngineKind::kSplash) {
+      runtime::SplashSchedule sched(g, ctl, pool.size(),
+                                    opts.sched_queues_per_thread,
+                                    opts.splash_max_size, kSchedSeed,
+                                    opts.frontier_seed.get());
+      // Per-worker splash scratch: the subtree and its per-node deltas.
+      struct SplashScratch {
+        std::vector<NodeId> sub;
+        std::vector<float> deltas;       // total change across the splash
+        std::vector<float> last_deltas;  // change of the final-pass update
+      };
+      std::vector<SplashScratch> scratches(pool.size());
+      run(sched, [&](unsigned w, typename Kernel::Worker& kw,
+                     perf::Meter& meter) -> std::uint64_t {
+        SplashScratch& sc = scratches[w];
+        if (!sched.try_pop_subtree(w, meter, sc.sub)) return 0;
+        const std::size_t m = sc.sub.size();
+        sc.deltas.assign(m, 0.0f);
+        sc.last_deltas.resize(m);
+        kernel.splash_begin(kw, sc.sub, meter);
+        // Leaf→root half-sweep (skipped for a lone root), then
+        // root→leaf: information flows up the subtree and back down in
+        // one batch — two updates per node instead of two pops.
+        if (m > 1) {
+          for (std::size_t i = m; i-- > 0;) {
+            sc.deltas[i] += kernel.splash_update(kw, sc.sub[i], meter);
+          }
+        }
+        float last = 0.0f;
+        for (std::size_t i = 0; i < m; ++i) {
+          sc.last_deltas[i] = kernel.splash_update(kw, sc.sub[i], meter);
+          sc.deltas[i] =
+              kernel.splash_delta(kw, i, sc.sub[i],
+                                  sc.deltas[i] + sc.last_deltas[i], meter);
+          last = sc.deltas[i];
+        }
+        sched.record_subtree(w, meter, sc.sub, sc.deltas, sc.last_deltas);
+        last_delta.store(last, std::memory_order_relaxed);
+        return m > 1 ? 2 * m : 1;
+      });
+    } else {
+      runtime::MultiQueueSchedule sched(
+          g, ctl, pool.size(), opts.sched_queues_per_thread, kSchedSeed,
+          kind_ == EngineKind::kResidualLocked ? 1u : 0u,
+          opts.frontier_seed.get());
+      run(sched, [&](unsigned w, typename Kernel::Worker& kw,
+                     perf::Meter& meter) -> std::uint64_t {
+        NodeId v = 0;
+        if (!sched.try_pop(w, meter, v)) return 0;
+        const float d = kernel.update(kw, v, meter);
+        sched.record(w, meter, v, d);
+        last_delta.store(d, std::memory_order_relaxed);
+        return 1;
+      });
+    }
+    r.stats.final_delta = last_delta.load(std::memory_order_relaxed);
+    kernel.finish(r.stats, main_meter, /*settled=*/false);
     finish(r, timer, prof, sinks);
     return r;
   }
+
+  perf::HardwareProfile profile_;
+  EngineKind kind_;
 };
 
 }  // namespace
 
 std::unique_ptr<Engine> make_residual_locked(const perf::HardwareProfile& p) {
-  return std::make_unique<ResidualMqEngine>(p, /*locked=*/true);
+  return std::make_unique<RelaxedEngine>(p, EngineKind::kResidualLocked);
 }
 
 std::unique_ptr<Engine> make_residual_mq(const perf::HardwareProfile& p) {
-  return std::make_unique<ResidualMqEngine>(p, /*locked=*/false);
+  return std::make_unique<RelaxedEngine>(p, EngineKind::kResidualMq);
 }
 
 std::unique_ptr<Engine> make_splash(const perf::HardwareProfile& p) {
-  return std::make_unique<SplashEngine>(p);
+  return std::make_unique<RelaxedEngine>(p, EngineKind::kSplash);
 }
 
 }  // namespace credo::bp::internal

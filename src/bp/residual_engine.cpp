@@ -11,11 +11,13 @@
 //
 // Composition over the runtime layer (DESIGN.md §5b): the ResidualSchedule
 // owns the lazy-deletion max-heap and reprioritization walk, the controller
-// owns the per-element threshold and damping, and run_priority_loop owns
-// the update budget and telemetry epochs.
+// owns the per-element threshold and damping, run_priority_loop owns the
+// update budget and telemetry epochs, and a family kernel
+// (family_kernels.h) owns the node update.
 #include <vector>
 
 #include "bp/engines_internal.h"
+#include "bp/family_kernels.h"
 #include "bp/runtime/convergence.h"
 #include "bp/runtime/driver.h"
 #include "bp/runtime/init.h"
@@ -28,7 +30,6 @@
 namespace credo::bp::internal {
 namespace {
 
-using graph::BeliefVec;
 using graph::FactorGraph;
 using graph::NodeId;
 
@@ -52,50 +53,35 @@ class ResidualEngine final : public Engine {
  protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
                                 const BpOptions& opts) const override {
-    if (graph::is_ldpc(g.family())) {
-      return run_ldpc_residual(g, opts, profile_);
-    }
+    return graph::is_ldpc(g.family()) ? drain<LdpcKernel>(g, opts)
+                                      : drain<TabularKernel>(g, opts);
+  }
+
+ private:
+  template <typename Kernel>
+  [[nodiscard]] BpResult drain(const FactorGraph& g,
+                               const BpOptions& opts) const {
     const util::Timer timer;
     BpResult r;
     r.beliefs = runtime::initial_state(g, opts);
     perf::Meter meter(r.stats.counters);
 
-    const auto& in = g.in_csr();
-    const auto& joints = g.joints();
-    const NodeId n = g.num_nodes();
-
     const runtime::ConvergenceController ctl(
         opts, runtime::ConvergenceController::Cadence::kEveryIteration);
+    Kernel kernel(g, opts, ctl, r.beliefs, meter);
     runtime::ResidualSchedule sched(g, ctl, meter, opts.frontier_seed.get());
 
-    EdgeBlockScratch scratch;
-    BeliefVec prev;
+    typename Kernel::Worker worker;
     runtime::run_priority_loop(
-        opts, n, r.stats, sched,
-        [&](NodeId v) -> float {
-          graph::copy_belief(prev, r.beliefs[v]);
-          meter.rand_read(belief_bytes(prev.size));
-          BeliefVec acc = BeliefVec::ones(g.arity(v));
-          meter.seq_read(sizeof(std::uint64_t));
-          pull_parents_blocked(in.neighbors(v), r.beliefs, joints, meter,
-                               scratch, acc);
-          graph::normalize(acc);
-          meter.flop(2ull * acc.size);
-          meter.flop(ctl.damp(acc, prev));
-          graph::copy_belief(r.beliefs[v], acc);
-          meter.rand_write(belief_bytes(acc.size));
-          const float d = graph::l1_diff(prev, acc);
-          meter.flop(2ull * acc.size);
-          return d;
-        },
+        opts, g.num_nodes(), r.stats, sched,
+        [&](NodeId v) { return kernel.update(worker, v, meter); },
+        [&] { return kernel.syndrome_met(meter); },
         [&] { return perf::model_time(r.stats.counters, profile_); });
-
-    r.stats.time = perf::model_time(r.stats.counters, profile_);
-    r.stats.host_seconds = timer.seconds();
+    kernel.finish(r.stats, meter, /*settled=*/true);
+    finish(r, timer, profile_);
     return r;
   }
 
- private:
   perf::HardwareProfile profile_;
 };
 

@@ -54,9 +54,10 @@ class ConvergenceController {
   }
 
   /// LDPC families (DESIGN.md §5g): whether syndrome satisfaction is an
-  /// additional stopping rule. The family runners evaluate it at the
-  /// should_check cadence (sweeps) or at epoch boundaries (priority
-  /// loops), alongside — never instead of — the belief-delta rule.
+  /// additional stopping rule. The LDPC family kernel evaluates it when an
+  /// engine asks — at the should_check cadence (sweeps) or at epoch
+  /// boundaries (priority loops) — alongside, never instead of, the
+  /// belief-delta rule.
   [[nodiscard]] bool syndrome_stop() const noexcept {
     return syndrome_stop_;
   }

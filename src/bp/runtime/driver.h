@@ -113,13 +113,6 @@ void run_loop(const BpOptions& opts, BpStats& stats,
   observe_run(stats.iterations, stats.converged);
 }
 
-/// No-op epoch hook: the default "no alternative stopping rule" for the
-/// priority loops. LDPC runners pass a real hook that evaluates syndrome
-/// satisfaction (DESIGN.md §5g).
-struct NoEpochHook {
-  constexpr bool operator()() const noexcept { return false; }
-};
-
 /// Runs the residual-priority loop: one `body(v) -> delta` call per popped
 /// node, budgeted at `max_iterations * num_nodes` updates so the cap is
 /// comparable with the sweep engines'. The schedule must provide
@@ -184,15 +177,6 @@ void run_priority_loop(const BpOptions& opts, std::uint64_t num_nodes,
   observe_run(stats.iterations, stats.converged);
 }
 
-template <typename Schedule, typename Body, typename TimeFn>
-void run_priority_loop(const BpOptions& opts, std::uint64_t num_nodes,
-                       BpStats& stats, Schedule& sched, Body&& body,
-                       TimeFn&& time_fn) {
-  run_priority_loop(opts, num_nodes, stats, sched,
-                    std::forward<Body>(body), NoEpochHook{},
-                    std::forward<TimeFn>(time_fn));
-}
-
 /// Concurrent analogue of run_priority_loop for the relaxed schedulers
 /// (DESIGN.md §5f): the whole drain runs as ONE fork/join region on
 /// `pool`, every worker looping `step(worker) -> updates performed` until
@@ -213,9 +197,10 @@ void run_priority_loop(const BpOptions& opts, std::uint64_t num_nodes,
 /// `epoch_hook() -> bool` runs under the driver mutex on whichever worker
 /// crosses an epoch boundary; returning true aborts the drain with the run
 /// marked converged (the alternative stopping rule — syndrome satisfaction
-/// for the LDPC families). The hook may read shared belief/message state;
-/// other workers keep updating while it runs, which is the same chaotic
-/// tolerance every relaxed read already has.
+/// for the LDPC families). The hook may read shared belief/message state,
+/// but other workers keep updating while it runs, so a true return is
+/// provisional: the caller re-checks the joined final state before
+/// reporting it.
 template <typename Schedule, typename Step, typename EpochHook,
           typename TimeFn>
 void run_relaxed_priority_loop(const BpOptions& opts, std::uint64_t num_nodes,
@@ -284,16 +269,6 @@ void run_relaxed_priority_loop(const BpOptions& opts, std::uint64_t num_nodes,
       hook_converged.load(std::memory_order_relaxed) ||
       (!stopped && (sched.drained() || total < max_updates));
   observe_run(stats.iterations, stats.converged);
-}
-
-template <typename Schedule, typename Step, typename TimeFn>
-void run_relaxed_priority_loop(const BpOptions& opts, std::uint64_t num_nodes,
-                               BpStats& stats, Schedule& sched,
-                               parallel::ThreadPool& pool, Step&& step,
-                               TimeFn&& time_fn) {
-  run_relaxed_priority_loop(opts, num_nodes, stats, sched, pool,
-                            std::forward<Step>(step), NoEpochHook{},
-                            std::forward<TimeFn>(time_fn));
 }
 
 }  // namespace credo::bp::runtime

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "bp/engines_internal.h"
+#include "bp/family_kernels.h"
 #include "bp/runtime/convergence.h"
 #include "bp/runtime/ghost.h"
 #include "bp/runtime/init.h"
@@ -56,11 +57,6 @@ using graph::Csr;
 using graph::FactorGraph;
 using graph::NodeId;
 using parallel::ThreadPool;
-
-/// Per-worker metering sinks, cache-line padded like the other teams'.
-struct alignas(64) WorkerSink {
-  perf::Counters counters;
-};
 
 /// Everything one shard owns. Single-writer: only the worker currently
 /// claiming the shard touches it (coordinator fields excepted — those are
@@ -108,6 +104,7 @@ struct ShardState {
   std::uint32_t sweeps = 0;          // local sweeps run (per-shard iterations)
   std::uint64_t updates = 0;         // node updates performed
   double last_delta = 0.0;           // L1 sum of the most recent sweep
+  double unpublished_delta = 0.0;    // L1 moved since the last publish
   std::vector<NodeId> changed_ghosts;  // import scratch
 };
 
@@ -246,8 +243,7 @@ BpResult ShardedEngine::do_run(const FactorGraph& g,
   const NodeId n = g.num_nodes();
   if (n == 0) {
     r.stats.converged = true;
-    r.stats.time = perf::model_time(r.stats.counters, profile_);
-    r.stats.host_seconds = timer.seconds();
+    finish(r, timer, profile_);
     return r;
   }
 
@@ -257,23 +253,11 @@ BpResult ShardedEngine::do_run(const FactorGraph& g,
 
   // Team: one worker per shard at most; the modelled profile follows the
   // effective team the same way the other CPU-parallel engines do.
-  const unsigned requested =
-      opts.threads != 0 ? opts.threads
-                        : static_cast<unsigned>(profile_.parallel_units);
-  const unsigned team = std::max(1u, std::min(requested, s_count));
-  const perf::HardwareProfile prof =
-      static_cast<int>(team) == profile_.parallel_units
-          ? profile_
-          : perf::cpu_i7_7700hq_parallel(static_cast<int>(team));
+  const perf::HardwareProfile prof = effective_profile(profile_, opts, s_count);
   std::optional<ThreadPool> local_pool;
-  ThreadPool* pool = nullptr;
-  if (opts.shared_pool && opts.shared_pool->size() == team) {
-    pool = opts.shared_pool;
-  } else {
-    local_pool.emplace(team);
-    pool = &*local_pool;
-  }
-  std::vector<WorkerSink> sinks(pool->size());
+  ThreadPool& pool = select_pool(opts, prof, local_pool);
+  const unsigned team = pool.size();
+  std::vector<WorkerSink> sinks(team);
 
   const runtime::ConvergenceController ctl(
       opts, runtime::ConvergenceController::Cadence::kEveryIteration);
@@ -353,7 +337,7 @@ BpResult ShardedEngine::do_run(const FactorGraph& g,
   // sinks here would be a data race, so approximate: the poller's own
   // sink scaled to the team (the claim loop keeps workers balanced) plus
   // the main counters, all of which only this thread touches.
-  const auto snapshot_time = [&](unsigned w) {
+  const auto poller_time = [&](unsigned w) {
     perf::Counters total = r.stats.counters;
     for (unsigned i = 0; i < team; ++i) total.add(sinks[w].counters);
     return perf::model_time(total, prof);
@@ -398,6 +382,7 @@ BpResult ShardedEngine::do_run(const FactorGraph& g,
     }
 
     std::uint64_t round_updates = 0;
+    double round_delta = 0.0;
     for (std::uint32_t sweep = 0; sweep < opts.shard_exchange_every;
          ++sweep) {
       if (st.sweeps >= opts.max_iterations) break;
@@ -412,32 +397,12 @@ BpResult ShardedEngine::do_run(const FactorGraph& g,
                      : std::span<const NodeId>(st.eligible);
       runtime::observe_iteration(work.size(), /*checked=*/true);
       for (const NodeId v : work) {
-        // The shared node-update body, against shard-local state: the
-        // metering matches the single-team engines except that a
+        // The tabular node update against shard-local state: a
         // cache-resident shard's belief touches are near accesses.
-        graph::copy_belief(prev, st.beliefs[v]);
-        if (near) {
-          meter.near_read(belief_bytes(prev.size));
-        } else {
-          meter.rand_read(belief_bytes(prev.size));
-        }
-        BeliefVec acc = BeliefVec::ones(g.arity(st.begin + v));
-        meter.seq_read(sizeof(std::uint64_t));
-        pull_parents_blocked(
+        const float d = tabular_update(
             std::span<const Csr::Entry>(st.in_ent.data() + st.in_off[v],
                                         st.in_ent.data() + st.in_off[v + 1]),
-            st.beliefs, g.joints(), meter, scratch, acc, near_pred);
-        graph::normalize(acc);
-        meter.flop(2ull * acc.size);
-        meter.flop(ctl.damp(acc, prev));
-        graph::copy_belief(st.beliefs[v], acc);
-        if (near) {
-          meter.near_write(belief_bytes(acc.size));
-        } else {
-          meter.rand_write(belief_bytes(acc.size));
-        }
-        const float d = graph::l1_diff(prev, acc);
-        meter.flop(2ull * acc.size);
+            st.beliefs, v, g.joints(), ctl, meter, scratch, prev, near_pred);
         delta_sum += d;
         ++round_updates;
         if (queue_mode && ctl.element_active(d)) {
@@ -449,6 +414,7 @@ BpResult ShardedEngine::do_run(const FactorGraph& g,
         }
       }
       st.last_delta = delta_sum;
+      round_delta += delta_sum;
       if (queue_mode) {
         st.queue.swap(st.next);
         st.next.clear();
@@ -474,10 +440,16 @@ BpResult ShardedEngine::do_run(const FactorGraph& g,
     }
     st.updates += round_updates;
 
-    // Publish only when local state moved this round; a changed publish
-    // wakes every parked reader.
-    if (round_updates > 0 &&
+    // Publish once local state has moved the shard's share of the
+    // stopping threshold since the last publish; a changed publish wakes
+    // every parked reader. Smaller moves are converged by the distributed
+    // stopping rule and accumulate until they cross the share. Publishing
+    // them would let two border nodes that flip by one float ulp (above a
+    // 1e-7 queue bar near 1.0) wake each other's shards up to the cap.
+    st.unpublished_delta += round_delta;
+    if (round_updates > 0 && st.unpublished_delta >= dense_bar(st) &&
         exchange.publish(s, st.beliefs, opts.queue_threshold, meter)) {
+      st.unpublished_delta = 0.0;
       const std::lock_guard<std::mutex> lk(mu);
       for (const std::uint32_t reader : exchange.readers(s)) {
         if (phase[reader] == ShardPhase::kParked) {
@@ -495,7 +467,7 @@ BpResult ShardedEngine::do_run(const FactorGraph& g,
   perf::Meter main_meter(r.stats.counters);
   main_meter.parallel_region();
 
-  pool->run_team([&](unsigned w) {
+  pool.run_team([&](unsigned w) {
     for (;;) {
       if (done.load(std::memory_order_relaxed) ||
           abort.load(std::memory_order_relaxed)) {
@@ -548,7 +520,7 @@ BpResult ShardedEngine::do_run(const FactorGraph& g,
       if (guard.active()) {
         const runtime::StopReason why =
             guard.poll(/*at_check=*/true,
-                       [&] { return snapshot_time(w).total(); });
+                       [&] { return poller_time(w).total(); });
         if (why != runtime::StopReason::kNone) {
           stop_reason.store(static_cast<std::uint8_t>(why),
                             std::memory_order_relaxed);
@@ -586,9 +558,7 @@ BpResult ShardedEngine::do_run(const FactorGraph& g,
   r.stats.final_delta = final_delta;
   r.stats.converged = !stopped && !any_capped;
 
-  for (const WorkerSink& s : sinks) r.stats.counters.add(s.counters);
-  r.stats.time = perf::model_time(r.stats.counters, prof);
-  r.stats.host_seconds = timer.seconds();
+  finish(r, timer, prof, sinks);
 
   runtime::observe_shard_run(sweeps, r.stats.counters.shard_exchange_bytes,
                              parks, wakes);

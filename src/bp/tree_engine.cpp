@@ -167,8 +167,7 @@ class TreeEngine final : public Engine {
 
     r.stats.iterations = 2;  // the two sweeps
     r.stats.converged = true;
-    r.stats.time = perf::model_time(r.stats.counters, profile_);
-    r.stats.host_seconds = timer.seconds();
+    finish(r, timer, profile_);
     return r;
   }
 

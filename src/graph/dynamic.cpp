@@ -448,6 +448,18 @@ util::Status DynamicGraph::apply(const GraphDelta& d) {
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   last_touched_ = std::move(touched);
 
+  // Nodes added under a reorder mode take the next reordered ids in
+  // original-id order, so the cached permutation stays a bijection over
+  // the grown graph until the next compaction recomputes it.
+  if (perm_ != nullptr && perm_->size() < num_nodes()) {
+    std::vector<NodeId> new_to_old(num_nodes());
+    for (NodeId k = 0; k < num_nodes(); ++k) {
+      new_to_old[k] = k < perm_->size() ? perm_->to_old(k) : k;
+    }
+    perm_ = std::make_shared<const Permutation>(
+        Permutation::from_new_to_old(std::move(new_to_old)));
+  }
+
   ++version_;
   snap_.reset();
   maybe_compact();

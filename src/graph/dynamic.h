@@ -12,7 +12,8 @@
 // by-source order GraphBuilder produces).
 //
 // The §5d reorder permutation is kept *approximately* valid: snapshots
-// reuse the permutation computed at the last compaction, and a compaction
+// reuse the permutation computed at the last compaction (nodes added since
+// take the next reordered ids, in original-id order), and a compaction
 // — which repacks the slotted CSRs, drops tombstoned edge slots and
 // re-runs compute_order — triggers when either slack occupancy
 // (dead_fraction) or `mean_edge_span` drift under the stale permutation

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "bp/engine.h"
 #include "graph/builder.h"
@@ -65,17 +67,48 @@ TEST(BpEngines, CpuNodeConverges) {
 TEST(BpEngines, AllLoopyEnginesAgree) {
   const auto g = small_graph(3);
   const auto opts = default_opts();
-  const auto reference =
-      bp::make_default_engine(EngineKind::kCpuNode)->run(g, opts);
+  const auto c_node = bp::make_default_engine(EngineKind::kCpuNode);
+  const auto reference = c_node->run(g, opts);
   ASSERT_TRUE(reference.stats.converged);
   for (const auto kind :
-       {EngineKind::kCpuEdge, EngineKind::kOmpNode, EngineKind::kOmpEdge,
-        EngineKind::kCudaNode, EngineKind::kCudaEdge,
-        EngineKind::kAccEdge}) {
+       {EngineKind::kCpuEdge, EngineKind::kOmpEdge, EngineKind::kCudaNode,
+        EngineKind::kCudaEdge, EngineKind::kAccEdge}) {
     const auto r = bp::make_default_engine(kind)->run(g, opts);
     EXPECT_LT(max_belief_gap(reference, r), 0.02f)
         << "engine " << bp::engine_name(kind);
   }
+
+  // This graph has a second BP fixed point, which omp-node's chaotic
+  // 8-thread schedule sometimes reaches (most nodes off by up to 2.0 L1).
+  // Here omp-node must reach *a* fixed point: run to a tenth of the
+  // threshold (a chaotic sweep sum just under 1e-4 can leave the next
+  // sequential sweep just over it), c-node warm-started from its result
+  // converges in its first iteration.
+  BpOptions tight = opts;
+  tight.convergence_threshold = 1e-5f;
+  const auto chaotic =
+      bp::make_default_engine(EngineKind::kOmpNode)->run(g, tight);
+  ASSERT_TRUE(chaotic.stats.converged);
+  BpOptions warm = opts;
+  warm.init_beliefs =
+      std::make_shared<std::vector<graph::BeliefVec>>(chaotic.beliefs);
+  const auto settled = c_node->run(g, warm);
+  EXPECT_TRUE(settled.stats.converged);
+  EXPECT_EQ(settled.stats.iterations, 1u);
+
+  // With weaker couplings the fixed point is unique, and omp-node agrees
+  // with c-node under every interleaving.
+  BeliefConfig weak;
+  weak.beliefs = 3;
+  weak.seed = 7;
+  weak.observed_fraction = 0.1;
+  weak.coupling = 0.35f;
+  const auto gw = graph::uniform_random(200, 800, weak);
+  const auto weak_reference = c_node->run(gw, opts);
+  ASSERT_TRUE(weak_reference.stats.converged);
+  const auto weak_omp =
+      bp::make_default_engine(EngineKind::kOmpNode)->run(gw, opts);
+  EXPECT_LT(max_belief_gap(weak_reference, weak_omp), 0.02f);
 }
 
 TEST(BpEngines, WorkQueueMatchesFullProcessing) {

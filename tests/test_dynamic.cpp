@@ -338,6 +338,48 @@ TEST(DynamicGraph, PermutationStaysValidAcrossCompactions) {
   }
 }
 
+TEST(DynamicGraph, SnapshotRightAfterNodeGrowthUnderReorder) {
+  // A node-adding delta under a reorder mode, snapshot taken straight away
+  // (no compaction in between): the cached permutation must cover the new
+  // node, and the engine must un-permute to the unordered twin's beliefs.
+  BeliefConfig cfg;
+  cfg.beliefs = 2;
+  cfg.seed = 11;
+  cfg.observed_fraction = 0.1;
+  const auto g = grid(10, 10, cfg);
+  ASSERT_TRUE(g.joints().is_shared());
+  DynamicOptions ordered;
+  ordered.reorder = ReorderMode::kBfs;
+  auto dyn = DynamicGraph::from_graph(g, ordered);
+  auto twin = DynamicGraph::from_graph(g, DynamicOptions{});
+
+  GraphDelta d;
+  d.add_node(BeliefVec::uniform(2)).add_edge(GraphDelta::new_node(0), 37);
+  ASSERT_TRUE(dyn.apply(d).is_ok());
+  ASSERT_TRUE(twin.apply(d).is_ok());
+  EXPECT_EQ(dyn.compactions(), 0u);
+
+  std::shared_ptr<const FactorGraph> snap;
+  ASSERT_NO_THROW(snap = dyn.snapshot());
+  ASSERT_NE(snap->permutation(), nullptr);
+  EXPECT_EQ(snap->permutation()->size(), g.num_nodes() + 1);
+
+  const auto opts = bp::BpOptions{}
+                        .with_max_iterations(500)
+                        .with_convergence_threshold(1e-6f)
+                        .with_queue_threshold(1e-8f);
+  const auto engine = bp::make_default_engine(bp::EngineKind::kCpuNode);
+  const auto got = engine->run(*snap, opts);
+  const auto want = engine->run(*twin.snapshot(), opts);
+  ASSERT_EQ(got.beliefs.size(), want.beliefs.size());
+  for (NodeId v = 0; v < snap->num_nodes(); ++v) {
+    for (std::uint32_t s = 0; s < got.beliefs[v].size; ++s) {
+      EXPECT_NEAR(got.beliefs[v][s], want.beliefs[v][s], 1e-5f)
+          << "node " << v << " state " << s;
+    }
+  }
+}
+
 TEST(DynamicGraph, DeadFractionTriggersAutomaticCompaction) {
   // Tiny slack plus repeated inserts on the same rows forces relocations
   // past the dead-fraction threshold; apply() must compact on its own.
@@ -586,6 +628,33 @@ TEST(ServerMutation, TopologyDeltaBumpsVersionAndSupersedesParsedGraph) {
   server.shutdown();
   EXPECT_EQ(server.stats().mutations, 1u);
   EXPECT_EQ(server.stats().completed, 3u);
+}
+
+TEST(ServerMutation, NodeGrowthOnAReorderedKeySucceeds) {
+  // A node-adding mutation on a reordered graph key: the mutated snapshot
+  // is taken before any compaction, so the cached permutation must already
+  // cover the new node.
+  const auto [nodes, edges] = write_graph(serve_grid(), "mutate_reordered");
+  Server server(plain_server(1));
+  const auto request = [&] {
+    return Request{}
+        .with_graph(GraphKey::files(nodes, edges)
+                        .with_reorder(graph::ReorderMode::kBfs))
+        .with_options(serve_options())
+        .with_engine(bp::EngineKind::kCpuNode);
+  };
+  const Response before = server.submit(request()).get();
+  ASSERT_TRUE(before.ok()) << before.error;
+
+  graph::GraphDelta grow;
+  grow.add_node(graph::BeliefVec::uniform(2))
+      .add_edge(graph::GraphDelta::new_node(0), 5,
+                graph::JointMatrix::diffusion(2, 0.8f));
+  const Response mutated = server.submit(request().with_delta(grow)).get();
+  EXPECT_EQ(mutated.status, util::StatusCode::kOk) << mutated.error;
+  EXPECT_EQ(mutated.graph_version, 1u);
+  EXPECT_EQ(mutated.result.beliefs.size(), before.result.beliefs.size() + 1);
+  server.shutdown();
 }
 
 TEST(ServerMutation, WarmStateMigratesAcrossTheVersionBump) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "bp/engine.h"
@@ -145,8 +146,10 @@ TEST(LdpcGraph, BuilderRejectsTabularMixing) {
 /// The acceptance matrix: one engine per paradigm family, including the
 /// relaxed-priority engines the scheduler PRs added.
 const EngineKind kDecodeEngines[] = {
-    EngineKind::kCpuNode,  EngineKind::kCpuEdge,    EngineKind::kOmpNode,
-    EngineKind::kResidual, EngineKind::kResidualMq, EngineKind::kSplash,
+    EngineKind::kCpuNode,        EngineKind::kCpuEdge,
+    EngineKind::kOmpNode,        EngineKind::kOmpEdge,
+    EngineKind::kResidual,       EngineKind::kResidualLocked,
+    EngineKind::kResidualMq,     EngineKind::kSplash,
 };
 
 /// Decodes `error` on `code` with the given family/engine and expects the
@@ -298,6 +301,46 @@ TEST(LdpcDecode, TreeAndDeviceEnginesRejectLdpcGraphs) {
     EXPECT_THROW((void)decode(g, kind, decode_opts()),
                  util::InvalidArgument)
         << bp::engine_slug(kind);
+  }
+}
+
+TEST(LdpcDecode, VerdictMatchesFinalHardDecisions) {
+  // BpStats::syndrome_satisfied describes the state the run returns: the
+  // final beliefs' hard decisions satisfy the syndrome iff it says so. The
+  // relaxed engines check parity at epoch boundaries while the rest of the
+  // team keeps writing messages; a pass there is provisional, and the
+  // verdict must come from the joined final state. More workers than cores
+  // widens the window in which a torn state can pass.
+  const Code code = graph::ldpc::random_regular(48, 3, 6, 17);
+  BpOptions opts = decode_opts();
+  opts.threads = std::max(8u, 2 * std::thread::hardware_concurrency());
+  const EngineKind all[] = {
+      EngineKind::kCpuNode,        EngineKind::kCpuEdge,
+      EngineKind::kOmpNode,        EngineKind::kOmpEdge,
+      EngineKind::kCudaNode,       EngineKind::kCudaEdge,
+      EngineKind::kAccEdge,        EngineKind::kTree,
+      EngineKind::kResidual,       EngineKind::kResidualLocked,
+      EngineKind::kResidualMq,     EngineKind::kSplash,
+      EngineKind::kSharded,
+  };
+  for (const auto family :
+       {FactorFamily::kLdpcSumProduct, FactorFamily::kLdpcMinSum}) {
+    for (std::uint32_t b = 0; b < code.bits; ++b) {
+      std::vector<std::uint8_t> error(code.bits, 0);
+      error[b] = 1;
+      const auto syn = graph::ldpc::syndrome(code, error);
+      const FactorGraph g =
+          graph::ldpc::build_graph(code, syn, 0.05f, family);
+      for (const auto kind : all) {
+        if (!bp::engine_supports_family(kind, family)) continue;
+        const BpResult r = decode(g, kind, opts);
+        const auto bits = graph::ldpc::hard_decision(r.beliefs, code.bits);
+        EXPECT_EQ(r.stats.syndrome_satisfied,
+                  graph::ldpc::satisfies(code, bits, syn))
+            << graph::family_name(family) << " on "
+            << bp::engine_slug(kind) << " bit " << b;
+      }
+    }
   }
 }
 

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "bp/engine.h"
@@ -17,6 +19,7 @@
 #include "graph/ldpc.h"
 #include "graph/partition.h"
 #include "graph/reorder.h"
+#include "io/mtx_belief.h"
 #include "util/error.h"
 #include "util/prng.h"
 
@@ -544,6 +547,33 @@ TEST(ShardedEngine, ConvergingOnTheFinalBudgetedSweepStaysConverged) {
   o.max_iterations = full.stats.iterations - 1;
   const auto short_run = make_default_engine(EngineKind::kSharded)->run(g, o);
   EXPECT_FALSE(short_run.stats.converged);
+}
+
+TEST(ShardedEngine, FloatNoiseOnTheBorderDoesNotHoldShardsAwake) {
+  // Border beliefs near 1.0 can flip by one float ulp, which is above the
+  // default 1e-7 queue bar. Such flips are far below a shard's share of
+  // the stopping threshold and must not wake the neighbor shard: on this
+  // MTX round-tripped grid (priors rounded to the file's precision) two
+  // shards would otherwise wake each other every round up to the sweep
+  // cap. One worker makes the replay deterministic.
+  const auto dir = std::filesystem::temp_directory_path() / "credo_shard_ut";
+  std::filesystem::create_directories(dir);
+  const std::string nodes = (dir / "noise_nodes.mtx").string();
+  const std::string edges = (dir / "noise_edges.mtx").string();
+  io::write_mtx_belief(small_grid(128, 7), nodes, edges);
+  const FactorGraph g = io::read_mtx_belief(nodes, edges);
+
+  BpOptions o;
+  o.convergence_threshold = 1e-3f;
+  o.max_iterations = 200;
+  o.work_queue = true;
+  o.threads = 1;
+  const auto r = make_default_engine(EngineKind::kSharded)->run(g, o);
+  EXPECT_TRUE(r.stats.converged);
+  EXPECT_LT(r.stats.iterations, 100u);
+  const auto ref = make_default_engine(EngineKind::kCpuNode)->run(g, o);
+  ASSERT_TRUE(ref.stats.converged);
+  EXPECT_LT(max_belief_l1(ref.beliefs, r.beliefs), 5e-3);
 }
 
 TEST(ShardedEngine, EightThreadStressOnIrregularGraph) {
