@@ -8,8 +8,8 @@
 //    min-sum versus sum-product on the same engine (min-sum trades a
 //    little FER for cheaper check updates);
 //  * engine throughput — the same decode across the sweep, frontier and
-//    relaxed-priority engines (§3.5/§5f schedules prioritizing check
-//    residuals), with the syndrome-satisfaction stop on everywhere.
+//    residual engines (§3.5/§5f schedules prioritizing check residuals),
+//    with the syndrome-satisfaction stop on everywhere.
 //
 // `--smoke` (the CI configuration) shrinks the code and trial counts and
 // skips the quality gate: same code paths, no timing assumptions on
@@ -168,12 +168,11 @@ int main(int argc, char** argv) {
   }
 
   // Engine throughput: the same min-sum decode across schedules —
-  // sequential/parallel sweeps and the priority engines (residual,
-  // relaxed MultiQueue, splash) ordering check residuals.
+  // sequential/parallel sweeps and the residual engines (exact and bulk
+  // rounds) ordering check residuals.
   const bp::EngineKind kEngines[] = {
-      bp::EngineKind::kCpuNode,    bp::EngineKind::kOmpNode,
-      bp::EngineKind::kResidual,   bp::EngineKind::kResidualMq,
-      bp::EngineKind::kSplash};
+      bp::EngineKind::kCpuNode, bp::EngineKind::kOmpNode,
+      bp::EngineKind::kResidual, bp::EngineKind::kBulkResidual};
   for (const auto kind : kEngines) {
     Row r = run_trials(code, graph::FactorFamily::kLdpcMinSum, kind,
                        kOperating, tp_trials, 0xfeed);

@@ -274,10 +274,10 @@ int main(int argc, char** argv) {
                              frac >= 0.25 ? 2 : batches, opts, 1234));
   }
 
-  // Paradigm cells at 1% touched: relaxed multi-queue and the sharded
+  // Paradigm cells at 1% touched: bulk residual rounds and the sharded
   // runtime take the same frontier seed.
   for (const bp::EngineKind kind :
-       {bp::EngineKind::kResidualMq, bp::EngineKind::kSharded}) {
+       {bp::EngineKind::kBulkResidual, bp::EngineKind::kSharded}) {
     cells.push_back(run_cell(g, kind, 0.01, smoke ? 2 : batches, opts, 99));
   }
 

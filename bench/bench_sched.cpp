@@ -1,27 +1,27 @@
-// Relaxed priority scheduling (DESIGN.md §5f): modelled + wall clock for
-// residual BP under the concurrent schedulers, to convergence, over the
-// generator suite.
+// Residual scheduling (DESIGN.md §5f): modelled + wall clock for residual
+// BP to convergence over the generator suite — the exact sequential
+// residual engine, its parallel bulk-round form at 1/2/4/8 threads, and
+// the c-node / omp-node sweeps as context.
 //
-// The matrix answers three questions:
-//  * scaling — the exact-heap concurrency baseline ("residual-locked": one
-//    heap, one lock) versus the relaxed MultiQueue at 1/2/4/8 threads and
-//    k ∈ {2,4} shard heaps per thread;
-//  * batching — Splash subtree sizes {8,32,128} against both;
+// The matrix answers two questions:
+//  * scaling — bulk-residual's host and modelled time per thread count;
 //  * efficiency — updates-to-convergence versus the exact sequential
-//    residual engine (the relaxation must not degrade the schedule into a
-//    glorified sweep) with c-node / omp-node sweeps as context.
+//    residual engine (bulk rounds must not degrade the schedule into a
+//    glorified sweep), and the fixed point reached (max per-node L1 to
+//    the exact engine's beliefs).
 //
 // All engines share the same update body and thresholds; only the
 // scheduler differs. The queue bar sits at 1e-6, above the float32 noise
 // floor of the belief update (~1.2e-7), so residual policies reach a true
 // fixed point instead of a limit cycle of sub-noise reprioritizations.
 //
-// `--smoke` (the CI configuration) shrinks the graphs and skips the perf
-// gate: same code paths, no timing assumptions on shared runners.
+// `--smoke` (the CI configuration) shrinks the graphs and skips the gate:
+// same code paths, no timing assumptions on shared runners.
+#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -78,33 +78,47 @@ struct Row {
   std::string graph;
   std::string engine;
   unsigned threads = 1;
-  std::string knob;  // "k=2" / "splash=32" / "-"
   double modelled = 0.0;
   double host = 0.0;
   std::uint64_t updates = 0;
   bool converged = false;
-  double vs_locked = 0.0;  // same-thread-count locked modelled / this
+  double update_ratio = 0.0;  // updates / exact residual's updates
+  double l1_vs_exact = 0.0;   // max per-node belief L1 to exact residual
 };
 
+/// Max per-node L1 distance between two belief vectors.
+double max_l1(const std::vector<graph::BeliefVec>& a,
+              const std::vector<graph::BeliefVec>& b) {
+  double worst = 0.0;
+  for (std::size_t v = 0; v < a.size(); ++v) {
+    worst = std::max(worst, static_cast<double>(graph::l1_diff(a[v], b[v])));
+  }
+  return worst;
+}
+
+/// Runs one cell `reps` times, keeping the median host time; modelled
+/// time, updates and beliefs come from the same (median) run.
 Row run_cell(const GraphCase& c, bp::EngineKind kind,
-             const bp::BpOptions& opts, const std::string& knob, int reps) {
+             const bp::BpOptions& opts, int reps,
+             std::vector<graph::BeliefVec>* beliefs = nullptr) {
+  std::vector<std::pair<double, bp::BpResult>> runs;
+  for (int r = 0; r < reps; ++r) {
+    const util::Timer t;
+    auto result = bench::run_default(kind, c.shuffled, opts);
+    runs.emplace_back(t.seconds(), std::move(result));
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  auto& [host, result] = runs[runs.size() / 2];
   Row row;
   row.graph = c.name;
   row.engine = std::string(bp::engine_slug(kind));
   row.threads = opts.threads;
-  row.knob = knob;
-  for (int r = 0; r < reps; ++r) {
-    const util::Timer t;
-    const auto result = bench::run_default(kind, c.shuffled, opts);
-    const double host = t.seconds();
-    const double modelled = result.stats.time.total();
-    if (r == 0 || modelled < row.modelled) {
-      row.modelled = modelled;
-      row.host = host;
-      row.updates = result.stats.elements_processed;
-      row.converged = result.stats.converged;
-    }
-  }
+  row.modelled = result.stats.time.total();
+  row.host = host;
+  row.updates = result.stats.elements_processed;
+  row.converged = result.stats.converged;
+  if (beliefs != nullptr) *beliefs = std::move(result.beliefs);
   return row;
 }
 
@@ -115,11 +129,12 @@ void write_json(const std::vector<Row>& rows, bool smoke) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"graph\": \"" << r.graph << "\", \"engine\": \""
-        << r.engine << "\", \"threads\": " << r.threads << ", \"knob\": \""
-        << r.knob << "\", \"modelled_seconds\": " << r.modelled
+        << r.engine << "\", \"threads\": " << r.threads
+        << ", \"modelled_seconds\": " << r.modelled
         << ", \"host_seconds\": " << r.host << ", \"updates\": " << r.updates
         << ", \"converged\": " << (r.converged ? "true" : "false")
-        << ", \"speedup_vs_locked\": " << r.vs_locked << "}"
+        << ", \"updates_vs_exact\": " << r.update_ratio
+        << ", \"l1_vs_exact\": " << r.l1_vs_exact << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -129,63 +144,55 @@ void write_json(const std::vector<Row>& rows, bool smoke) {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const int reps = smoke ? 1 : 2;
+  const int reps = smoke ? 1 : 3;
   const unsigned kThreads[] = {1, 2, 4, 8};
 
   std::vector<Row> rows;
-  util::Table table({"graph", "engine", "threads", "knob", "modelled s",
-                     "host s", "updates", "conv", "vs locked"});
+  util::Table table({"graph", "engine", "threads", "modelled s", "host s",
+                     "updates", "conv", "vs exact", "L1 vs exact"});
 
   for (const auto& c : make_cases(smoke)) {
-    // modelled[threads] of the locked baseline, for the speedup column.
-    std::map<unsigned, double> locked_modelled;
-
-    // Exact sequential residual: the update-efficiency yardstick.
+    // Exact sequential residual: the update-efficiency and fixed-point
+    // yardstick.
     auto base = sched_options();
     base.threads = 1;
-    rows.push_back(run_cell(c, bp::EngineKind::kResidual, base, "-", reps));
-    const std::uint64_t exact_updates = rows.back().updates;
+    std::vector<graph::BeliefVec> exact;
+    rows.push_back(
+        run_cell(c, bp::EngineKind::kResidual, base, reps, &exact));
+    const double exact_updates = static_cast<double>(rows.back().updates);
+    const auto compare = [&](Row& row,
+                             const std::vector<graph::BeliefVec>& beliefs) {
+      row.update_ratio = static_cast<double>(row.updates) / exact_updates;
+      row.l1_vs_exact = max_l1(beliefs, exact);
+    };
+    compare(rows.back(), exact);
 
     for (const unsigned t : kThreads) {
       auto o = sched_options();
       o.threads = t;
+      std::vector<graph::BeliefVec> beliefs;
       rows.push_back(
-          run_cell(c, bp::EngineKind::kResidualLocked, o, "-", reps));
-      locked_modelled[t] = rows.back().modelled;
-      rows.back().vs_locked = 1.0;
-    }
-    for (const unsigned t : kThreads) {
-      for (const unsigned k : {2u, 4u}) {
-        auto o = sched_options().with_sched_queues_per_thread(k);
-        o.threads = t;
-        rows.push_back(run_cell(c, bp::EngineKind::kResidualMq, o,
-                                "k=" + std::to_string(k), reps));
-        rows.back().vs_locked = locked_modelled.at(t) / rows.back().modelled;
-      }
-    }
-    for (const unsigned s : {8u, 32u, 128u}) {
-      auto o = sched_options().with_splash_max_size(s);
-      o.threads = 8;
-      rows.push_back(run_cell(c, bp::EngineKind::kSplash, o,
-                              "splash=" + std::to_string(s), reps));
-      rows.back().vs_locked = locked_modelled.at(8) / rows.back().modelled;
+          run_cell(c, bp::EngineKind::kBulkResidual, o, reps, &beliefs));
+      compare(rows.back(), beliefs);
     }
     // Sweep-engine context: the §3.5 work-queue sweep and its OpenMP form.
-    rows.push_back(run_cell(c, bp::EngineKind::kCpuNode, base, "-", reps));
-    {
-      auto o = sched_options();
-      o.threads = 8;
-      rows.push_back(run_cell(c, bp::EngineKind::kOmpNode, o, "-", reps));
-    }
-
-    (void)exact_updates;
+    std::vector<graph::BeliefVec> beliefs;
+    rows.push_back(
+        run_cell(c, bp::EngineKind::kCpuNode, base, reps, &beliefs));
+    compare(rows.back(), beliefs);
+    auto o = sched_options();
+    o.threads = 8;
+    rows.push_back(
+        run_cell(c, bp::EngineKind::kOmpNode, o, reps, &beliefs));
+    compare(rows.back(), beliefs);
   }
 
   for (const Row& r : rows) {
-    table.add_row({r.graph, r.engine, std::to_string(r.threads), r.knob,
+    table.add_row({r.graph, r.engine, std::to_string(r.threads),
                    bench::num(r.modelled), bench::num(r.host),
                    std::to_string(r.updates), r.converged ? "yes" : "no",
-                   r.vs_locked > 0.0 ? bench::num(r.vs_locked, 3) : "-"});
+                   bench::num(r.update_ratio, 3),
+                   bench::num(r.l1_vs_exact, 3)});
   }
   bench::emit(table, "sched",
               "§5f — residual BP to convergence per scheduler (modelled + "
@@ -195,32 +202,25 @@ int main(int argc, char** argv) {
 
   if (smoke) return 0;
 
-  // Gate, on the paper's grid MRF: (1) the relaxed MultiQueue at 8 threads
-  // must beat the exact-heap 8-thread baseline by >= 2x modelled, and
-  // (2) its updates-to-convergence must stay within 1.5x of the exact
-  // sequential residual schedule (the relaxation keeps the policy).
-  double locked8 = 0.0, mq8 = 0.0;
-  std::uint64_t exact_u = 0, mq_u = 0;
-  bool all_converged = true;
+  // Gate: at every thread count and on every graph, bulk-residual keeps
+  // the residual policy (updates <= 1.5x the exact schedule's) and its
+  // fixed point (max per-node L1 <= 5e-3); every grid cell converges.
+  bool ok = true;
   for (const Row& r : rows) {
-    if (r.graph != "grid-512x512") continue;
-    if (!r.converged) all_converged = false;
-    if (r.engine == "residual-locked" && r.threads == 8) {
-      locked8 = r.modelled;
+    if (r.graph == "grid-512x512" && !r.converged) {
+      std::cerr << "GATE FAIL: " << r.engine << "@" << r.threads
+                << " did not converge on the grid\n";
+      ok = false;
     }
-    if (r.engine == "residual-mq" && r.threads == 8 && r.knob == "k=2") {
-      mq8 = r.modelled;
-      mq_u = r.updates;
+    if (r.engine != "bulk-residual") continue;
+    if (r.update_ratio > 1.5 || r.l1_vs_exact > 5e-3) {
+      std::cerr << "GATE FAIL: bulk-residual@" << r.threads << " on "
+                << r.graph << ": updates " << r.update_ratio
+                << "x exact (<= 1.5), L1 " << r.l1_vs_exact
+                << " (<= 5e-3)\n";
+      ok = false;
     }
-    if (r.engine == "residual" && r.threads == 1) exact_u = r.updates;
   }
-  const double speedup = mq8 > 0.0 ? locked8 / mq8 : 0.0;
-  const double update_ratio =
-      exact_u > 0 ? static_cast<double>(mq_u) / static_cast<double>(exact_u)
-                  : 0.0;
-  std::cout << "grid-512x512 gates: mq(8,k=2) vs locked(8) = "
-            << bench::num(speedup, 3) << "x (>= 2), updates vs exact = "
-            << bench::num(update_ratio, 3) << "x (<= 1.5), all converged: "
-            << (all_converged ? "yes" : "no") << "\n";
-  return (speedup >= 2.0 && update_ratio <= 1.5 && all_converged) ? 0 : 1;
+  if (ok) std::cout << "GATE PASS\n";
+  return ok ? 0 : 1;
 }

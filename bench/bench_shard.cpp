@@ -5,8 +5,8 @@
 // The matrix answers three questions:
 //  * when sharding pays — graphs whose belief working set exceeds the LLC
 //    (grid-2048x2048 at ~50 MB, social-1m at ~13 MB vs the modelled
-//    7700HQ's 6 MB) against the §3.5 OpenMP sweep and the §5f MultiQueue
-//    at the same 8 threads;
+//    7700HQ's 6 MB) against the §3.5 OpenMP sweep and the §5f bulk
+//    residual engine at the same 8 threads;
 //  * the shard-count sweet spot — sweeping S at fixed threads: too few
 //    shards and a slice still misses (scattered charging, exchange on
 //    top), enough and every parent touch turns cache-resident, too many
@@ -163,13 +163,12 @@ int main(int argc, char** argv) {
     }
 
     // Single-team baselines at 8 threads: the §3.5 OpenMP sweep and the
-    // §5f relaxed MultiQueue (the repo's best prior engines here).
+    // §5f bulk residual engine.
     const auto base = shard_options();
     rows.push_back(run_cell(c, bp::EngineKind::kOmpNode, base, "-", reps));
     double best_single = rows.back().modelled;
-    rows.push_back(run_cell(c, bp::EngineKind::kResidualMq,
-                            bp::BpOptions(base).with_sched_queues_per_thread(2),
-                            "k=2", reps));
+    rows.push_back(
+        run_cell(c, bp::EngineKind::kBulkResidual, base, "-", reps));
     best_single = std::min(best_single, rows.back().modelled);
     for (auto it = rows.end() - 2; it != rows.end(); ++it) {
       it->vs_best = best_single / it->modelled;

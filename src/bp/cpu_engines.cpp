@@ -121,7 +121,7 @@ class CpuNodeEngine final : public CpuEngineBase {
         },
         [] { return 0.0; },  // delta is never deferred on the CPU
         [&] { return perf::model_time(r.stats.counters, profile_); });
-    kernel.finish(r.stats, meter, /*settled=*/true);
+    kernel.finish(r.stats, meter);
     finish(r, timer, profile_);
     return r;
   }

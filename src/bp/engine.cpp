@@ -27,26 +27,11 @@ BpResult Engine::run(const graph::FactorGraph& g,
         std::string("engine '") + std::string(engine_slug(kind())) +
         "' supports only the tabular family; the LDPC families run on "
         "the CPU engines (c-node, c-edge, omp-node, omp-edge, residual, "
-        "residual-locked, residual-mq, splash)");
+        "bulk-residual)");
   }
-  // The relaxed-scheduler knobs have no effect anywhere else; accepting
-  // them silently on other engines would let a typoed engine name absorb a
-  // carefully tuned configuration.
-  const bool relaxed_priority = kind() == EngineKind::kResidualMq ||
-                                kind() == EngineKind::kSplash;
-  if (!relaxed_priority) {
-    if (opts.sched_queues_per_thread != kDefaultSchedQueuesPerThread) {
-      throw util::InvalidArgument(
-          "BpOptions: sched_queues_per_thread applies only to the relaxed "
-          "priority engines (residual-mq, splash)");
-    }
-    if (opts.splash_max_size != kDefaultSplashMaxSize) {
-      throw util::InvalidArgument(
-          "BpOptions: splash_max_size applies only to the relaxed "
-          "priority engines (residual-mq, splash)");
-    }
-  }
-  // Same convention for the sharding knobs (DESIGN.md §5i).
+  // The sharding knobs have no effect anywhere else (DESIGN.md §5i);
+  // accepting them silently on other engines would let a typoed engine
+  // name absorb a carefully tuned configuration.
   if (kind() != EngineKind::kSharded) {
     if (opts.shard_count != kDefaultShardCount) {
       throw util::InvalidArgument(
@@ -140,9 +125,7 @@ std::string_view engine_name(EngineKind kind) noexcept {
     case EngineKind::kAccEdge: return "OpenACC Edge";
     case EngineKind::kTree: return "Tree BP";
     case EngineKind::kResidual: return "Residual";
-    case EngineKind::kResidualLocked: return "Residual Locked";
-    case EngineKind::kResidualMq: return "Residual MQ";
-    case EngineKind::kSplash: return "Splash";
+    case EngineKind::kBulkResidual: return "Bulk Residual";
     case EngineKind::kSharded: return "Sharded";
   }
   return "unknown";
@@ -159,9 +142,7 @@ std::string_view engine_slug(EngineKind kind) noexcept {
     case EngineKind::kAccEdge: return "acc-edge";
     case EngineKind::kTree: return "tree";
     case EngineKind::kResidual: return "residual";
-    case EngineKind::kResidualLocked: return "residual-locked";
-    case EngineKind::kResidualMq: return "residual-mq";
-    case EngineKind::kSplash: return "splash";
+    case EngineKind::kBulkResidual: return "bulk-residual";
     case EngineKind::kSharded: return "sharded";
   }
   return "unknown";
@@ -241,16 +222,7 @@ std::optional<EngineKind> engine_from_name(std::string_view name) noexcept {
   }
   if (key == "tree" || key == "tree-bp") return EngineKind::kTree;
   if (key == "residual") return EngineKind::kResidual;
-  if (key == "residual-locked" || key == "locked") {
-    return EngineKind::kResidualLocked;
-  }
-  if (key == "residual-mq" || key == "residual-multiqueue" ||
-      key == "multiqueue" || key == "mq") {
-    return EngineKind::kResidualMq;
-  }
-  if (key == "splash" || key == "residual-splash") {
-    return EngineKind::kSplash;
-  }
+  if (key == "bulk-residual") return EngineKind::kBulkResidual;
   if (key == "sharded" || key == "shard" || key == "sharded-bp") {
     return EngineKind::kSharded;
   }
@@ -269,11 +241,8 @@ std::unique_ptr<Engine> make_engine(EngineKind kind,
     case EngineKind::kAccEdge: return internal::make_acc_edge(profile);
     case EngineKind::kTree: return internal::make_tree(profile);
     case EngineKind::kResidual: return internal::make_residual(profile);
-    case EngineKind::kResidualLocked:
-      return internal::make_residual_locked(profile);
-    case EngineKind::kResidualMq:
-      return internal::make_residual_mq(profile);
-    case EngineKind::kSplash: return internal::make_splash(profile);
+    case EngineKind::kBulkResidual:
+      return internal::make_bulk_residual(profile);
     case EngineKind::kSharded: return internal::make_sharded(profile);
   }
   throw util::InvalidArgument("unknown engine kind");
@@ -288,9 +257,7 @@ std::unique_ptr<Engine> make_default_engine(EngineKind kind) {
       return make_engine(kind, perf::cpu_i7_7700hq_serial());
     case EngineKind::kOmpNode:
     case EngineKind::kOmpEdge:
-    case EngineKind::kResidualLocked:
-    case EngineKind::kResidualMq:
-    case EngineKind::kSplash:
+    case EngineKind::kBulkResidual:
     case EngineKind::kSharded:
       return make_engine(kind, perf::cpu_i7_7700hq_parallel(8));
     case EngineKind::kCudaNode:

@@ -27,11 +27,8 @@ enum class EngineKind {
   kAccEdge,   // OpenACC-style naive offload (edge paradigm)
   kTree,      // non-loopy two-pass tree BP (§2.1.1 baseline)
   kResidual,  // residual-prioritized scheduling (extension; cf. §5.1)
-  kResidualLocked,  // concurrent residual baseline: one exact heap, one
-                    // lock (the scheduler §5f relaxes away)
-  kResidualMq,      // residual over a relaxed MultiQueue (DESIGN.md §5f)
-  kSplash,          // residual roots + bounded BFS subtree sweeps (§5f)
-  kSharded,         // partitioned shards + ghost-buffer exchange (§5i)
+  kBulkResidual,  // residual drained in parallel bulk rounds (§5f)
+  kSharded,       // partitioned shards + ghost-buffer exchange (§5i)
 };
 
 /// Human-readable engine name ("C Node", "CUDA Edge", ...).

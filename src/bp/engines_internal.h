@@ -31,19 +31,12 @@ std::unique_ptr<Engine> make_cuda_edge(const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_acc_edge(const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_tree(const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_residual(const perf::HardwareProfile& p);
-std::unique_ptr<Engine> make_residual_locked(const perf::HardwareProfile& p);
-std::unique_ptr<Engine> make_residual_mq(const perf::HardwareProfile& p);
-std::unique_ptr<Engine> make_splash(const perf::HardwareProfile& p);
+std::unique_ptr<Engine> make_bulk_residual(const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_sharded(const perf::HardwareProfile& p);
 
 // ---------------------------------------------------------------------------
 // Team set-up and result finalization, shared by every CPU engine.
 // ---------------------------------------------------------------------------
-
-/// Fixed scheduler seed ("credosch"): relaxed runs are reproducible per
-/// (graph, options, team size) with no extra knob; a one-worker run
-/// replays exactly.
-inline constexpr std::uint64_t kSchedSeed = 0x637265646f736368ULL;
 
 /// Per-worker metering sinks, cache-line padded so the bookkeeping itself
 /// does not contend. Folded into the run's counters by finish().
@@ -184,8 +177,8 @@ inline std::uint64_t compute_block(const graph::JointStore& joints,
 /// per-edge path, with the joint-matrix loads amortized per block. Metering
 /// matches the per-edge form event for event, except that parents for which
 /// `near_pred(node)` holds are charged as near (cache-resident) reads — the
-/// splash engine passes the just-pulled subtree so its sweeps pay DRAM once
-/// per node, not once per visit.
+/// sharded engine passes its per-shard cache-residency verdict, so a shard
+/// whose working set fits the cache does not pay DRAM per parent touch.
 template <typename NearPred>
 inline void pull_parents_blocked(std::span<const graph::Csr::Entry> nbrs,
                                  const std::vector<graph::BeliefVec>& beliefs,

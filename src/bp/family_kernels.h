@@ -4,11 +4,10 @@
 // The engines own paradigm and execution — which node runs next, on which
 // worker, under which stopping rule (§3.3–§3.5). A family kernel owns only
 // what differs between families: the per-run state, the node update, the
-// §3.5 frontier keep rule, the syndrome stop, splash's per-node delta and
-// the end-of-run finalization. c-node, omp-node, residual and the relaxed
-// engines are each written once as a template over a kernel; do_run picks
-// the kernel from g.family() once per graph, so no inner loop dispatches
-// on the family.
+// §3.5 frontier keep rule, the syndrome stop and the end-of-run
+// finalization. c-node, omp-node, residual and bulk-residual are each
+// written once as a template over a kernel; do_run picks the kernel from
+// g.family() once per graph, so no inner loop dispatches on the family.
 //
 // A kernel K provides:
 //   K(g, opts, ctl, beliefs, meter)         per-run state; set-up metered
@@ -16,9 +15,8 @@
 //   float update(worker, v, meter)          Gauss-Seidel update, returns Δ
 //   void keep(meter, iter, v, push)         §3.5 re-enqueue of a live node
 //   bool syndrome_met(meter)                alternative stopping rule
-//   splash_begin / splash_update / splash_delta
-//                                           one splash's subtree sweeps
-//   void finish(stats, meter, settled)      end-of-run finalization
+//   NodeId phase_split()                    first node of the second phase
+//   void finish(stats, meter)               end-of-run finalization
 // and, for the edge paradigm's Jacobi sweep (jacobi_sweep below, shared by
 // c-edge and omp-edge), begin_jacobi / jacobi_update / end_jacobi_sweep.
 #pragma once
@@ -81,11 +79,6 @@ class TabularKernel {
   struct alignas(64) Worker {
     EdgeBlockScratch scratch;
     graph::BeliefVec prev;
-    // Splash: pre-splash belief copies (a splash's per-node delta is
-    // measured against them) and an epoch-stamped subtree membership map.
-    std::vector<graph::BeliefVec> before;
-    std::vector<std::uint32_t> stamp;
-    std::uint32_t epoch = 0;
   };
 
   TabularKernel(const graph::FactorGraph& g, const BpOptions& /*opts*/,
@@ -113,40 +106,13 @@ class TabularKernel {
     return false;
   }
 
-  /// First touch pulls each subtree belief from DRAM; the sweeps then hit
-  /// the cache-resident copy (splash_update charges them as near).
-  void splash_begin(Worker& w, std::span<const graph::NodeId> sub,
-                    perf::Meter& meter) {
-    w.before.resize(sub.size());
-    if (w.stamp.size() < g_.num_nodes()) w.stamp.assign(g_.num_nodes(), 0);
-    if (++w.epoch == 0) {  // uint32 wrap: restart the stamp space
-      std::fill(w.stamp.begin(), w.stamp.end(), 0u);
-      w.epoch = 1;
-    }
-    for (std::size_t i = 0; i < sub.size(); ++i) {
-      graph::copy_belief(w.before[i], beliefs_[sub[i]]);
-      meter.rand_read(belief_bytes(w.before[i].size));
-      w.stamp[sub[i]] = w.epoch;
-    }
+  /// Tabular nodes may read one another anywhere: one phase.
+  [[nodiscard]] graph::NodeId phase_split() const noexcept {
+    return g_.num_nodes();
   }
 
-  float splash_update(Worker& w, graph::NodeId v, perf::Meter& meter) {
-    return tabular_update(g_.in_csr().neighbors(v), beliefs_, v, g_.joints(),
-                          ctl_, meter, w.scratch, w.prev,
-                          [&w](graph::NodeId u) noexcept {
-                            return w.stamp[u] == w.epoch;
-                          });
-  }
-
-  /// Total belief change of sub[i] across the splash.
-  float splash_delta(Worker& w, std::size_t i, graph::NodeId v,
-                     float /*pass_sum*/, perf::Meter& meter) const {
-    meter.flop(2ull * w.before[i].size);
-    return graph::l1_diff(w.before[i], beliefs_[v]);
-  }
-
-  static constexpr void finish(BpStats& /*stats*/, perf::Meter& /*meter*/,
-                               bool /*settled*/) noexcept {}
+  static constexpr void finish(BpStats& /*stats*/,
+                               perf::Meter& /*meter*/) noexcept {}
 
  private:
   const graph::FactorGraph& g_;
@@ -163,10 +129,10 @@ class TabularKernel {
 // edge c→v carries the check-to-variable message R (initialized to 0). The
 // builder guarantees every edge has its reverse; the pairing is indexed
 // once at set-up. Variables and checks are both schedulable nodes, so the
-// residual and relaxed priorities cover check residuals with no special
-// casing. Variable updates return belief L1 deltas like tabular nodes;
-// check updates return tanh-domain message deltas (at most 2 per edge), so
-// the shared thresholds stay meaningful.
+// residual priorities cover check residuals with no special casing.
+// Variable updates return belief L1 deltas like tabular nodes; check
+// updates return tanh-domain message deltas (at most 2 per edge), so the
+// shared thresholds stay meaningful.
 // ---------------------------------------------------------------------------
 
 class LdpcKernel {
@@ -210,20 +176,14 @@ class LdpcKernel {
   /// current messages satisfy every parity check. O(E), metered.
   bool syndrome_met(perf::Meter& meter);
 
-  void splash_begin(Worker& /*w*/, std::span<const graph::NodeId> /*sub*/,
-                    perf::Meter& /*meter*/) noexcept {}
-
-  float splash_update(Worker& w, graph::NodeId v, perf::Meter& meter) {
-    return update(w, v, meter);
-  }
-
-  /// Check deltas live in message space, with no belief to diff, so a
-  /// node's splash total is the sum of its two passes' kernel deltas.
-  static float splash_delta(Worker& /*w*/, std::size_t /*i*/,
-                            graph::NodeId /*v*/, float pass_sum,
-                            perf::Meter& /*meter*/) noexcept {
-    return pass_sum;
-  }
+  /// Parallel engines update nodes [0, phase_split()) — the variables —
+  /// before the checks. The Tanner graph is bipartite, so no node of one
+  /// phase reads another's writes and a parallel pass gives the same
+  /// result under any thread timing. It matters: min-sum decodes depend on
+  /// update order — about one in a thousand random orders leaves a
+  /// weight-2 error of a 48-bit (3,6) code in an oscillation that never
+  /// meets the syndrome.
+  [[nodiscard]] graph::NodeId phase_split() const noexcept { return vars_; }
 
   /// Jacobi double buffer for the edge paradigm: every message of sweep
   /// i+1 is computed from sweep i's snapshot, which also makes the
@@ -237,10 +197,9 @@ class LdpcKernel {
   /// Recomputes every variable posterior from the final messages (a
   /// variable's stored belief can lag messages that arrived after its last
   /// update) and sets BpStats::syndrome_satisfied from the final state.
-  /// `settled`: no update ran after the last passing syndrome_met, so its
-  /// verdict stands for the final state. Otherwise the final state is
-  /// re-checked, and a syndrome stop it fails is reported unconverged.
-  void finish(BpStats& stats, perf::Meter& meter, bool settled);
+  /// Every engine stops right after a passing syndrome_met, with no update
+  /// in flight, so that verdict stands; otherwise parity is checked here.
+  void finish(BpStats& stats, perf::Meter& meter);
 
  private:
   float update_node(const float* in_msg, float* out_msg, graph::NodeId v,
@@ -302,7 +261,7 @@ void jacobi_sweep(const graph::FactorGraph& g, const BpOptions& opts,
       },
       [] { return 0.0; },  // delta is never deferred on the CPU
       [&] { return snapshot_time(r.stats.counters, sinks, prof); });
-  kernel.finish(r.stats, main_meter, /*settled=*/true);
+  kernel.finish(r.stats, main_meter);
 }
 
 }  // namespace credo::bp::internal

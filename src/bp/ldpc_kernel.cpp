@@ -3,9 +3,9 @@
 // The tabular kernel pushes beliefs through joint-matrix products; the
 // LDPC families replace it with the closed-form tanh-domain update driven
 // by the Tanner graph's bipartite structure. Everything else — work
-// queues, residual prioritization, relaxed multi-queues, splashes,
-// cancellation and deadlines — is the engines' own and applies to decoding
-// unchanged (family_kernels.h).
+// queues, residual prioritization, bulk rounds, cancellation and deadlines
+// — is the engines' own and applies to decoding unchanged
+// (family_kernels.h).
 //
 // When BpOptions::syndrome_stop is set, the engines additionally test
 // hard-decision parity through syndrome_met() at the convergence-check
@@ -249,7 +249,7 @@ bool LdpcKernel::syndrome_met(perf::Meter& meter) {
   return true;
 }
 
-void LdpcKernel::finish(BpStats& stats, perf::Meter& meter, bool settled) {
+void LdpcKernel::finish(BpStats& stats, perf::Meter& meter) {
   for (NodeId v = 0; v < vars_; ++v) {
     float total = llr_[v];
     for (const auto& entry : g_.in_csr().neighbors(v)) {
@@ -261,11 +261,7 @@ void LdpcKernel::finish(BpStats& stats, perf::Meter& meter, bool settled) {
   meter.seq_write(belief_bytes(2) * vars_);
   meter.flop(8ull * vars_);
 
-  const bool ok = (satisfied_ && settled) || parity_holds(meter);
-  // An unsettled stop checked a state other workers were still writing;
-  // if the joined state fails parity the stop was premature.
-  if (satisfied_ && !ok) stats.converged = false;
-  stats.syndrome_satisfied = ok;
+  stats.syndrome_satisfied = satisfied_ || parity_holds(meter);
 }
 
 }  // namespace credo::bp::internal

@@ -17,18 +17,10 @@
 
 namespace credo::bp {
 
-/// Default heaps-per-worker for the relaxed priority engines. Named so
-/// Engine::run can tell "left at default" from "explicitly configured"
-/// when rejecting the knob on engines it does not apply to.
-inline constexpr unsigned kDefaultSchedQueuesPerThread = 2;
-
-/// Default splash subtree bound, same convention.
-inline constexpr std::uint32_t kDefaultSplashMaxSize = 32;
-
 /// Default shard count for the sharded engine (DESIGN.md §5i), matching
-/// the paper machine's 8 hardware threads. Same named-default convention:
-/// Engine::run rejects an explicitly configured value on engines that
-/// cannot honor it.
+/// the paper machine's 8 hardware threads. Named so Engine::run can tell
+/// "left at default" from "explicitly configured" when rejecting the knob
+/// on engines that cannot honor it.
 inline constexpr unsigned kDefaultShardCount = 8;
 
 /// Default boundary-exchange cadence for the sharded engine: publish and
@@ -105,17 +97,6 @@ struct BpOptions {
   /// (the serve layer shares one pool across requests). The pool supports
   /// one dispatcher at a time — callers serialize access. Not owned.
   parallel::ThreadPool* shared_pool = nullptr;
-
-  /// Relaxed priority engines (residual-mq, splash): shard heaps per
-  /// worker. k = sched_queues_per_thread * threads total heaps; 2–4 is the
-  /// MultiQueue literature's sweet spot (DESIGN.md §5f). Rejected by
-  /// Engine::run when set on any other engine.
-  unsigned sched_queues_per_thread = kDefaultSchedQueuesPerThread;
-
-  /// Splash engine: max nodes per BFS subtree swept as one batch. 1
-  /// degenerates to plain relaxed residual scheduling. Rejected by
-  /// Engine::run when set on a non-priority engine.
-  std::uint32_t splash_max_size = kDefaultSplashMaxSize;
 
   /// Sharded engine (DESIGN.md §5i): number of contiguous-range shards the
   /// graph is cut into; each runs its own schedule and exchanges boundary
@@ -236,14 +217,6 @@ struct BpOptions {
     shared_pool = pool;
     return *this;
   }
-  BpOptions& with_sched_queues_per_thread(unsigned v) noexcept {
-    sched_queues_per_thread = v;
-    return *this;
-  }
-  BpOptions& with_splash_max_size(std::uint32_t v) noexcept {
-    splash_max_size = v;
-    return *this;
-  }
   BpOptions& with_shards(
       unsigned count,
       std::uint32_t exchange_every = kDefaultShardExchangeEvery) noexcept {
@@ -314,12 +287,6 @@ struct BpOptions {
     }
     if (!(host_deadline_seconds >= 0.0)) {
       return invalid("BpOptions: host_deadline_seconds must be >= 0");
-    }
-    if (sched_queues_per_thread == 0) {
-      return invalid("BpOptions: sched_queues_per_thread must be >= 1");
-    }
-    if (splash_max_size == 0) {
-      return invalid("BpOptions: splash_max_size must be >= 1");
     }
     if (shard_count == 0) {
       return invalid("BpOptions: shard_count must be >= 1");

@@ -2,7 +2,7 @@
 //
 // Same algorithms as the sequential engines, with each main loop dispatched
 // as one fork/join region over a thread team, the convergence sum done as a
-// reduction, and the Edge engine's combines made atomic. One
+// reduction, and the Edge engine's combines metered as atomic (§3.3). One
 // parallel_region event is metered per dispatch; the cost model's fork/join
 // and SMT terms are what reproduce the paper's finding that 2/4/8-thread
 // OpenMP *slows BP down* (regions finish in well under a millisecond, so
@@ -13,6 +13,7 @@
 // FragmentedNodeFrontier owns the §3.5 per-worker queue fragments, and the
 // every-iteration controller owns thresholds and damping. The Node engine
 // is one body over a family kernel (family_kernels.h).
+#include <array>
 #include <optional>
 #include <vector>
 
@@ -97,34 +98,44 @@ class OmpNodeEngine final : public OmpEngineBase {
     std::vector<typename Kernel::Worker> workers(pool.size());
     runtime::PoolBackend backend(pool, opts, r.stats.counters);
 
+    // A dense sweep on more than one worker runs the kernel's phases
+    // (family_kernels.h) as separate regions, so its result does not
+    // depend on thread timing; tabular graphs have a single phase.
+    const std::uint64_t split =
+        !sched.queued() && pool.size() > 1 ? kernel.phase_split() : 0;
+
     runtime::run_loop(
         opts, r.stats, ctl, sched,
         [&](std::uint32_t iter, runtime::IterationOutcome& out) {
           const std::uint64_t count = sched.size();
-          // One parallel region per iteration: node loop + sum reduction
-          // ("#pragma omp parallel for reduction(+:sum)"). Chunk-granular
-          // dispatch: the node loop lives here and inlines — no type-erased
-          // call per element.
-          out.delta = backend.reduce_range(
-              0, count,
-              [&](std::uint64_t lo, std::uint64_t hi, unsigned w,
-                  double& partial) {
-                perf::Meter meter(sinks[w].counters);
-                typename Kernel::Worker& worker = workers[w];
-                for (std::uint64_t qi = lo; qi < hi; ++qi) {
-                  const NodeId v = sched.at(meter, qi);
-                  if (!sched.queued() && g.observed(v)) continue;
-                  if (in.degree(v) == 0) continue;  // no updates to combine
-                  // In-place (chaotic) reads: a neighbor may already hold
-                  // its new state this iteration — standard async BP.
-                  const float d = kernel.update(worker, v, meter);
-                  partial += d;
-                  if (sched.queued() && ctl.element_active(d)) {
-                    kernel.keep(meter, iter, v,
-                                [&](NodeId u) { sched.keep(meter, w, u); });
-                  }
-                }
-              });
+          // One parallel region per iteration (and phase): node loop + sum
+          // reduction ("#pragma omp parallel for reduction(+:sum)").
+          // Chunk-granular dispatch: the node loop lives here and inlines —
+          // no type-erased call per element.
+          const auto body = [&](std::uint64_t lo, std::uint64_t hi,
+                                unsigned w, double& partial) {
+            perf::Meter meter(sinks[w].counters);
+            typename Kernel::Worker& worker = workers[w];
+            for (std::uint64_t qi = lo; qi < hi; ++qi) {
+              const NodeId v = sched.at(meter, qi);
+              if (!sched.queued() && g.observed(v)) continue;
+              if (in.degree(v) == 0) continue;  // no updates to combine
+              // In-place (chaotic) reads: a neighbor may already hold
+              // its new state this iteration — standard async BP.
+              const float d = kernel.update(worker, v, meter);
+              partial += d;
+              if (sched.queued() && ctl.element_active(d)) {
+                kernel.keep(meter, iter, v,
+                            [&](NodeId u) { sched.keep(meter, w, u); });
+              }
+            }
+          };
+          if (split == 0 || split >= count) {
+            out.delta = backend.reduce_range(0, count, body);
+          } else {
+            out.delta = backend.reduce_range(0, split, body) +
+                        backend.reduce_range(split, count, body);
+          }
           out.processed = count;
           if (ctl.should_check(iter) && kernel.syndrome_met(main_meter)) {
             out.delta = 0.0;  // decode succeeded: trip the global rule
@@ -132,7 +143,7 @@ class OmpNodeEngine final : public OmpEngineBase {
         },
         [] { return 0.0; },
         [&] { return snapshot_time(r.stats.counters, sinks, prof); });
-    kernel.finish(r.stats, main_meter, /*settled=*/true);
+    kernel.finish(r.stats, main_meter);
     finish(r, timer, prof, sinks);
     return r;
   }
@@ -200,38 +211,27 @@ class OmpEdgeEngine final : public OmpEngineBase {
                 }
               });
 
-          // Region 2: edge messages with atomic combines (§3.3's extra
-          // atomics). Sequential simulation makes the adds race-free; on
-          // real silicon these are atomicAdd, and that cost is what gets
-          // metered. Each chunk runs an edge-blocked traversal through the
-          // batched message kernel.
+          // Region 2: edge messages, combined destination-owned. Each
+          // worker owns a node range and pulls that range's in-edges in
+          // in-CSR order, which is ascending edge id: every accumulator
+          // sums in c-edge's order and no two workers write one node.
+          // Metering is unchanged per edge, including §3.3's atomic
+          // combine — the modelled engine is the paper's edge-parallel
+          // loop with atomicAdd. Blocks span node boundaries so the
+          // batched message kernel runs full.
           backend.for_range(
-              0, edges.size(),
+              0, n,
               [&](std::uint64_t lo, std::uint64_t hi, unsigned w) {
                 thread_local EdgeBlockScratch scratch;
+                thread_local std::array<NodeId, graph::kEdgeBlock> dsts;
                 perf::Meter meter(sinks[w].counters);
-                for (std::uint64_t base = lo; base < hi;
-                     base += graph::kEdgeBlock) {
-                  const std::size_t count = std::min<std::uint64_t>(
-                      graph::kEdgeBlock, hi - base);
-                  for (std::size_t k = 0; k < count; ++k) {
-                    const auto e = static_cast<EdgeId>(base + k);
-                    const auto& ed = edges[e];
-                    meter.seq_read(sizeof(ed));
-                    const BeliefVec& src = r.beliefs[ed.src];
-                    meter.seq_read(belief_bytes(src.size));
-                    charge_joint_load(meter, joints, e);
-                    scratch.srcs[k] = &src;
-                    if (!joints.is_shared()) {
-                      scratch.mats[k] = &joints.at(e);
-                    }
-                  }
+                std::size_t count = 0;
+                const auto flush = [&] {
                   meter.flop(compute_block(joints, scratch, count));
                   for (std::size_t k = 0; k < count; ++k) {
-                    const auto& ed = edges[base + k];
                     const BeliefVec& msg = scratch.msgs[k];
                     float* a =
-                        acc.data() + static_cast<std::size_t>(ed.dst) * b;
+                        acc.data() + static_cast<std::size_t>(dsts[k]) * b;
                     for (std::uint32_t s = 0; s < msg.size; ++s) {
                       a[s] += log_msg(msg.v[s]);
                     }
@@ -239,7 +239,26 @@ class OmpEdgeEngine final : public OmpEngineBase {
                     meter.atomic(msg.size, 0);
                     meter.near_write(4ull * msg.size);
                   }
+                  count = 0;
+                };
+                for (std::uint64_t vi = lo; vi < hi; ++vi) {
+                  const auto v = static_cast<NodeId>(vi);
+                  for (const auto& entry : g.in_csr().neighbors(v)) {
+                    const EdgeId e = entry.edge;
+                    const auto& ed = edges[e];
+                    meter.seq_read(sizeof(ed));
+                    const BeliefVec& src = r.beliefs[ed.src];
+                    meter.seq_read(belief_bytes(src.size));
+                    charge_joint_load(meter, joints, e);
+                    scratch.srcs[count] = &src;
+                    if (!joints.is_shared()) {
+                      scratch.mats[count] = &joints.at(e);
+                    }
+                    dsts[count] = v;
+                    if (++count == graph::kEdgeBlock) flush();
+                  }
                 }
+                if (count > 0) flush();
               });
           out.processed = edges.size();
           // Deepest conflict chain: the hottest destination receives

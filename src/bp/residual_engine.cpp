@@ -1,13 +1,15 @@
 // Residual-prioritized BP — the extension the paper positions itself
-// against (§5.1: Gonzalez et al.'s residual splash). Instead of sweeping
-// all nodes per iteration (or a converged-filtered queue, §3.5), updates
-// are scheduled by residual: the node whose belief moved most is updated
-// next, and its change propagates to its children's priorities.
+// against (§5.1: Gonzalez et al.'s residual scheduling). Instead of
+// sweeping all nodes per iteration (or a converged-filtered queue, §3.5),
+// updates are scheduled by residual: the node whose belief moved most is
+// updated next, and its change propagates to its children's priorities.
 //
-// Sequential CPU implementation; one "iteration" in the returned stats is
-// one node update, so iteration counts are not comparable with the sweep
-// engines — compare elements_processed instead (the residual scheduler's
-// selling point is doing far fewer updates to reach the same fixed point).
+// Exact sequential implementation — the reference the parallel
+// bulk-residual engine (bulk_residual_engine.cpp) is checked against. An
+// "iteration" in the returned stats is a sweep-equivalent epoch of
+// num_nodes updates; compare elements_processed with the sweep engines
+// (the residual scheduler's selling point is doing far fewer updates to
+// reach the same fixed point).
 //
 // Composition over the runtime layer (DESIGN.md §5b): the ResidualSchedule
 // owns the lazy-deletion max-heap and reprioritization walk, the controller
@@ -77,7 +79,7 @@ class ResidualEngine final : public Engine {
         [&](NodeId v) { return kernel.update(worker, v, meter); },
         [&] { return kernel.syndrome_met(meter); },
         [&] { return perf::model_time(r.stats.counters, profile_); });
-    kernel.finish(r.stats, meter, /*settled=*/true);
+    kernel.finish(r.stats, meter);
     finish(r, timer, profile_);
     return r;
   }

@@ -7,7 +7,8 @@
 // engines contribute only the body (the kernel math and its metering,
 // which stay engine-specific so modelled costs are untouched by this
 // layer). `run_priority_loop` is the analogous driver for the residual
-// engine, whose unit of progress is one node update rather than a sweep.
+// engine, whose unit of progress is one node update rather than a sweep,
+// and `run_round_loop` the one for its bulk form, whose unit is a round.
 //
 // Ordering note: the schedule advances *before* the global check. For CPU
 // engines the advance is unmetered, and for device frontiers the cursor
@@ -16,10 +17,7 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "bp/options.h"
@@ -28,7 +26,6 @@
 #include "bp/runtime/stop.h"
 #include "bp/runtime/telemetry.h"
 #include "graph/factor_graph.h"
-#include "parallel/thread_pool.h"
 
 namespace credo::bp::runtime {
 
@@ -177,97 +174,84 @@ void run_priority_loop(const BpOptions& opts, std::uint64_t num_nodes,
   observe_run(stats.iterations, stats.converged);
 }
 
-/// Concurrent analogue of run_priority_loop for the relaxed schedulers
-/// (DESIGN.md §5f): the whole drain runs as ONE fork/join region on
-/// `pool`, every worker looping `step(worker) -> updates performed` until
-/// the schedule drains, the shared `max_iterations * num_nodes` update
-/// budget runs out, or a stop fires. `step` owns popping, the kernel body
-/// and recording (so metering stays per-worker); 0 means nothing was
-/// claimable this attempt — the worker yields and retries unless the
-/// schedule reports drained(). The schedule needs only `drained()` and
-/// `pending()` here.
+/// Bulk analogue of run_priority_loop (DESIGN.md §5f): the residual
+/// schedule drains in synchronous rounds instead of one pop at a time.
+/// `round(budget, delta) -> updates` runs one round of at most `budget`
+/// node updates (the engine runs it as one parallel region) and stores the
+/// round's summed belief change in `delta`. The schedule must provide
+/// `drained()` and `pending()`.
 ///
-/// Epoch bookkeeping (the §5e observation, optional trace record, deadline
-/// budget) runs under a driver mutex on whichever worker crosses a
-/// num_nodes boundary. Trace records carry checked=false and no delta —
-/// the relaxed engines have no global sum — and their time breakdown folds
-/// other workers' in-flight sinks, so traced times are approximate while
-/// the team runs (the final stats are exact). Cancellation is polled by
-/// every worker on every step.
-/// `epoch_hook() -> bool` runs under the driver mutex on whichever worker
-/// crosses an epoch boundary; returning true aborts the drain with the run
-/// marked converged (the alternative stopping rule — syndrome satisfaction
-/// for the LDPC families). The hook may read shared belief/message state,
-/// but other workers keep updating while it runs, so a true return is
-/// provisional: the caller re-checks the joined final state before
-/// reporting it.
-template <typename Schedule, typename Step, typename EpochHook,
+/// Same conventions as run_priority_loop: the run is converged when the
+/// schedule drains, the budget is `max_iterations * num_nodes` updates,
+/// and BpStats::iterations counts sweep-equivalent epochs. The epoch
+/// bookkeeping — observation, trace record and `epoch_hook` (syndrome
+/// satisfaction for the LDPC families; true ends the run as converged) —
+/// runs between the rounds that cross a `num_nodes` boundary, as do the
+/// deadline budgets; cancellation is polled between every two rounds. No
+/// update is in flight at those points, so every verdict is exact.
+///
+/// One rule goes beyond run_priority_loop: a pass — as many updates as
+/// the active set held when it began, the bulk form of a §3.5 frontier
+/// sweep — whose summed change meets Algorithm 1's global threshold ends
+/// the run as converged, as the sweep engines stop on a sweep's sum. It
+/// ends the limit cycles of float32-noise deltas that keep a queue bar
+/// below the noise floor (the 1e-7 default) from ever draining.
+template <typename Schedule, typename Round, typename EpochHook,
           typename TimeFn>
-void run_relaxed_priority_loop(const BpOptions& opts, std::uint64_t num_nodes,
-                               BpStats& stats, Schedule& sched,
-                               parallel::ThreadPool& pool, Step&& step,
-                               EpochHook&& epoch_hook, TimeFn&& time_fn) {
+void run_round_loop(const BpOptions& opts, std::uint64_t num_nodes,
+                    BpStats& stats, const ConvergenceController& ctl,
+                    Schedule& sched, Round&& round, EpochHook&& epoch_hook,
+                    TimeFn&& time_fn) {
   const DeadlineGuard guard(opts.stop, opts.host_deadline_seconds,
                             opts.modelled_deadline_seconds);
   const std::uint64_t max_updates =
       static_cast<std::uint64_t>(opts.max_iterations) * num_nodes;
   const std::uint64_t epoch = std::max<std::uint64_t>(1, num_nodes);
-  std::atomic<std::uint64_t> updates{0};
-  std::atomic<bool> abort{false};
-  std::atomic<bool> hook_converged{false};
-  std::atomic<std::uint8_t> stop_reason{
-      static_cast<std::uint8_t>(StopReason::kNone)};
-  std::mutex epoch_mu;
-  pool.run_team([&](unsigned w) {
-    for (;;) {
-      if (abort.load(std::memory_order_relaxed)) return;
-      if (updates.load(std::memory_order_relaxed) >= max_updates) return;
-      const std::uint64_t done = step(w);
-      if (done == 0) {
-        if (sched.drained()) return;
-        std::this_thread::yield();
-        continue;
+  std::uint64_t updates = 0;
+  std::uint64_t pass_left = sched.pending();
+  double pass_delta = 0.0;
+  bool converged = false;
+  while (!sched.drained() && updates < max_updates) {
+    double delta = 0.0;
+    const std::uint64_t done = round(max_updates - updates, delta);
+    updates += done;
+    stats.elements_processed += done;
+    stats.final_delta = delta;
+    bool stop = false;
+    pass_delta += delta;
+    if (done < pass_left) {
+      pass_left -= done;
+    } else if (ctl.global_converged(pass_delta)) {
+      converged = stop = true;
+    } else {
+      pass_left = sched.pending();
+      pass_delta = 0.0;
+    }
+    const bool crossed = updates / epoch != (updates - done) / epoch;
+    if (crossed) {
+      observe_iteration(sched.pending(), /*checked=*/true);
+      if (opts.collect_trace) {
+        stats.trace.push_back(IterationRecord{
+            static_cast<std::uint32_t>(updates / epoch), delta, true,
+            sched.pending(), epoch, time_fn()});
       }
-      const std::uint64_t total =
-          updates.fetch_add(done, std::memory_order_relaxed) + done;
-      const bool crossed = (total / epoch) != ((total - done) / epoch);
-      if (crossed) {
-        const std::lock_guard<std::mutex> lk(epoch_mu);
-        observe_iteration(sched.pending(), /*checked=*/true);
-        if (opts.collect_trace) {
-          stats.trace.push_back(IterationRecord{
-              static_cast<std::uint32_t>(total / epoch), 0.0,
-              /*checked=*/false, sched.pending(), epoch, time_fn()});
-        }
-        if (epoch_hook()) {
-          hook_converged.store(true, std::memory_order_relaxed);
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-      if (guard.active()) {
-        const StopReason why =
-            guard.poll(crossed, [&] { return time_fn().total(); });
-        if (why != StopReason::kNone) {
-          stop_reason.store(static_cast<std::uint8_t>(why),
-                            std::memory_order_relaxed);
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
+      if (!stop && epoch_hook()) converged = stop = true;
+    }
+    if (!stop && guard.active()) {
+      const StopReason why =
+          guard.poll(crossed, [&] { return time_fn().total(); });
+      if (why != StopReason::kNone) {
+        stats.stop_reason = why;
+        stop = true;
       }
     }
-  });
-  const std::uint64_t total = updates.load(std::memory_order_relaxed);
-  stats.elements_processed += total;
-  const auto why = static_cast<StopReason>(
-      stop_reason.load(std::memory_order_relaxed));
-  const bool stopped = why != StopReason::kNone;
-  if (stopped) stats.stop_reason = why;
+    if (stop) break;
+  }
   stats.iterations = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(total / epoch + 1, opts.max_iterations));
+      std::min<std::uint64_t>(updates / epoch + 1, opts.max_iterations));
   stats.converged =
-      hook_converged.load(std::memory_order_relaxed) ||
-      (!stopped && (sched.drained() || total < max_updates));
+      converged ||
+      (stats.stop_reason == StopReason::kNone && sched.drained());
   observe_run(stats.iterations, stats.converged);
 }
 

@@ -14,11 +14,6 @@ struct Handles {
   obs::Histogram& run_iterations;
   obs::Counter& runs;
   obs::Counter& runs_converged;
-  obs::Counter& sched_pops;
-  obs::Counter& sched_stale_pops;
-  obs::Counter& sched_inversions;
-  obs::Histogram& sched_heap_peak;
-  obs::Histogram& sched_splash_size;
   obs::Counter& shard_runs;
   obs::Counter& shard_exchange_bytes;
   obs::Counter& shard_parks;
@@ -44,25 +39,6 @@ struct Handles {
                                                "BP runs finished"),
         obs::MetricsRegistry::global().counter(
             "credo_bp_runs_converged_total", "BP runs that converged"),
-        obs::MetricsRegistry::global().counter(
-            "credo_sched_pops_total",
-            "Relaxed-scheduler claims handed to engine bodies"),
-        obs::MetricsRegistry::global().counter(
-            "credo_sched_stale_pops_total",
-            "Superseded duplicate entries discarded on pop (stale rate = "
-            "stale / (stale + pops))"),
-        obs::MetricsRegistry::global().counter(
-            "credo_sched_inversions_total",
-            "Sampled pops that ranked below another shard's top (the "
-            "relaxation actually paid)"),
-        obs::MetricsRegistry::global().histogram(
-            "credo_sched_heap_peak",
-            "Peak entries per shard heap over a relaxed-scheduler run",
-            obs::pow2_buckets(24)),
-        obs::MetricsRegistry::global().histogram(
-            "credo_sched_splash_size",
-            "Nodes per splash subtree swept as one batch",
-            obs::pow2_buckets(12)),
         obs::MetricsRegistry::global().counter(
             "credo_shard_runs_total", "Sharded-engine runs finished"),
         obs::MetricsRegistry::global().counter(
@@ -98,22 +74,6 @@ void observe_run(std::uint32_t iterations, bool converged) noexcept {
   h.run_iterations.observe(static_cast<double>(iterations));
   h.runs.inc();
   if (converged) h.runs_converged.inc();
-}
-
-void observe_sched_run(std::uint64_t pops, std::uint64_t stale_pops,
-                       std::uint64_t inversions,
-                       std::span<const std::uint64_t> heap_peaks) noexcept {
-  Handles& h = Handles::get();
-  if (pops > 0) h.sched_pops.inc(pops);
-  if (stale_pops > 0) h.sched_stale_pops.inc(stale_pops);
-  if (inversions > 0) h.sched_inversions.inc(inversions);
-  for (const std::uint64_t peak : heap_peaks) {
-    h.sched_heap_peak.observe(static_cast<double>(peak));
-  }
-}
-
-void observe_splash_subtree(std::uint64_t nodes) noexcept {
-  Handles::get().sched_splash_size.observe(static_cast<double>(nodes));
 }
 
 void observe_shard_run(std::span<const std::uint32_t> sweeps,

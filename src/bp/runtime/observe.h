@@ -23,17 +23,6 @@ void observe_iteration(std::uint64_t frontier, bool checked) noexcept;
 /// Records a finished run: total iterations and whether it converged.
 void observe_run(std::uint32_t iterations, bool converged) noexcept;
 
-/// Records a finished relaxed-scheduler run (§5f): claim totals (pops),
-/// superseded duplicates discarded (stale pops), sampled pop inversions,
-/// and each shard heap's peak occupancy. Flushed once per run — the hot
-/// path accumulates into per-worker lanes, never the registry.
-void observe_sched_run(std::uint64_t pops, std::uint64_t stale_pops,
-                       std::uint64_t inversions,
-                       std::span<const std::uint64_t> heap_peaks) noexcept;
-
-/// Records one splash subtree's size (nodes swept as one batch).
-void observe_splash_subtree(std::uint64_t nodes) noexcept;
-
 /// Records a finished sharded-engine run (§5i): per-shard local sweep
 /// counts, total ghost-exchange payload moved, and the park/wake totals of
 /// the quiescence coordinator. Flushed once per run.

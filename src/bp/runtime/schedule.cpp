@@ -1,5 +1,6 @@
 #include "bp/runtime/schedule.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace credo::bp::runtime {
@@ -190,6 +191,102 @@ void ResidualSchedule::record(graph::NodeId v, float delta) {
       residual_[c] = delta;
       push_entry(c, delta);
     }
+  }
+}
+
+BulkResidualSchedule::BulkResidualSchedule(
+    const graph::FactorGraph& g, const ConvergenceController& ctl,
+    unsigned workers, const std::vector<graph::NodeId>* seed)
+    : g_(g),
+      ctl_(ctl),
+      residual_(g.num_nodes()),
+      listed_(g.num_nodes()),
+      fresh_(std::max(1u, workers)) {
+  for (auto& r : residual_) r.store(0.0f, std::memory_order_relaxed);
+  for (auto& l : listed_) l.store(0, std::memory_order_relaxed);
+  const auto start = [&](graph::NodeId v) {
+    residual_[v].store(std::numeric_limits<float>::infinity(),
+                       std::memory_order_relaxed);
+    listed_[v].store(1, std::memory_order_relaxed);
+    active_.push_back(v);
+  };
+  if (seed != nullptr) {
+    for (const graph::NodeId v : *seed) start(v);
+    return;
+  }
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!g.observed(v) && g.in_csr().degree(v) > 0) start(v);
+  }
+}
+
+std::span<graph::NodeId> BulkResidualSchedule::select(perf::Meter& meter,
+                                                      std::uint64_t budget) {
+  const std::uint64_t size = active_.size();
+  meter.seq_read(sizeof(graph::NodeId) * size);
+  std::uint64_t k = size <= kSelectAll ? size : size / kFraction;
+  k = std::min(k, budget);
+  if (k < size) {
+    // Top-k by (residual, lower id first) to the tail; the order is total,
+    // so the selected set does not depend on the active list's order.
+    const auto less = [this](graph::NodeId a, graph::NodeId b) {
+      const float ra = residual_[a].load(std::memory_order_relaxed);
+      const float rb = residual_[b].load(std::memory_order_relaxed);
+      return ra < rb || (ra == rb && a > b);
+    };
+    std::nth_element(active_.begin(), active_.end() - k, active_.end(),
+                     less);
+  }
+  // Selected nodes stay listed until they run: a raise landing before
+  // then is folded into their update instead of queueing them again.
+  round_.assign(active_.end() - k, active_.end());
+  active_.resize(size - k);
+  return round_;
+}
+
+void BulkResidualSchedule::consume(perf::Meter& meter, graph::NodeId v) {
+  // Unlist first: a raise that lands after the exchange below must find v
+  // unlisted and queue it. The acquiring exchange makes every raised
+  // parent's belief write visible to v's update.
+  listed_[v].store(0, std::memory_order_relaxed);
+  residual_[v].exchange(0.0f, std::memory_order_acq_rel);
+  meter.atomic(1, 0);
+}
+
+void BulkResidualSchedule::record(unsigned w, perf::Meter& meter,
+                                  graph::NodeId v, float delta) {
+  if (!ctl_.element_active(delta)) return;
+  for (const auto& entry : g_.out_csr().neighbors(v)) {
+    meter.seq_read(sizeof(entry));
+    const graph::NodeId c = entry.node;
+    if (g_.observed(c) || g_.in_csr().degree(c) == 0) continue;
+    // Fetch-max as an RMW even when `delta` does not raise: it orders v's
+    // belief write before any later consume of c, so an update that
+    // consumes the residual also sees the change behind it.
+    meter.atomic(1, 0);
+    float cur = residual_[c].load(std::memory_order_relaxed);
+    while (!residual_[c].compare_exchange_weak(cur, std::max(cur, delta),
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_relaxed)) {
+    }
+    if (delta > cur && listed_[c].load(std::memory_order_relaxed) == 0 &&
+        listed_[c].exchange(1, std::memory_order_relaxed) == 0) {
+      fresh_[w].nodes.push_back(c);
+      meter.seq_write(sizeof(graph::NodeId));
+    }
+  }
+}
+
+void BulkResidualSchedule::end_round() {
+  for (Fragment& f : fresh_) {
+    for (const graph::NodeId c : f.nodes) {
+      // Listed by a raise that the node's own later run then consumed.
+      if (ctl_.element_active(residual_[c].load(std::memory_order_relaxed))) {
+        active_.push_back(c);
+      } else {
+        listed_[c].store(0, std::memory_order_relaxed);
+      }
+    }
+    f.nodes.clear();
   }
 }
 

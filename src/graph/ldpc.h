@@ -52,8 +52,8 @@ struct Code {
 /// priors carry the channel likelihood [1-p, p]; check priors carry the
 /// syndrome bit as a point mass ([1,0] for s=0, [0,1] for s=1). Check
 /// nodes are NOT observed — they send messages — so every schedule
-/// (frontier, residual, MultiQueue, splash) prioritizes check residuals
-/// exactly like variable residuals.
+/// (frontier, residual, bulk residual) prioritizes check residuals exactly
+/// like variable residuals.
 [[nodiscard]] FactorGraph build_graph(const Code& code,
                                       std::span<const std::uint8_t> syndrome,
                                       float crossover, FactorFamily family);

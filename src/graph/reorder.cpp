@@ -322,36 +322,6 @@ FactorGraph relabeled(const FactorGraph& g, const Permutation& perm) {
   return ReorderAccess::apply(g, perm, ReorderMode::kNone, /*record=*/false);
 }
 
-std::vector<NodeId> bfs_subtree(const FactorGraph& g, NodeId root,
-                                std::uint32_t max_size,
-                                const std::function<bool(NodeId)>& admit) {
-  std::vector<NodeId> out;
-  out.reserve(std::min<std::uint64_t>(max_size, g.num_nodes()));
-  out.push_back(root);
-  // The result vector doubles as the BFS queue: `head` walks it while new
-  // admissions append behind, which yields exactly the visit order.
-  // Membership test is a linear scan of the growing slice — max_size is
-  // small (a cache-sized batch), so this beats a side lookup table. The
-  // scan also guarantees `admit` is consulted at most once per admitted
-  // node, so claiming predicates compose cleanly.
-  const auto member = [&out](NodeId v) {
-    return std::find(out.begin(), out.end(), v) != out.end();
-  };
-  for (std::size_t head = 0; head < out.size() && out.size() < max_size;
-       ++head) {
-    const NodeId u = out[head];
-    for (const auto& entry : g.out_csr().neighbors(u)) {
-      if (out.size() >= max_size) break;
-      if (!member(entry.node) && admit(entry.node)) out.push_back(entry.node);
-    }
-    for (const auto& entry : g.in_csr().neighbors(u)) {
-      if (out.size() >= max_size) break;
-      if (!member(entry.node) && admit(entry.node)) out.push_back(entry.node);
-    }
-  }
-  return out;
-}
-
 double mean_edge_span(const FactorGraph& g) noexcept {
   if (g.num_edges() == 0) return 0.0;
   double sum = 0.0;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -131,19 +130,5 @@ class Permutation {
 /// edges (the quantity BFS/RCM shrink) — reported by `credo info` and the
 /// reorder bench.
 [[nodiscard]] double mean_edge_span(const FactorGraph& g) noexcept;
-
-/// Bounded BFS slice rooted at `root` — the subtree grower under the
-/// splash scheduler (bp/runtime/mq_schedule.h, DESIGN.md §5f). Expands in
-/// BFS order over out- then in-neighbors (CSR order within each), asking
-/// `admit` once per not-yet-admitted candidate and stopping at `max_size`
-/// nodes. Returns the admitted nodes in visit order, root first; every
-/// non-root node is adjacent to an earlier one, so the result is a valid
-/// tree slice of the graph. The root is included without an `admit` call
-/// (callers claim it before growing); `admit` may carry side effects —
-/// the splash scheduler claims nodes inside it — and duplicate suppression
-/// relies on `admit` returning true at most once per node.
-[[nodiscard]] std::vector<NodeId> bfs_subtree(
-    const FactorGraph& g, NodeId root, std::uint32_t max_size,
-    const std::function<bool(NodeId)>& admit);
 
 }  // namespace credo::graph

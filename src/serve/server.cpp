@@ -326,7 +326,7 @@ bp::EngineKind Server::choose_engine(const graph::FactorGraph& g,
   if (graph::is_ldpc(g.family())) {
     return bp::engine_supports_family(options_.default_engine, g.family())
                ? options_.default_engine
-               : bp::EngineKind::kResidualMq;
+               : bp::EngineKind::kBulkResidual;
   }
   if (!options_.use_dispatcher) return options_.default_engine;
   std::call_once(dispatcher_once_, [&] {

@@ -260,9 +260,9 @@ StressReport run_decode_under_load(Server& server,
   sc.requests = config.requests;
   sc.sessions = config.sessions;
   // LDPC-capable mix spanning the paradigms: sequential sweep, pooled
-  // CPU-parallel, relaxed priority.
+  // CPU-parallel, bulk residual.
   sc.mix = {bp::EngineKind::kCpuNode, bp::EngineKind::kOmpNode,
-            bp::EngineKind::kResidualMq};
+            bp::EngineKind::kBulkResidual};
   sc.batch = config.batch;
   sc.options.max_iterations = config.max_iterations;
   sc.options.syndrome_stop = true;

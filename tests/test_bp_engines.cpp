@@ -111,6 +111,38 @@ TEST(BpEngines, AllLoopyEnginesAgree) {
   EXPECT_LT(max_belief_gap(weak_reference, weak_omp), 0.02f);
 }
 
+TEST(BpEngines, OmpEdgeMatchesCEdgeBitForBit) {
+  // omp-edge combines destination-owned, each node's in-edges in c-edge's
+  // add order, so any team size reproduces c-edge exactly. Long per-worker
+  // ranges on a 20k-node graph are where racing shared-accumulator adds
+  // would lose addends.
+  BeliefConfig cfg;
+  cfg.beliefs = 3;
+  cfg.seed = 7;
+  cfg.observed_fraction = 0.1;
+  const auto g = graph::uniform_random(20000, 80000, cfg);
+  BpOptions opts = default_opts();
+  const auto reference =
+      bp::make_default_engine(EngineKind::kCpuEdge)->run(g, opts);
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    opts.threads = threads;
+    const auto r = bp::make_default_engine(EngineKind::kOmpEdge)->run(g, opts);
+    ASSERT_EQ(r.beliefs.size(), reference.beliefs.size());
+    std::size_t differing = 0;
+    for (std::size_t v = 0; v < r.beliefs.size(); ++v) {
+      for (std::uint32_t s = 0; s < r.beliefs[v].size; ++s) {
+        if (r.beliefs[v].v[s] != reference.beliefs[v].v[s]) {
+          ++differing;
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(differing, 0u) << threads << " threads";
+    EXPECT_EQ(r.stats.iterations, reference.stats.iterations)
+        << threads << " threads";
+  }
+}
+
 TEST(BpEngines, WorkQueueMatchesFullProcessing) {
   const auto g = small_graph(2, 11);
   auto opts = default_opts();

@@ -405,7 +405,7 @@ TEST(DynamicGraph, DeadFractionTriggersAutomaticCompaction) {
 // ---------------------------------------------------------------------------
 
 TEST(DynamicGraph, ChurnAgreesWithRebuildAcrossEngines) {
-  // Sequential frontier, relaxed multi-queue, and the sharded runtime: on
+  // Sequential frontier, bulk residual rounds, and the sharded runtime: on
   // each, a churn stream applied incrementally (previous fixed point
   // patched in, schedule seeded from the touched frontier) must land on
   // the fixed point a cold run on the final topology finds.
@@ -421,7 +421,7 @@ TEST(DynamicGraph, ChurnAgreesWithRebuildAcrossEngines) {
   churn_cfg.coupling = 0.5f;
   churn_cfg.shared_joint = false;
   for (const bp::EngineKind kind :
-       {bp::EngineKind::kCpuNode, bp::EngineKind::kResidualMq,
+       {bp::EngineKind::kCpuNode, bp::EngineKind::kBulkResidual,
         bp::EngineKind::kSharded}) {
     SCOPED_TRACE(std::string(bp::engine_slug(kind)));
     const auto g = grid(16, 16, churn_cfg);

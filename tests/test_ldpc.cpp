@@ -1,8 +1,8 @@
 // Tests for the LDPC factor families (DESIGN.md §5g): the random regular
 // code generator's invariants, closed-form decode correctness across the
-// engine paradigms (including a relaxed-priority engine), sum-product vs
-// min-sum agreement, syndrome-satisfaction stopping, the per-family
-// capability gates, and the tabular-path guard.
+// engine paradigms (including the parallel bulk-residual engine),
+// sum-product vs min-sum agreement, syndrome-satisfaction stopping, the
+// per-family capability gates, and the tabular-path guard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -144,12 +144,10 @@ TEST(LdpcGraph, BuilderRejectsTabularMixing) {
 // ---------------------------------------------------------------------------
 
 /// The acceptance matrix: one engine per paradigm family, including the
-/// relaxed-priority engines the scheduler PRs added.
+/// parallel bulk-residual engine.
 const EngineKind kDecodeEngines[] = {
-    EngineKind::kCpuNode,        EngineKind::kCpuEdge,
-    EngineKind::kOmpNode,        EngineKind::kOmpEdge,
-    EngineKind::kResidual,       EngineKind::kResidualLocked,
-    EngineKind::kResidualMq,     EngineKind::kSplash,
+    EngineKind::kCpuNode,  EngineKind::kCpuEdge,  EngineKind::kOmpNode,
+    EngineKind::kOmpEdge,  EngineKind::kResidual, EngineKind::kBulkResidual,
 };
 
 /// Decodes `error` on `code` with the given family/engine and expects the
@@ -181,11 +179,11 @@ TEST(LdpcDecode, NoiselessSyndromeAgreesAcrossFamiliesAndEngines) {
 
 TEST(LdpcDecode, CorrectsAllWeightOnePatterns) {
   // The acceptance bar: every weight-<=t pattern on a generated (3,6)
-  // code, both families, at least three engines including one relaxed
-  // priority engine (t = 1 here; weight-2 coverage below).
+  // code, both families, at least three engines including the parallel
+  // residual engine (t = 1 here; weight-2 coverage below).
   const Code code = graph::ldpc::random_regular(48, 3, 6, 17);
   const EngineKind engines[] = {EngineKind::kCpuNode, EngineKind::kCpuEdge,
-                                EngineKind::kResidualMq};
+                                EngineKind::kBulkResidual};
   for (const auto family :
        {FactorFamily::kLdpcSumProduct, FactorFamily::kLdpcMinSum}) {
     for (std::uint32_t b = 0; b < code.bits; ++b) {
@@ -232,7 +230,7 @@ TEST(LdpcDecode, CorrectsSpreadWeightTwoPatterns) {
       error[b + 24] = 1;
       for (const auto kind :
            {EngineKind::kCpuNode, EngineKind::kOmpNode,
-            EngineKind::kSplash}) {
+            EngineKind::kBulkResidual}) {
         const auto syn = graph::ldpc::syndrome(code, error);
         const FactorGraph g =
             graph::ldpc::build_graph(code, syn, 0.05f, family);
@@ -243,6 +241,44 @@ TEST(LdpcDecode, CorrectsSpreadWeightTwoPatterns) {
             << graph::family_name(family) << " on "
             << bp::engine_slug(kind) << " bit " << b;
       }
+    }
+  }
+}
+
+TEST(LdpcDecode, ParallelNodeEnginesAreIndependentOfThreadCount) {
+  // Min-sum decodes depend on update order: about one in a thousand random
+  // orders leaves these weight-2 patterns oscillating. The parallel node
+  // engines run variables and checks as separate phases, so thread timing
+  // cannot pick the order: omp-node's dense sweep equals c-node's, and
+  // bulk-residual equals its one-worker run, bit for bit.
+  const Code code = graph::ldpc::random_regular(48, 3, 6, 17);
+  const auto same = [](const BpResult& a, const BpResult& b) {
+    if (a.beliefs.size() != b.beliefs.size()) return false;
+    for (std::size_t v = 0; v < a.beliefs.size(); ++v) {
+      for (std::uint32_t s = 0; s < a.beliefs[v].size; ++s) {
+        if (a.beliefs[v].v[s] != b.beliefs[v].v[s]) return false;
+      }
+    }
+    return true;
+  };
+  for (const std::uint32_t b : {0u, 20u}) {
+    std::vector<std::uint8_t> error(code.bits, 0);
+    error[b] = 1;
+    error[b + 24] = 1;
+    const FactorGraph g = graph::ldpc::build_graph(
+        code, graph::ldpc::syndrome(code, error), 0.05f,
+        FactorFamily::kLdpcMinSum);
+    BpOptions one = decode_opts();
+    one.threads = 1;
+    const BpResult sweep = decode(g, EngineKind::kCpuNode, one);
+    const BpResult bulk = decode(g, EngineKind::kBulkResidual, one);
+    for (const unsigned threads : {2u, 4u, 8u}) {
+      BpOptions opts = decode_opts();
+      opts.threads = threads;
+      EXPECT_TRUE(same(sweep, decode(g, EngineKind::kOmpNode, opts)))
+          << "omp-node bit " << b << " threads " << threads;
+      EXPECT_TRUE(same(bulk, decode(g, EngineKind::kBulkResidual, opts)))
+          << "bulk-residual bit " << b << " threads " << threads;
     }
   }
 }
@@ -307,10 +343,9 @@ TEST(LdpcDecode, TreeAndDeviceEnginesRejectLdpcGraphs) {
 TEST(LdpcDecode, VerdictMatchesFinalHardDecisions) {
   // BpStats::syndrome_satisfied describes the state the run returns: the
   // final beliefs' hard decisions satisfy the syndrome iff it says so. The
-  // relaxed engines check parity at epoch boundaries while the rest of the
-  // team keeps writing messages; a pass there is provisional, and the
-  // verdict must come from the joined final state. More workers than cores
-  // widens the window in which a torn state can pass.
+  // parallel engines check parity between regions, with the team joined;
+  // more workers than cores would widen any window in which a state still
+  // being written could pass.
   const Code code = graph::ldpc::random_regular(48, 3, 6, 17);
   BpOptions opts = decode_opts();
   opts.threads = std::max(8u, 2 * std::thread::hardware_concurrency());
@@ -319,8 +354,7 @@ TEST(LdpcDecode, VerdictMatchesFinalHardDecisions) {
       EngineKind::kOmpNode,        EngineKind::kOmpEdge,
       EngineKind::kCudaNode,       EngineKind::kCudaEdge,
       EngineKind::kAccEdge,        EngineKind::kTree,
-      EngineKind::kResidual,       EngineKind::kResidualLocked,
-      EngineKind::kResidualMq,     EngineKind::kSplash,
+      EngineKind::kResidual,       EngineKind::kBulkResidual,
       EngineKind::kSharded,
   };
   for (const auto family :
@@ -342,20 +376,6 @@ TEST(LdpcDecode, VerdictMatchesFinalHardDecisions) {
       }
     }
   }
-}
-
-TEST(LdpcDecode, RelaxedKnobsStillApplyToLdpcRuns) {
-  const Code code = graph::ldpc::random_regular(24, 3, 6, 3);
-  std::vector<std::uint8_t> error(code.bits, 0);
-  error[0] = 1;
-  const auto syn = graph::ldpc::syndrome(code, error);
-  const FactorGraph g = graph::ldpc::build_graph(
-      code, syn, 0.05f, FactorFamily::kLdpcMinSum);
-  BpOptions opts = decode_opts();
-  opts.sched_queues_per_thread = 4;
-  opts.splash_max_size = 8;
-  const BpResult r = decode(g, EngineKind::kSplash, opts);
-  EXPECT_TRUE(r.stats.syndrome_satisfied);
 }
 
 TEST(TabularGuard, DefaultFamilyIsTabularAndRunsAreBitIdentical) {

@@ -654,7 +654,7 @@ TEST_P(WarmStartEquivalence, RepeatAndDeltaRequestsMatchColdRuns) {
 INSTANTIATE_TEST_SUITE_P(
     Engines, WarmStartEquivalence,
     ::testing::Values(bp::EngineKind::kCpuNode, bp::EngineKind::kOmpNode,
-                      bp::EngineKind::kResidualMq),
+                      bp::EngineKind::kBulkResidual),
     [](const ::testing::TestParamInfo<bp::EngineKind>& info) {
       std::string name(bp::engine_slug(info.param));
       for (char& c : name) {

@@ -276,7 +276,7 @@ TEST(ShardOptions, ShardKnobsRejectedOnNonShardedEngines) {
   const auto g = small_grid(8, 3);
   for (const EngineKind kind :
        {EngineKind::kCpuNode, EngineKind::kOmpNode, EngineKind::kResidual,
-        EngineKind::kResidualMq, EngineKind::kTree}) {
+        EngineKind::kBulkResidual, EngineKind::kTree}) {
     const auto engine = make_default_engine(kind);
     EXPECT_THROW((void)engine->run(g, BpOptions{}.with_shards(4)),
                  util::InvalidArgument)

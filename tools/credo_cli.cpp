@@ -3,10 +3,10 @@
 //   credo info     --nodes N.mtx --edges E.mtx
 //   credo run      --nodes N.mtx --edges E.mtx [--engine auto|c-node|c-edge|
 //                  omp-node|omp-edge|cuda-node|cuda-edge|acc-edge|tree|
-//                  residual|residual-mq|splash]
+//                  residual|bulk-residual|sharded]
 //                  [--reorder none|bfs|rcm|degree] [--no-queue]
 //                  [--iters N] [--threshold X] [--threads T]
-//                  [--queues-per-thread K] [--splash-size S] [--syndrome 1]
+//                  [--shards P] [--exchange-every E] [--syndrome 1]
 //                  [--out beliefs.txt] [--trace trace.csv]
 //   credo mutate   --nodes N.mtx --edges E.mtx [--ops K] [--seed S]
 //                  [--engine c-node|residual|...] [--reorder MODE]
@@ -125,8 +125,7 @@ bp::EngineKind parse_engine(const std::string& name) {
         bp::EngineKind::kOmpNode, bp::EngineKind::kOmpEdge,
         bp::EngineKind::kCudaNode, bp::EngineKind::kCudaEdge,
         bp::EngineKind::kAccEdge, bp::EngineKind::kTree,
-        bp::EngineKind::kResidual, bp::EngineKind::kResidualLocked,
-        bp::EngineKind::kResidualMq, bp::EngineKind::kSplash,
+        bp::EngineKind::kResidual, bp::EngineKind::kBulkResidual,
         bp::EngineKind::kSharded}) {
     if (!valid.empty()) valid += '|';
     valid += std::string(bp::engine_slug(k));
@@ -232,18 +231,8 @@ int cmd_run(const Args& args) {
   if (args.get("threads")) {
     opts.threads = static_cast<unsigned>(args.number("threads", 8));
   }
-  // Relaxed-scheduler knobs (residual-mq, splash). Only forwarded when
-  // given: Engine::run rejects non-default values on other engines.
-  if (args.get("queues-per-thread")) {
-    opts.sched_queues_per_thread =
-        static_cast<unsigned>(args.number("queues-per-thread", 2));
-  }
-  if (args.get("splash-size")) {
-    opts.splash_max_size =
-        static_cast<std::uint32_t>(args.number("splash-size", 32));
-  }
-  // Sharded-engine knobs (DESIGN.md §5i), same only-forward-when-given
-  // convention.
+  // Sharded-engine knobs (DESIGN.md §5i). Only forwarded when given:
+  // Engine::run rejects non-default values on other engines.
   if (args.get("shards")) {
     opts.shard_count = static_cast<unsigned>(args.number("shards", 8));
   }
@@ -260,9 +249,9 @@ int cmd_run(const Args& args) {
   std::string engine_used;
   if (engine_arg == "auto" && graph::is_ldpc(g.family())) {
     // The §3.7 dispatcher is trained on tabular workloads and may pick a
-    // device engine; decode on the relaxed-priority flagship instead.
+    // device engine; decode on the parallel residual engine instead.
     const auto engine =
-        bp::make_default_engine(bp::EngineKind::kResidualMq);
+        bp::make_default_engine(bp::EngineKind::kBulkResidual);
     engine_used = std::string(engine->name());
     std::fprintf(stderr, "ldpc family: running %s\n", engine_used.c_str());
     result = engine->run(g, opts);
@@ -625,16 +614,6 @@ int cmd_serve(const Args& args) {
       static_cast<std::uint32_t>(args.number("iters", 50));
   stress.options.convergence_threshold =
       static_cast<float>(args.number("threshold", 1e-3));
-  // Relaxed-scheduler knobs: meaningful when --engine names residual-mq or
-  // splash; on a mix with other engines Engine::run rejects the request.
-  if (args.get("queues-per-thread")) {
-    stress.options.sched_queues_per_thread =
-        static_cast<unsigned>(args.number("queues-per-thread", 2));
-  }
-  if (args.get("splash-size")) {
-    stress.options.splash_max_size =
-        static_cast<std::uint32_t>(args.number("splash-size", 32));
-  }
 
   serve::ServerOptions sopts;
   sopts.workers = static_cast<unsigned>(args.number("workers", 3));
@@ -806,9 +785,8 @@ int usage() {
       "  info     --nodes N.mtx --edges E.mtx [--partition P]\n"
       "  run      --nodes N.mtx --edges E.mtx [--engine auto|c-node|...]\n"
       "           [--reorder none|bfs|rcm|degree] [--iters N]\n"
-      "           [--threshold X] [--threads T] [--queues-per-thread K]\n"
-      "           [--splash-size S] [--shards P] [--exchange-every E]\n"
-      "           [--syndrome 1] [--out beliefs.txt]\n"
+      "           [--threshold X] [--threads T] [--shards P]\n"
+      "           [--exchange-every E] [--syndrome 1] [--out beliefs.txt]\n"
       "           [--trace trace.csv] [--no-queue]\n"
       "  mutate   --nodes N.mtx --edges E.mtx [--ops K] [--seed S]\n"
       "           [--engine c-node|residual|...] [--reorder MODE]\n"
@@ -825,7 +803,6 @@ int usage() {
       "           [--workers W] [--queue Q] [--cache C] [--pool P]\n"
       "           [--engine mix|auto|<name>] [--reorder MODE]\n"
       "           [--warm 1] [--batch B]\n"
-      "           [--queues-per-thread K] [--splash-size S]\n"
       "           [--deadline-every K] [--deadline-ms D]\n"
       "           [--cancel-every K] [--iters N] [--threshold X]\n"
       "           [--churn K [--churn-edges E] [--churn-seed S]]\n"
