@@ -274,12 +274,10 @@ int main(int argc, char** argv) {
                              frac >= 0.25 ? 2 : batches, opts, 1234));
   }
 
-  // Paradigm cells at 1% touched: bulk residual rounds and the sharded
-  // runtime take the same frontier seed.
-  for (const bp::EngineKind kind :
-       {bp::EngineKind::kBulkResidual, bp::EngineKind::kSharded}) {
-    cells.push_back(run_cell(g, kind, 0.01, smoke ? 2 : batches, opts, 99));
-  }
+  // Paradigm cell at 1% touched: bulk residual rounds take the same
+  // frontier seed.
+  cells.push_back(run_cell(g, bp::EngineKind::kBulkResidual, 0.01,
+                           smoke ? 2 : batches, opts, 99));
 
   // Compaction under pressure: zero row slack and a low dead-fraction
   // threshold force automatic compactions during a remove-heavy churn.

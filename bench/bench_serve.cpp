@@ -9,8 +9,8 @@
 //    across a delta-size sweep, against a cold full run on the delta'd
 //    graph. Large deltas are the honest negative: once the expanded
 //    frontier covers most of the graph the incremental path converges to
-//    the cold one. A second sweep on a 1024x1024 grid served through the
-//    sharded engine (§5i) shows the payoff growing with graph size;
+//    the cold one. A second sweep on a 1024x1024 grid served through
+//    omp-node shows the payoff growing with graph size;
 //  * batched fusion — the §5h decode-under-load stress at batch sizes
 //    {1, 4, 16, 64}: many tiny LDPC decodes fused into disjoint-union
 //    super-graphs, throughput vs the unbatched replay.
@@ -230,9 +230,8 @@ int main(int argc, char** argv) {
   // The frontier-narrowing payoff grows with graph size: on a 1024x1024
   // grid a handful of touched nodes seeds a frontier that is a vanishing
   // fraction of the node set, while the cold comparison pays a full
-  // convergence. Served through the sharded engine (§5i) — the request
-  // routes through the shared-pool path and the seed wakes only the
-  // touched shards.
+  // convergence. Served through omp-node — the request routes through the
+  // shared-pool path and the seed starts its §3.5 frontier.
   std::vector<DeltaRow> large_deltas;
   {
     const unsigned lside = smoke ? 128 : 1024;
@@ -246,7 +245,7 @@ int main(int argc, char** argv) {
       return serve::Request{}
           .with_files(lnodes, ledges)
           .with_options(opts)
-          .with_engine(bp::EngineKind::kSharded)
+          .with_engine(bp::EngineKind::kOmpNode)
           .with_warm_start();
     };
     std::vector<graph::NodeId> lfree;

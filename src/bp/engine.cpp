@@ -29,20 +29,6 @@ BpResult Engine::run(const graph::FactorGraph& g,
         "the CPU engines (c-node, c-edge, omp-node, omp-edge, residual, "
         "bulk-residual)");
   }
-  // The sharding knobs have no effect anywhere else (DESIGN.md §5i);
-  // accepting them silently on other engines would let a typoed engine
-  // name absorb a carefully tuned configuration.
-  if (kind() != EngineKind::kSharded) {
-    if (opts.shard_count != kDefaultShardCount) {
-      throw util::InvalidArgument(
-          "BpOptions: shard_count applies only to the sharded engine");
-    }
-    if (opts.shard_exchange_every != kDefaultShardExchangeEvery) {
-      throw util::InvalidArgument(
-          "BpOptions: shard_exchange_every applies only to the sharded "
-          "engine");
-    }
-  }
   // Warm starts and frontier seeds (DESIGN.md §5h) are capability-gated the
   // same way: silently ignoring either would return beliefs the caller
   // believes were incrementally re-converged when they were not.
@@ -126,7 +112,6 @@ std::string_view engine_name(EngineKind kind) noexcept {
     case EngineKind::kTree: return "Tree BP";
     case EngineKind::kResidual: return "Residual";
     case EngineKind::kBulkResidual: return "Bulk Residual";
-    case EngineKind::kSharded: return "Sharded";
   }
   return "unknown";
 }
@@ -143,7 +128,6 @@ std::string_view engine_slug(EngineKind kind) noexcept {
     case EngineKind::kTree: return "tree";
     case EngineKind::kResidual: return "residual";
     case EngineKind::kBulkResidual: return "bulk-residual";
-    case EngineKind::kSharded: return "sharded";
   }
   return "unknown";
 }
@@ -156,9 +140,6 @@ bool engine_supports_family(EngineKind kind,
     case EngineKind::kCudaNode:
     case EngineKind::kCudaEdge:
     case EngineKind::kAccEdge:
-    // Sharded execution keeps per-shard belief state only; the LDPC
-    // kernel's per-edge LLR messages have no ghost representation yet.
-    case EngineKind::kSharded:
       return false;
     default:
       return true;
@@ -223,9 +204,6 @@ std::optional<EngineKind> engine_from_name(std::string_view name) noexcept {
   if (key == "tree" || key == "tree-bp") return EngineKind::kTree;
   if (key == "residual") return EngineKind::kResidual;
   if (key == "bulk-residual") return EngineKind::kBulkResidual;
-  if (key == "sharded" || key == "shard" || key == "sharded-bp") {
-    return EngineKind::kSharded;
-  }
   return std::nullopt;
 }
 
@@ -243,7 +221,6 @@ std::unique_ptr<Engine> make_engine(EngineKind kind,
     case EngineKind::kResidual: return internal::make_residual(profile);
     case EngineKind::kBulkResidual:
       return internal::make_bulk_residual(profile);
-    case EngineKind::kSharded: return internal::make_sharded(profile);
   }
   throw util::InvalidArgument("unknown engine kind");
 }
@@ -258,7 +235,6 @@ std::unique_ptr<Engine> make_default_engine(EngineKind kind) {
     case EngineKind::kOmpNode:
     case EngineKind::kOmpEdge:
     case EngineKind::kBulkResidual:
-    case EngineKind::kSharded:
       return make_engine(kind, perf::cpu_i7_7700hq_parallel(8));
     case EngineKind::kCudaNode:
     case EngineKind::kCudaEdge:

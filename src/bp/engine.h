@@ -28,7 +28,6 @@ enum class EngineKind {
   kTree,      // non-loopy two-pass tree BP (§2.1.1 baseline)
   kResidual,  // residual-prioritized scheduling (extension; cf. §5.1)
   kBulkResidual,  // residual drained in parallel bulk rounds (§5f)
-  kSharded,       // partitioned shards + ghost-buffer exchange (§5i)
 };
 
 /// Human-readable engine name ("C Node", "CUDA Edge", ...).

@@ -32,7 +32,6 @@ std::unique_ptr<Engine> make_acc_edge(const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_tree(const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_residual(const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_bulk_residual(const perf::HardwareProfile& p);
-std::unique_ptr<Engine> make_sharded(const perf::HardwareProfile& p);
 
 // ---------------------------------------------------------------------------
 // Team set-up and result finalization, shared by every CPU engine.
@@ -45,15 +44,14 @@ struct alignas(64) WorkerSink {
 };
 
 /// The modelled profile of the run's team: opts.threads workers (the §2.4
-/// sweep runs 2/4/8 threads; 0 keeps the profile's own width), at most
-/// `max_team`. The engine's profile is kept when the team matches it.
+/// sweep runs 2/4/8 threads; 0 keeps the profile's own width). The
+/// engine's profile is kept when the team matches it.
 inline perf::HardwareProfile effective_profile(
-    const perf::HardwareProfile& profile, const BpOptions& opts,
-    unsigned max_team = ~0u) {
+    const perf::HardwareProfile& profile, const BpOptions& opts) {
   const unsigned requested =
       opts.threads != 0 ? opts.threads
                         : static_cast<unsigned>(profile.parallel_units);
-  const unsigned team = std::max(1u, std::min(requested, max_team));
+  const unsigned team = std::max(1u, requested);
   if (static_cast<int>(team) == profile.parallel_units) return profile;
   return perf::cpu_i7_7700hq_parallel(static_cast<int>(team));
 }
@@ -175,16 +173,13 @@ inline std::uint64_t compute_block(const graph::JointStore& joints,
 /// Node-paradigm pull: walks v's in-edges in kEdgeBlock blocks through the
 /// batched message kernel and combines in CSR order — bit-identical to the
 /// per-edge path, with the joint-matrix loads amortized per block. Metering
-/// matches the per-edge form event for event, except that parents for which
-/// `near_pred(node)` holds are charged as near (cache-resident) reads — the
-/// sharded engine passes its per-shard cache-residency verdict, so a shard
-/// whose working set fits the cache does not pay DRAM per parent touch.
-template <typename NearPred>
+/// matches the per-edge form event for event: every parent touch is a
+/// scattered DRAM read.
 inline void pull_parents_blocked(std::span<const graph::Csr::Entry> nbrs,
                                  const std::vector<graph::BeliefVec>& beliefs,
                                  const graph::JointStore& joints,
                                  perf::Meter& meter, EdgeBlockScratch& s,
-                                 graph::BeliefVec& acc, NearPred near_pred) {
+                                 graph::BeliefVec& acc) {
   const bool shared = joints.is_shared();
   for (std::size_t base = 0; base < nbrs.size();
        base += graph::kEdgeBlock) {
@@ -194,11 +189,7 @@ inline void pull_parents_blocked(std::span<const graph::Csr::Entry> nbrs,
       const auto& entry = nbrs[base + k];
       meter.seq_read(sizeof(entry));  // adjacency index walk
       const graph::BeliefVec& parent = beliefs[entry.node];
-      if (near_pred(entry.node)) {
-        meter.near_read(belief_bytes(parent.size));
-      } else {
-        meter.rand_read(belief_bytes(parent.size));
-      }
+      meter.rand_read(belief_bytes(parent.size));
       charge_joint_load(meter, joints, entry.edge);
       s.srcs[k] = &parent;
       if (!shared) s.mats[k] = &joints.at(entry.edge);

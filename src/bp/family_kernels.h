@@ -37,43 +37,6 @@ namespace credo::bp::internal {
 // Tabular: joint-matrix pull, damping, BeliefVec state.
 // ---------------------------------------------------------------------------
 
-/// The tabular node update (Algorithm 1 lines 5-12): recomputes
-/// beliefs[v] from the parents in `nbrs` (whose entries index `beliefs`)
-/// and returns the belief's L1 change. Belief touches for which
-/// `near(node)` holds are charged as cache-resident. The sharded engine
-/// runs it on shard-local state.
-template <typename NearPred>
-float tabular_update(std::span<const graph::Csr::Entry> nbrs,
-                     std::vector<graph::BeliefVec>& beliefs, graph::NodeId v,
-                     const graph::JointStore& joints,
-                     const runtime::ConvergenceController& ctl,
-                     perf::Meter& meter, EdgeBlockScratch& scratch,
-                     graph::BeliefVec& prev, NearPred near) {
-  graph::copy_belief(prev, beliefs[v]);
-  if (near(v)) {
-    meter.near_read(belief_bytes(prev.size));
-  } else {
-    meter.rand_read(belief_bytes(prev.size));
-  }
-  // The new belief combines the incoming updates only — priors enter as
-  // the initial state.
-  graph::BeliefVec acc = graph::BeliefVec::ones(prev.size);
-  meter.seq_read(sizeof(std::uint64_t));  // CSR offset
-  pull_parents_blocked(nbrs, beliefs, joints, meter, scratch, acc, near);
-  graph::normalize(acc);
-  meter.flop(2ull * acc.size);
-  meter.flop(ctl.damp(acc, prev));
-  graph::copy_belief(beliefs[v], acc);
-  if (near(v)) {
-    meter.near_write(belief_bytes(acc.size));
-  } else {
-    meter.rand_write(belief_bytes(acc.size));
-  }
-  const float d = graph::l1_diff(prev, acc);
-  meter.flop(2ull * acc.size);
-  return d;
-}
-
 class TabularKernel {
  public:
   struct alignas(64) Worker {
@@ -87,11 +50,27 @@ class TabularKernel {
                 perf::Meter& /*meter*/) noexcept
       : g_(g), ctl_(ctl), beliefs_(beliefs) {}
 
-  /// Every belief touch is a scattered DRAM access.
+  /// The tabular node update (Algorithm 1 lines 5-12): recomputes
+  /// beliefs[v] from its parents and returns the belief's L1 change. Every
+  /// belief touch is a scattered DRAM access.
   float update(Worker& w, graph::NodeId v, perf::Meter& meter) {
-    return tabular_update(g_.in_csr().neighbors(v), beliefs_, v, g_.joints(),
-                          ctl_, meter, w.scratch, w.prev,
-                          [](graph::NodeId) noexcept { return false; });
+    graph::BeliefVec& prev = w.prev;
+    graph::copy_belief(prev, beliefs_[v]);
+    meter.rand_read(belief_bytes(prev.size));
+    // The new belief combines the incoming updates only — priors enter as
+    // the initial state.
+    graph::BeliefVec acc = graph::BeliefVec::ones(prev.size);
+    meter.seq_read(sizeof(std::uint64_t));  // CSR offset
+    pull_parents_blocked(g_.in_csr().neighbors(v), beliefs_, g_.joints(),
+                         meter, w.scratch, acc);
+    graph::normalize(acc);
+    meter.flop(2ull * acc.size);
+    meter.flop(ctl_.damp(acc, prev));
+    graph::copy_belief(beliefs_[v], acc);
+    meter.rand_write(belief_bytes(acc.size));
+    const float d = graph::l1_diff(prev, acc);
+    meter.flop(2ull * acc.size);
+    return d;
   }
 
   /// A still-active node re-enqueues itself.

@@ -17,16 +17,6 @@
 
 namespace credo::bp {
 
-/// Default shard count for the sharded engine (DESIGN.md §5i), matching
-/// the paper machine's 8 hardware threads. Named so Engine::run can tell
-/// "left at default" from "explicitly configured" when rejecting the knob
-/// on engines that cannot honor it.
-inline constexpr unsigned kDefaultShardCount = 8;
-
-/// Default boundary-exchange cadence for the sharded engine: publish and
-/// import ghost beliefs after every local sweep.
-inline constexpr std::uint32_t kDefaultShardExchangeEvery = 1;
-
 /// Knobs for a propagation run. Defaults follow the paper's evaluation
 /// setup: convergence within 0.001, cut off at 200 iterations, 1024-thread
 /// blocks on the GPU.
@@ -97,18 +87,6 @@ struct BpOptions {
   /// (the serve layer shares one pool across requests). The pool supports
   /// one dispatcher at a time — callers serialize access. Not owned.
   parallel::ThreadPool* shared_pool = nullptr;
-
-  /// Sharded engine (DESIGN.md §5i): number of contiguous-range shards the
-  /// graph is cut into; each runs its own schedule and exchanges boundary
-  /// beliefs through ghost buffers. Clamped to the node count at run time.
-  /// Rejected by Engine::run when set on any other engine.
-  unsigned shard_count = kDefaultShardCount;
-
-  /// Sharded engine: local sweeps between boundary exchanges. 1 bounds
-  /// ghost staleness at one sweep (tightest coupling); larger values
-  /// amortize the exchange at the cost of staler ghosts and more
-  /// iterations to convergence. Rejected on non-sharded engines.
-  std::uint32_t shard_exchange_every = kDefaultShardExchangeEvery;
 
   /// LDPC families (DESIGN.md §5g): also stop when the decode's hard
   /// decisions satisfy every parity check — the natural decode-success
@@ -217,13 +195,6 @@ struct BpOptions {
     shared_pool = pool;
     return *this;
   }
-  BpOptions& with_shards(
-      unsigned count,
-      std::uint32_t exchange_every = kDefaultShardExchangeEvery) noexcept {
-    shard_count = count;
-    shard_exchange_every = exchange_every;
-    return *this;
-  }
   BpOptions& with_syndrome_stop(bool v = true) noexcept {
     syndrome_stop = v;
     return *this;
@@ -287,12 +258,6 @@ struct BpOptions {
     }
     if (!(host_deadline_seconds >= 0.0)) {
       return invalid("BpOptions: host_deadline_seconds must be >= 0");
-    }
-    if (shard_count == 0) {
-      return invalid("BpOptions: shard_count must be >= 1");
-    }
-    if (shard_exchange_every == 0) {
-      return invalid("BpOptions: shard_exchange_every must be >= 1");
     }
     if (!(modelled_deadline_seconds >= 0.0)) {
       return invalid("BpOptions: modelled_deadline_seconds must be >= 0");

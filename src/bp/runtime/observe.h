@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 namespace credo::bp::runtime {
 
@@ -22,12 +21,5 @@ void observe_iteration(std::uint64_t frontier, bool checked) noexcept;
 
 /// Records a finished run: total iterations and whether it converged.
 void observe_run(std::uint32_t iterations, bool converged) noexcept;
-
-/// Records a finished sharded-engine run (§5i): per-shard local sweep
-/// counts, total ghost-exchange payload moved, and the park/wake totals of
-/// the quiescence coordinator. Flushed once per run.
-void observe_shard_run(std::span<const std::uint32_t> sweeps,
-                       std::uint64_t exchange_bytes, std::uint64_t parks,
-                       std::uint64_t wakes) noexcept;
 
 }  // namespace credo::bp::runtime

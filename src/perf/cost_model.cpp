@@ -66,14 +66,6 @@ TimeBreakdown model_time(const Counters& c, const HardwareProfile& p) {
   t.alloc_s = static_cast<double>(c.device_allocs) * p.alloc_base_s +
               static_cast<double>(c.device_alloc_bytes) * p.alloc_per_byte_s;
 
-  // Inter-shard boundary exchange (§5i): ghost-buffer copies at memcpy-like
-  // bandwidth plus a per-exchange synchronization latency. Grows with the
-  // edge cut and the exchange cadence — the term that bends the sharded
-  // engine's curve back up past the shard-count sweet spot.
-  t.exchange_s =
-      static_cast<double>(c.shard_exchange_bytes) / p.shard_bw +
-      static_cast<double>(c.shard_exchange_ops) * p.shard_latency_s;
-
   if (p.smt_penalty > 1.0) {
     t.compute_s *= p.smt_penalty;
     t.memory_s *= p.smt_penalty;

@@ -29,12 +29,11 @@ struct TimeBreakdown {
   double overhead_s = 0;  // launches + barriers + fork/join
   double transfer_s = 0;  // PCIe traffic
   double alloc_s = 0;     // device memory management
-  double exchange_s = 0;  // inter-shard ghost-buffer traffic (§5i)
 
   [[nodiscard]] double total() const noexcept {
     double exec = compute_s > memory_s ? compute_s : memory_s;
     if (critical_s > exec) exec = critical_s;
-    return exec + atomic_s + overhead_s + transfer_s + alloc_s + exchange_s;
+    return exec + atomic_s + overhead_s + transfer_s + alloc_s;
   }
 
   /// Fraction of total time spent in GPU memory management + transfers —

@@ -72,12 +72,6 @@ struct Counters {
   std::uint64_t d2h_bytes = 0;
   std::uint64_t transfer_ops = 0;
 
-  // Inter-shard boundary exchange (DESIGN.md §5i): belief bytes published
-  // into / imported from ghost buffers, plus the number of exchange
-  // operations (each pays a synchronization latency in the cost model).
-  std::uint64_t shard_exchange_bytes = 0;
-  std::uint64_t shard_exchange_ops = 0;
-
   // Device allocations.
   std::uint64_t device_allocs = 0;
   std::uint64_t device_alloc_bytes = 0;
@@ -107,8 +101,6 @@ struct Counters {
     h2d_bytes += o.h2d_bytes;
     d2h_bytes += o.d2h_bytes;
     transfer_ops += o.transfer_ops;
-    shard_exchange_bytes += o.shard_exchange_bytes;
-    shard_exchange_ops += o.shard_exchange_ops;
     device_allocs += o.device_allocs;
     device_alloc_bytes += o.device_alloc_bytes;
   }
@@ -182,12 +174,6 @@ class Meter {
   void device_alloc(std::uint64_t bytes) noexcept {
     ++c_->device_allocs;
     c_->device_alloc_bytes += bytes;
-  }
-
-  /// One inter-shard ghost-buffer exchange of `bytes` boundary payload.
-  void shard_exchange(std::uint64_t bytes) noexcept {
-    c_->shard_exchange_bytes += bytes;
-    ++c_->shard_exchange_ops;
   }
 
   [[nodiscard]] Counters& counters() noexcept { return *c_; }

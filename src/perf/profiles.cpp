@@ -22,11 +22,6 @@ HardwareProfile cpu_i7_7700hq_serial() {
   p.near_concurrency = 4;
   p.atomic_issue_s = 6e-9;        // lock-prefixed RMW, uncontended
   p.atomic_serial_s = 0;          // single thread: no contention
-  p.llc_bytes = 6.0 * (1 << 20);  // 6 MB shared L3
-  // Shard boundary exchange moves through the shared LLC/DRAM at memcpy
-  // bandwidth; the per-exchange latency covers the buffer flip and wake.
-  p.shard_bw = 16e9;
-  p.shard_latency_s = 2e-6;
   return p;
 }
 

@@ -72,19 +72,6 @@ struct HardwareProfile {
   double pcie_bw = 12e9;
   double transfer_latency_s = 10e-6;
 
-  /// Last-level cache capacity (0 = unknown). The sharded engine uses
-  /// this to decide whether a shard's belief working set stays
-  /// cache-resident — the locality dividend sharding exists to claim
-  /// (DESIGN.md §5i).
-  double llc_bytes = 0;
-
-  /// Inter-shard boundary exchange: bandwidth of ghost-buffer copies
-  /// (cache-to-cache / DRAM memcpy on a CPU; a NIC for future
-  /// multi-process sharding) and the per-exchange synchronization
-  /// latency (buffer flip + wake).
-  double shard_bw = 10e9;
-  double shard_latency_s = 1e-6;
-
   /// Device memory management.
   double alloc_base_s = 0;       // per cudaMalloc-like call
   double alloc_per_byte_s = 0;   // page-mapping cost

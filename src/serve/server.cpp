@@ -55,6 +55,21 @@ bool fusable_options(const bp::BpOptions& a, const bp::BpOptions& b) noexcept {
          a.damping == b.damping && a.syndrome_stop == b.syndrome_stop;
 }
 
+/// Runs `engine` on `g`, on the server's shared pool when the engine
+/// dispatches fork/join regions. Exactly the engines on the CPU-parallel
+/// profile do (omp-node, omp-edge, bulk-residual): each requires that
+/// profile, and no other engine has it. The pool runs a single team at a
+/// time, so those runs serialize on `pool_mu`.
+bp::BpResult run_engine(const bp::Engine& engine, const graph::FactorGraph& g,
+                        const bp::BpOptions& opts, parallel::ThreadPool& pool,
+                        std::mutex& pool_mu) {
+  if (engine.hardware().kind != perf::PlatformKind::kCpuParallel) {
+    return engine.run(g, opts);
+  }
+  std::lock_guard<std::mutex> pool_lock(pool_mu);
+  return engine.run(g, bp::BpOptions(opts).with_shared_pool(&pool));
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
@@ -577,18 +592,7 @@ Response Server::execute(Request& req,
 
     const util::Timer run_timer;
     const auto engine = bp::make_default_engine(kind);
-    bp::BpResult result;
-    if (kind == bp::EngineKind::kOmpNode ||
-        kind == bp::EngineKind::kOmpEdge ||
-        kind == bp::EngineKind::kSharded) {
-      // CPU-parallel engines share the server's one pool; the pool runs a
-      // single team at a time, so these requests serialize here.
-      std::lock_guard<std::mutex> pool_lock(pool_mu_);
-      opts.with_shared_pool(&pool_);
-      result = engine->run(*g, opts);
-    } else {
-      result = engine->run(*g, opts);
-    }
+    bp::BpResult result = run_engine(*engine, *g, opts, pool_, pool_mu_);
     span.unpermute_s = result.stats.unpermute_seconds;
     span.run_s = run_timer.seconds() - span.unpermute_s;
     span.run_modelled_s = result.stats.modelled_seconds();
@@ -786,18 +790,9 @@ void Server::execute_batch(Pending& pending) {
         ref.engine ? *ref.engine : choose_engine(g, nullptr);
     m_batch_occupancy_.observe(static_cast<double>(fused_members.size()));
 
-    bp::BpOptions opts = ref.options;
     const auto engine = bp::make_default_engine(kind);
-    bp::BpResult result;
-    if (kind == bp::EngineKind::kOmpNode ||
-        kind == bp::EngineKind::kOmpEdge ||
-        kind == bp::EngineKind::kSharded) {
-      std::lock_guard<std::mutex> pool_lock(pool_mu_);
-      opts.with_shared_pool(&pool_);
-      result = engine->run(g, opts);
-    } else {
-      result = engine->run(g, opts);
-    }
+    const bp::BpResult result =
+        run_engine(*engine, g, ref.options, pool_, pool_mu_);
 
     const bool is_ldpc = graph::is_ldpc(g.family());
     for (std::size_t k = 0; k < fused_members.size(); ++k) {

@@ -360,12 +360,13 @@ TEST(BpEngines, SharedAndPerEdgeJointsAgreeWhenMatricesMatch) {
 
 TEST(BpEngines, EngineNamesRoundTripThroughTheOneParser) {
   // bp::engine_from_name is the single parser for engine names: both the
-  // paper's display names and the CLI slugs must round-trip for all nine
+  // paper's display names and the CLI slugs must round-trip for all ten
   // kinds, so new engines can't silently miss a spelling.
-  constexpr std::array<EngineKind, 9> kAll = {
+  constexpr std::array<EngineKind, 10> kAll = {
       EngineKind::kCpuNode,  EngineKind::kCpuEdge,  EngineKind::kOmpNode,
       EngineKind::kOmpEdge,  EngineKind::kCudaNode, EngineKind::kCudaEdge,
-      EngineKind::kAccEdge,  EngineKind::kTree,     EngineKind::kResidual};
+      EngineKind::kAccEdge,  EngineKind::kTree,     EngineKind::kResidual,
+      EngineKind::kBulkResidual};
   for (const auto kind : kAll) {
     const auto from_display = bp::engine_from_name(bp::engine_name(kind));
     ASSERT_TRUE(from_display.has_value()) << bp::engine_name(kind);
@@ -390,6 +391,9 @@ TEST(BpEngines, EngineFromNameNormalizesAndRejects) {
   EXPECT_FALSE(bp::engine_from_name("").has_value());
   EXPECT_FALSE(bp::engine_from_name("gpu").has_value());
   EXPECT_FALSE(bp::engine_from_name("c-node-extra").has_value());
+  EXPECT_FALSE(bp::engine_from_name("sharded").has_value());
+  EXPECT_FALSE(bp::engine_from_name("shard").has_value());
+  EXPECT_FALSE(bp::engine_from_name("sharded-bp").has_value());
 }
 
 TEST(BpEngines, ZeroIterationBudgetIsRejected) {

@@ -355,7 +355,6 @@ TEST(LdpcDecode, VerdictMatchesFinalHardDecisions) {
       EngineKind::kCudaNode,       EngineKind::kCudaEdge,
       EngineKind::kAccEdge,        EngineKind::kTree,
       EngineKind::kResidual,       EngineKind::kBulkResidual,
-      EngineKind::kSharded,
   };
   for (const auto family :
        {FactorFamily::kLdpcSumProduct, FactorFamily::kLdpcMinSum}) {

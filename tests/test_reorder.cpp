@@ -195,7 +195,8 @@ TEST(Reordered, LoopyEnginesAgreeAcrossOrderings) {
   opts.convergence_threshold = 1e-4f;
   for (const auto kind :
        {EngineKind::kCpuNode, EngineKind::kCpuEdge, EngineKind::kOmpNode,
-        EngineKind::kOmpEdge, EngineKind::kResidual}) {
+        EngineKind::kOmpEdge, EngineKind::kResidual,
+        EngineKind::kBulkResidual}) {
     const auto engine = bp::make_default_engine(kind);
     const auto base = engine->run(g, opts);
     for (const auto mode :

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -30,10 +31,13 @@ namespace {
 
 using graph::FactorGraph;
 
-/// Writes `g` as an MTX-belief pair under the temp dir; returns the paths.
+/// Writes `g` as an MTX-belief pair under a per-process temp dir (so
+/// concurrent copies of this suite do not overwrite each other's files);
+/// returns the paths.
 std::pair<std::string, std::string> write_graph(const FactorGraph& g,
                                                 const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() / "credo_serve_ut";
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("credo_serve_ut_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const std::string prefix = (dir / name).string();
   io::write_mtx_belief(g, prefix + "_nodes.mtx", prefix + "_edges.mtx");
@@ -566,7 +570,7 @@ TEST(ServeStress, RunStressReportAccountsEveryRequest) {
 // from retained converged beliefs; delta requests re-converge only the
 // perturbed region — both verified against cold full runs across the
 // scheduling paradigms (sequential frontier, pooled fragmented frontier,
-// relaxed multi-queue).
+// bulk residual rounds).
 // ---------------------------------------------------------------------------
 
 class WarmStartEquivalence

@@ -3,10 +3,9 @@
 //   credo info     --nodes N.mtx --edges E.mtx
 //   credo run      --nodes N.mtx --edges E.mtx [--engine auto|c-node|c-edge|
 //                  omp-node|omp-edge|cuda-node|cuda-edge|acc-edge|tree|
-//                  residual|bulk-residual|sharded]
+//                  residual|bulk-residual]
 //                  [--reorder none|bfs|rcm|degree] [--no-queue]
-//                  [--iters N] [--threshold X] [--threads T]
-//                  [--shards P] [--exchange-every E] [--syndrome 1]
+//                  [--iters N] [--threshold X] [--threads T] [--syndrome 1]
 //                  [--out beliefs.txt] [--trace trace.csv]
 //   credo mutate   --nodes N.mtx --edges E.mtx [--ops K] [--seed S]
 //                  [--engine c-node|residual|...] [--reorder MODE]
@@ -59,7 +58,6 @@
 #include "credo/suite.h"
 #include "graph/generators.h"
 #include "graph/ldpc.h"
-#include "graph/partition.h"
 #include "io/bif.h"
 #include "io/convert.h"
 #include "io/xmlbif.h"
@@ -125,8 +123,7 @@ bp::EngineKind parse_engine(const std::string& name) {
         bp::EngineKind::kOmpNode, bp::EngineKind::kOmpEdge,
         bp::EngineKind::kCudaNode, bp::EngineKind::kCudaEdge,
         bp::EngineKind::kAccEdge, bp::EngineKind::kTree,
-        bp::EngineKind::kResidual, bp::EngineKind::kBulkResidual,
-        bp::EngineKind::kSharded}) {
+        bp::EngineKind::kResidual, bp::EngineKind::kBulkResidual}) {
     if (!valid.empty()) valid += '|';
     valid += std::string(bp::engine_slug(k));
   }
@@ -189,29 +186,6 @@ int cmd_info(const Args& args) {
               static_cast<double>(g.joints().payload_bytes()) / (1 << 20));
   std::printf("memory:            %.2f MiB\n",
               static_cast<double>(g.memory_bytes()) / (1 << 20));
-  // --partition P: cut the (possibly reordered) graph into P contiguous
-  // shards and report partition quality — what the sharded engine would
-  // execute against (DESIGN.md §5i) — without running BP.
-  if (args.get("partition")) {
-    const auto p = graph::Partition::contiguous(
-        g, static_cast<std::uint32_t>(args.number("partition", 8)));
-    std::printf("partition:         %u shards\n", p.shard_count());
-    std::printf("edge cut:          %llu (%.4f of edges)\n",
-                static_cast<unsigned long long>(p.edge_cut()),
-                p.edge_cut_fraction());
-    std::printf("balance:           %.3f (max/mean shard work)\n",
-                p.balance());
-    for (std::uint32_t s = 0; s < p.shard_count(); ++s) {
-      const graph::Shard& sh = p.shard(s);
-      std::printf(
-          "shard %3u: nodes [%u, %u) internal edges %llu cut-in %llu "
-          "border %zu ghosts %zu\n",
-          s, sh.begin, sh.end,
-          static_cast<unsigned long long>(sh.internal_edges),
-          static_cast<unsigned long long>(sh.cut_in_edges),
-          sh.border.size(), sh.ghosts.size());
-    }
-  }
   return 0;
 }
 
@@ -230,15 +204,6 @@ int cmd_run(const Args& args) {
   opts.collect_trace = trace_path.has_value();
   if (args.get("threads")) {
     opts.threads = static_cast<unsigned>(args.number("threads", 8));
-  }
-  // Sharded-engine knobs (DESIGN.md §5i). Only forwarded when given:
-  // Engine::run rejects non-default values on other engines.
-  if (args.get("shards")) {
-    opts.shard_count = static_cast<unsigned>(args.number("shards", 8));
-  }
-  if (args.get("exchange-every")) {
-    opts.shard_exchange_every =
-        static_cast<std::uint32_t>(args.number("exchange-every", 1));
   }
   // --syndrome 1: stop as soon as the hard decisions satisfy every parity
   // check (LDPC graphs only; tabular graphs ignore the criterion).
@@ -782,12 +747,11 @@ int usage() {
       stderr,
       "usage: credo <info|run|mutate|generate|convert|train|serve>"
       " [--flag value]...\n"
-      "  info     --nodes N.mtx --edges E.mtx [--partition P]\n"
+      "  info     --nodes N.mtx --edges E.mtx\n"
       "  run      --nodes N.mtx --edges E.mtx [--engine auto|c-node|...]\n"
       "           [--reorder none|bfs|rcm|degree] [--iters N]\n"
-      "           [--threshold X] [--threads T] [--shards P]\n"
-      "           [--exchange-every E] [--syndrome 1] [--out beliefs.txt]\n"
-      "           [--trace trace.csv] [--no-queue]\n"
+      "           [--threshold X] [--threads T] [--syndrome 1]\n"
+      "           [--out beliefs.txt] [--trace trace.csv] [--no-queue]\n"
       "  mutate   --nodes N.mtx --edges E.mtx [--ops K] [--seed S]\n"
       "           [--engine c-node|residual|...] [--reorder MODE]\n"
       "           [--iters N] [--threshold X] [--frontier-damping D]\n"
