@@ -47,26 +47,13 @@ constexpr float kReductionFloor = 1e-6f;
 
 class AccEdgeEngine final : public Engine {
  public:
-  explicit AccEdgeEngine(perf::HardwareProfile profile)
-      : profile_(std::move(profile)) {
-    CREDO_CHECK_MSG(profile_.kind == perf::PlatformKind::kGpu,
-                    "OpenACC engine requires a GPU profile");
-  }
-
-  [[nodiscard]] EngineKind kind() const noexcept override {
-    return EngineKind::kAccEdge;
-  }
-
-  [[nodiscard]] const perf::HardwareProfile& hardware()
-      const noexcept override {
-    return profile_;
-  }
+  using Engine::Engine;
 
  protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
                                 const BpOptions& opts) const override {
     const util::Timer timer;
-    Device dev(profile_);
+    Device dev(hardware());
     const NodeId n = g.num_nodes();
     const std::uint64_t m = g.num_edges();
     const auto md = graph::compute_metadata(g);
@@ -189,15 +176,12 @@ class AccEdgeEngine final : public Engine {
     r.stats.host_seconds = timer.seconds();
     return r;
   }
-
- private:
-  perf::HardwareProfile profile_;
 };
 
 }  // namespace
 
 std::unique_ptr<Engine> make_acc_edge(const perf::HardwareProfile& p) {
-  return std::make_unique<AccEdgeEngine>(p);
+  return std::make_unique<AccEdgeEngine>(EngineKind::kAccEdge, p);
 }
 
 }  // namespace credo::bp::internal

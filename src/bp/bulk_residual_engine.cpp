@@ -16,7 +16,6 @@
 // epochs and stops, the PoolBackend owns the region, and a family kernel
 // (family_kernels.h) owns the node update.
 #include <algorithm>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -27,8 +26,6 @@
 #include "bp/runtime/driver.h"
 #include "bp/runtime/init.h"
 #include "bp/runtime/schedule.h"
-#include "parallel/thread_pool.h"
-#include "util/error.h"
 #include "util/timer.h"
 
 namespace credo::bp::internal {
@@ -36,24 +33,10 @@ namespace {
 
 using graph::FactorGraph;
 using graph::NodeId;
-using parallel::ThreadPool;
 
 class BulkResidualEngine final : public Engine {
  public:
-  explicit BulkResidualEngine(perf::HardwareProfile profile)
-      : profile_(std::move(profile)) {
-    CREDO_CHECK_MSG(profile_.kind == perf::PlatformKind::kCpuParallel,
-                    "bulk-residual engine requires a CPU-parallel profile");
-  }
-
-  [[nodiscard]] EngineKind kind() const noexcept override {
-    return EngineKind::kBulkResidual;
-  }
-
-  [[nodiscard]] const perf::HardwareProfile& hardware()
-      const noexcept override {
-    return profile_;
-  }
+  using Engine::Engine;
 
  protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
@@ -67,32 +50,27 @@ class BulkResidualEngine final : public Engine {
   [[nodiscard]] BpResult drain(const FactorGraph& g,
                                const BpOptions& opts) const {
     const util::Timer timer;
-    const perf::HardwareProfile prof = effective_profile(profile_, opts);
-    std::optional<ThreadPool> local_pool;
-    ThreadPool& pool = select_pool(opts, prof, local_pool);
-    std::vector<WorkerSink> sinks(pool.size());
-
     BpResult r;
     r.beliefs = runtime::initial_state(g, opts);
+    Team team(hardware(), opts, r.stats.counters);
     perf::Meter main_meter(r.stats.counters);
 
     const runtime::ConvergenceController ctl(
         opts, runtime::ConvergenceController::Cadence::kEveryIteration);
     Kernel kernel(g, opts, ctl, r.beliefs, main_meter);
-    std::vector<typename Kernel::Worker> workers(pool.size());
-    runtime::BulkResidualSchedule sched(g, ctl, pool.size(),
+    std::vector<typename Kernel::Worker> workers(team.backend.workers());
+    runtime::BulkResidualSchedule sched(g, ctl, team.backend.workers(),
                                         opts.frontier_seed.get());
-    runtime::PoolBackend backend(pool, opts, r.stats.counters);
 
     // One region per non-empty phase of a round (family_kernels.h).
     const NodeId boundary = kernel.phase_split();
     const auto run_phase = [&](std::span<const NodeId> nodes) {
       if (nodes.empty()) return 0.0;
-      return backend.reduce_range(
+      return team.backend.reduce_range(
           0, nodes.size(),
           [&](std::uint64_t lo, std::uint64_t hi, unsigned w,
               double& partial) {
-            perf::Meter meter(sinks[w].counters);
+            perf::Meter meter(team.sinks[w].counters);
             typename Kernel::Worker& worker = workers[w];
             for (std::uint64_t qi = lo; qi < hi; ++qi) {
               meter.seq_read(sizeof(NodeId));  // selection entry
@@ -119,19 +97,19 @@ class BulkResidualEngine final : public Engine {
           return round.size();
         },
         [&] { return kernel.syndrome_met(main_meter); },
-        [&] { return snapshot_time(r.stats.counters, sinks, prof); });
+        [&] {
+          return snapshot_time(r.stats.counters, team.sinks, team.prof);
+        });
     kernel.finish(r.stats, main_meter);
-    finish(r, timer, prof, sinks);
+    finish(r, timer, team.prof, team.sinks);
     return r;
   }
-
-  perf::HardwareProfile profile_;
 };
 
 }  // namespace
 
 std::unique_ptr<Engine> make_bulk_residual(const perf::HardwareProfile& p) {
-  return std::make_unique<BulkResidualEngine>(p);
+  return std::make_unique<BulkResidualEngine>(EngineKind::kBulkResidual, p);
 }
 
 }  // namespace credo::bp::internal

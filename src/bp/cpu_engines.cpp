@@ -1,17 +1,28 @@
-// Sequential "C" engines — the paper's control implementations (§3.6).
+// The CPU sweep engines: the paper's sequential "C" engines (§3.6) and
+// their OpenMP-style forms (§2.4), one body per paradigm.
 //
-// Both follow Algorithm 1 with in-place (chaotic/Gauss-Seidel) updates:
-// each node keeps a local previous copy for the convergence diff and reads
-// whatever its neighbors' current beliefs are, exactly as lines 5-12
-// describe. The Node engine pulls from parents per node; the Edge engine
-// pushes one message per directed edge into log-space accumulators (the
-// combine that must be atomic in the parallel engines, §3.3).
+// Both paradigms follow Algorithm 1. The Node engine pulls from parents per
+// node with in-place (chaotic/Gauss-Seidel) updates: each node keeps a
+// local previous copy for the convergence diff and reads whatever its
+// neighbors' current beliefs are, exactly as lines 5-12 describe. The Edge
+// engine pushes one message per directed edge into log-space accumulators
+// (the combine that must be atomic in the parallel engines, §3.3).
 //
-// Composition over the runtime layer (DESIGN.md §5b): NodeFrontier /
-// DenseSweep / EdgeFrontier schedules, the every-iteration convergence
-// cadence, and the sequential backend. The Node engine is one body over a
-// family kernel (family_kernels.h); the Edge engine's accumulator forms
-// are tabular, and other families run the shared Jacobi sweep.
+// Each body is a template over the execution backend (DESIGN.md §5b): c-node
+// and c-edge run it inline on the SequentialBackend with the engine's serial
+// profile; omp-node and omp-edge run it on a Team — each main loop one
+// fork/join region, the convergence sum a reduction. The backend's kTeam
+// adds the events the cost model charges a thread team: one parallel_region
+// per dispatch, the §3.5 shared queue cursor and the §3.3 atomic combine.
+// Its fork/join and SMT terms reproduce the paper's finding that 2/4/8-
+// thread OpenMP *slows BP down* (regions finish in well under a
+// millisecond, so team wake/join overhead dominates).
+//
+// The Node body runs a family kernel (family_kernels.h). The Edge body's
+// accumulator form is tabular; other families run the shared Jacobi sweep,
+// and c-edge's incremental queued form (§3.5) is sequential only.
+#include <array>
+#include <span>
 #include <vector>
 
 #include "bp/engines_internal.h"
@@ -23,7 +34,6 @@
 #include "bp/runtime/schedule.h"
 #include "graph/metadata.h"
 #include "perf/cost_model.h"
-#include "util/error.h"
 #include "util/timer.h"
 
 namespace credo::bp::internal {
@@ -34,229 +44,305 @@ using graph::EdgeId;
 using graph::FactorGraph;
 using graph::NodeId;
 
-/// Common base handling profile storage.
-class CpuEngineBase : public Engine {
- public:
-  explicit CpuEngineBase(perf::HardwareProfile profile)
-      : profile_(std::move(profile)) {
-    CREDO_CHECK_MSG(profile_.kind == perf::PlatformKind::kCpuSerial,
-                    "sequential engine requires a serial CPU profile");
+/// Runs `sweep(backend, sinks, prof, r)` on the engine's backend — inline
+/// on one sink for the serial kinds, on the run's Team for the
+/// CPU-parallel ones — then folds the sinks into the result.
+template <typename Sweep>
+BpResult run_on_backend(const Engine& engine, const FactorGraph& g,
+                        const BpOptions& opts, Sweep&& sweep) {
+  const util::Timer timer;
+  BpResult r;
+  r.beliefs = runtime::initial_state(g, opts);
+  if (engine.hardware().kind == perf::PlatformKind::kCpuSerial) {
+    runtime::SequentialBackend backend;
+    std::vector<WorkerSink> sinks(1);
+    sweep(backend, std::span<WorkerSink>(sinks), engine.hardware(), r);
+    finish(r, timer, engine.hardware(), sinks);
+  } else {
+    Team team(engine.hardware(), opts, r.stats.counters);
+    sweep(team.backend, std::span<WorkerSink>(team.sinks), team.prof, r);
+    finish(r, timer, team.prof, team.sinks);
   }
-
-  [[nodiscard]] const perf::HardwareProfile& hardware()
-      const noexcept override {
-    return profile_;
-  }
-
- protected:
-  perf::HardwareProfile profile_;
-};
+  return r;
+}
 
 // ---------------------------------------------------------------------------
-// C Node
+// Node paradigm: c-node and omp-node.
 // ---------------------------------------------------------------------------
 
-class CpuNodeEngine final : public CpuEngineBase {
- public:
-  using CpuEngineBase::CpuEngineBase;
+/// One region per iteration (and kernel phase) over the frontier: each
+/// scheduled node runs the kernel's update, the deltas reduce into the
+/// convergence sum, and still-active nodes re-enqueue (§3.5). Each worker
+/// meters into its sink; set-up, syndrome checks and finalization go to the
+/// main counters.
+template <typename Kernel, typename Backend>
+void node_sweep(const FactorGraph& g, const BpOptions& opts,
+                const perf::HardwareProfile& prof, Backend& backend,
+                std::span<WorkerSink> sinks, BpResult& r) {
+  perf::Meter main_meter(r.stats.counters);
+  const auto& in = g.in_csr();
 
-  [[nodiscard]] EngineKind kind() const noexcept override {
-    return EngineKind::kCpuNode;
-  }
+  // Work queue (§3.5): indices of unconverged nodes; starts full — or
+  // from the perturbed region on a seeded warm re-query (§5h).
+  runtime::NodeFrontier sched(g, opts.work_queue, backend.workers(),
+                              opts.frontier_seed.get());
+  const runtime::ConvergenceController ctl(
+      opts, runtime::ConvergenceController::Cadence::kEveryIteration);
+  Kernel kernel(g, opts, ctl, r.beliefs, main_meter);
+
+  // Hoisted per-worker scratch, plus the count of nodes it updated.
+  struct alignas(64) Lane {
+    typename Kernel::Worker scratch;
+    std::uint64_t updated = 0;
+  };
+  std::vector<Lane> lanes(backend.workers());
+
+  // A dense sweep on more than one worker runs the kernel's phases
+  // (family_kernels.h) as separate regions, so its result does not
+  // depend on thread timing; tabular graphs have a single phase.
+  const std::uint64_t split =
+      !sched.queued() && backend.workers() > 1 ? kernel.phase_split() : 0;
+
+  runtime::run_loop(
+      opts, r.stats, ctl, sched,
+      [&](std::uint32_t iter, runtime::IterationOutcome& out) {
+        const std::uint64_t count = sched.size();
+        // "#pragma omp parallel for reduction(+:sum)" on a team. The node
+        // loop lives here and inlines — no type-erased call per element.
+        const auto body = [&](std::uint64_t lo, std::uint64_t hi,
+                              unsigned w, double& partial) {
+          perf::Meter meter(sinks[w].counters);
+          Lane& lane = lanes[w];
+          for (std::uint64_t qi = lo; qi < hi; ++qi) {
+            const NodeId v = sched.at(meter, qi);
+            if (!sched.queued() && g.observed(v)) continue;
+            // A node with no incoming edges receives no updates: its
+            // belief keeps its current (initial) value.
+            if (in.degree(v) == 0) continue;
+            ++lane.updated;
+            // In-place (chaotic) reads: on a team a neighbor may already
+            // hold its new state this iteration — standard async BP.
+            const float d = kernel.update(lane.scratch, v, meter);
+            partial += d;
+            if (sched.queued() && ctl.element_active(d)) {
+              kernel.keep(meter, iter, v, [&](NodeId u) {
+                sched.keep<Backend::kTeam>(meter, w, u);
+              });
+            }
+          }
+        };
+        if (split == 0 || split >= count) {
+          out.delta = backend.reduce_range(0, count, body);
+        } else {
+          out.delta = backend.reduce_range(0, split, body) +
+                      backend.reduce_range(split, count, body);
+        }
+        for (Lane& lane : lanes) {
+          out.processed += lane.updated;
+          lane.updated = 0;
+        }
+        if (ctl.should_check(iter) && kernel.syndrome_met(main_meter)) {
+          out.delta = 0.0;  // decode succeeded: trip the global rule
+        }
+      },
+      [] { return 0.0; },  // delta is never deferred on the CPU
+      [&] { return snapshot_time(r.stats.counters, sinks, prof); });
+  kernel.finish(r.stats, main_meter);
+}
+
+class NodeEngine final : public Engine {
+ public:
+  using Engine::Engine;
 
  protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
                                 const BpOptions& opts) const override {
     // Per-graph family dispatch (§5g): decided once, before any loop.
-    return graph::is_ldpc(g.family()) ? sweep<LdpcKernel>(g, opts)
-                                      : sweep<TabularKernel>(g, opts);
+    return graph::is_ldpc(g.family()) ? run<LdpcKernel>(g, opts)
+                                      : run<TabularKernel>(g, opts);
   }
 
  private:
   template <typename Kernel>
-  [[nodiscard]] BpResult sweep(const FactorGraph& g,
-                               const BpOptions& opts) const {
-    const util::Timer timer;
-    BpResult r;
-    r.beliefs = runtime::initial_state(g, opts);
-    perf::Meter meter(r.stats.counters);
-
-    const auto& in = g.in_csr();
-
-    // Work queue (§3.5): indices of unconverged nodes; starts full — or
-    // from the perturbed region on a seeded warm re-query (§5h).
-    runtime::NodeFrontier sched(g, opts.work_queue, opts.frontier_seed.get());
-    const runtime::ConvergenceController ctl(
-        opts, runtime::ConvergenceController::Cadence::kEveryIteration);
-    Kernel kernel(g, opts, ctl, r.beliefs, meter);
-    const runtime::SequentialBackend backend;
-
-    // Hoisted hot-loop scratch.
-    typename Kernel::Worker worker;
-    runtime::run_loop(
-        opts, r.stats, ctl, sched,
-        [&](std::uint32_t iter, runtime::IterationOutcome& out) {
-          out.delta = backend.reduce_range(
-              0, sched.size(),
-              [&](std::uint64_t lo, std::uint64_t hi, unsigned,
-                  double& partial) {
-                for (std::uint64_t qi = lo; qi < hi; ++qi) {
-                  const NodeId v = sched.at(meter, qi);
-                  if (!sched.queued() && g.observed(v)) continue;
-                  // A node with no incoming edges receives no updates: its
-                  // belief keeps its current (initial) value.
-                  if (in.degree(v) == 0) continue;
-                  ++out.processed;
-                  const float d = kernel.update(worker, v, meter);
-                  partial += d;
-                  if (sched.queued() && ctl.element_active(d)) {
-                    kernel.keep(meter, iter, v,
-                                [&](NodeId u) { sched.keep(meter, u); });
-                  }
-                }
-              });
-          if (ctl.should_check(iter) && kernel.syndrome_met(meter)) {
-            out.delta = 0.0;  // decode succeeded: trip the global rule
-          }
-        },
-        [] { return 0.0; },  // delta is never deferred on the CPU
-        [&] { return perf::model_time(r.stats.counters, profile_); });
-    kernel.finish(r.stats, meter);
-    finish(r, timer, profile_);
-    return r;
+  [[nodiscard]] BpResult run(const FactorGraph& g,
+                             const BpOptions& opts) const {
+    return run_on_backend(
+        *this, g, opts,
+        [&](auto& backend, std::span<WorkerSink> sinks,
+            const perf::HardwareProfile& prof, BpResult& r) {
+          node_sweep<Kernel>(g, opts, prof, backend, sinks, r);
+        });
   }
 };
 
 // ---------------------------------------------------------------------------
-// C Edge
+// Edge paradigm: c-edge and omp-edge.
 // ---------------------------------------------------------------------------
 
-class CpuEdgeEngine final : public CpuEngineBase {
- public:
-  using CpuEngineBase::CpuEngineBase;
+/// Per-worker scratch of the dense edge sweep: one batched-kernel block
+/// and the destination of each gathered edge.
+struct EdgeScratch {
+  EdgeBlockScratch block;
+  std::array<NodeId, graph::kEdgeBlock> dsts;
+};
 
-  [[nodiscard]] EngineKind kind() const noexcept override {
-    return EngineKind::kCpuEdge;
-  }
+/// Jacobi per iteration: reset the accumulators, push every edge, derive
+/// the beliefs. DenseSweep schedule — every edge, every iteration.
+///
+/// The combine is destination-owned: each worker owns a node range and
+/// pulls that range's in-edges in in-CSR order, which is ascending edge
+/// id, so every accumulator sums in the same order at any team size and no
+/// two workers write one node. Metering is the paper's edge loop's, per
+/// edge; on a team the combine is §3.3's atomicAdd, and the hottest
+/// destination's max-in-degree chain is charged once per sweep.
+template <typename Backend>
+void edge_sweep(const FactorGraph& g, const BpOptions& opts,
+                const perf::HardwareProfile& prof, Backend& backend,
+                std::span<WorkerSink> sinks, BpResult& r) {
+  const NodeId n = g.num_nodes();
+  const auto& edges = g.edges();
+  const auto& joints = g.joints();
+  const auto md = graph::compute_metadata(g);
+  const std::uint32_t b = md.beliefs;
+
+  std::vector<float> acc(static_cast<std::size_t>(n) * b, 0.0f);
+  std::vector<EdgeScratch> scratch(backend.workers());
+  perf::Meter main_meter(r.stats.counters);
+
+  runtime::DenseSweep sched(edges.size());
+  const runtime::ConvergenceController ctl(
+      opts, runtime::ConvergenceController::Cadence::kEveryIteration);
+
+  runtime::run_loop(
+      opts, r.stats, ctl, sched,
+      [&](std::uint32_t, runtime::IterationOutcome& out) {
+        // Region 1: reset accumulators to the multiplicative identity
+        // (streaming); Algorithm 1 combines incoming updates only.
+        backend.for_range(
+            0, n, [&](std::uint64_t lo, std::uint64_t hi, unsigned w) {
+              perf::Meter meter(sinks[w].counters);
+              for (std::uint64_t vi = lo; vi < hi; ++vi) {
+                const auto v = static_cast<NodeId>(vi);
+                const std::uint32_t arity = g.arity(v);
+                float* a = acc.data() + static_cast<std::size_t>(v) * b;
+                for (std::uint32_t s = 0; s < arity; ++s) a[s] = 0.0f;
+                meter.seq_write(4ull * arity);
+              }
+            });
+
+        // Region 2: one message per directed edge, gathered in blocks
+        // that span node boundaries so the batched message kernel runs
+        // full, then combined in log space.
+        backend.for_range(
+            0, n, [&](std::uint64_t lo, std::uint64_t hi, unsigned w) {
+              EdgeBlockScratch& s = scratch[w].block;
+              auto& dsts = scratch[w].dsts;
+              perf::Meter meter(sinks[w].counters);
+              std::size_t count = 0;
+              const auto flush = [&] {
+                meter.flop(compute_block(joints, s, count));
+                for (std::size_t k = 0; k < count; ++k) {
+                  const BeliefVec& msg = s.msgs[k];
+                  float* a =
+                      acc.data() + static_cast<std::size_t>(dsts[k]) * b;
+                  for (std::uint32_t i = 0; i < msg.size; ++i) {
+                    a[i] += log_msg(msg.v[i]);
+                  }
+                  meter.flop(2ull * msg.size);
+                  if constexpr (Backend::kTeam) {
+                    meter.atomic(msg.size, 0);
+                  } else {
+                    // Packed accumulator array stays cache-resident.
+                    meter.near_read(4ull * msg.size);
+                  }
+                  meter.near_write(4ull * msg.size);
+                }
+                count = 0;
+              };
+              for (std::uint64_t vi = lo; vi < hi; ++vi) {
+                const auto v = static_cast<NodeId>(vi);
+                for (const auto& entry : g.in_csr().neighbors(v)) {
+                  const EdgeId e = entry.edge;
+                  const auto& ed = edges[e];
+                  meter.seq_read(sizeof(ed));
+                  const BeliefVec& src = r.beliefs[ed.src];
+                  meter.seq_read(belief_bytes(src.size));
+                  charge_joint_load(meter, joints, e);
+                  s.srcs[count] = &src;
+                  if (!joints.is_shared()) s.mats[count] = &joints.at(e);
+                  dsts[count] = v;
+                  if (++count == graph::kEdgeBlock) flush();
+                }
+              }
+              if (count > 0) flush();
+            });
+        out.processed = edges.size();
+        if constexpr (Backend::kTeam) {
+          // Deepest conflict chain: the hottest destination receives
+          // max-in-degree combines per belief slot.
+          main_meter.atomic(0, md.max_in_degree);
+        }
+
+        // Region 3: marginalize + reduction (streaming). Nodes with no
+        // incoming edges received no updates and keep their beliefs.
+        out.delta = backend.reduce_range(
+            0, n,
+            [&](std::uint64_t lo, std::uint64_t hi, unsigned w,
+                double& partial) {
+              perf::Meter meter(sinks[w].counters);
+              for (std::uint64_t vi = lo; vi < hi; ++vi) {
+                const auto v = static_cast<NodeId>(vi);
+                if (g.observed(v) || g.in_csr().degree(v) == 0) continue;
+                const std::uint32_t arity = g.arity(v);
+                BeliefVec nb;
+                meter.flop(softmax(
+                    acc.data() + static_cast<std::size_t>(v) * b, arity, nb));
+                meter.seq_read(4ull * arity);
+                meter.flop(ctl.damp(nb, r.beliefs[v]));
+                const float d = graph::l1_diff(r.beliefs[v], nb);
+                meter.flop(2ull * arity);
+                meter.seq_read(belief_bytes(arity));
+                graph::copy_belief(r.beliefs[v], nb);
+                meter.seq_write(belief_bytes(arity));
+                partial += d;
+              }
+            });
+      },
+      [] { return 0.0; },
+      [&] { return snapshot_time(r.stats.counters, sinks, prof); });
+}
+
+class EdgeEngine final : public Engine {
+ public:
+  using Engine::Engine;
 
  protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
                                 const BpOptions& opts) const override {
-    if (graph::is_ldpc(g.family())) return run_jacobi<LdpcKernel>(g, opts);
-    return opts.work_queue ? run_queued(g, opts) : run_full(g, opts);
+    // Families without log-space accumulators sweep Jacobi-style. The work
+    // queue has no incremental form there, so queued runs sweep densely.
+    if (graph::is_ldpc(g.family())) {
+      return run_on_backend(
+          *this, g, opts,
+          [&](auto& backend, std::span<WorkerSink> sinks,
+              const perf::HardwareProfile& prof, BpResult& r) {
+            jacobi_sweep<LdpcKernel>(g, opts, prof, backend, sinks, r);
+          });
+    }
+    // The incremental queue is c-edge's; omp-edge sweeps densely with it.
+    if (opts.work_queue &&
+        hardware().kind == perf::PlatformKind::kCpuSerial) {
+      return run_queued(g, opts);
+    }
+    return run_on_backend(
+        *this, g, opts,
+        [&](auto& backend, std::span<WorkerSink> sinks,
+            const perf::HardwareProfile& prof, BpResult& r) {
+          edge_sweep(g, opts, prof, backend, sinks, r);
+        });
   }
 
  private:
-  /// Families without log-space accumulators sweep Jacobi-style. The work
-  /// queue has no incremental form there, so queued runs sweep densely too.
-  template <typename Kernel>
-  [[nodiscard]] BpResult run_jacobi(const FactorGraph& g,
-                                    const BpOptions& opts) const {
-    const util::Timer timer;
-    BpResult r;
-    r.beliefs = runtime::initial_state(g, opts);
-    std::vector<WorkerSink> sinks(1);
-    runtime::SequentialBackend backend;
-    jacobi_sweep<Kernel>(g, opts, profile_, backend, sinks, r);
-    finish(r, timer, profile_, sinks);
-    return r;
-  }
-
-  /// Jacobi-per-iteration form: reset accumulators, push every edge,
-  /// derive beliefs. DenseSweep schedule — every edge, every iteration.
-  [[nodiscard]] BpResult run_full(const FactorGraph& g,
-                                  const BpOptions& opts) const {
-    const util::Timer timer;
-    BpResult r;
-    r.beliefs = runtime::initial_state(g, opts);
-    perf::Meter meter(r.stats.counters);
-
-    const NodeId n = g.num_nodes();
-    const auto& edges = g.edges();
-    const auto& joints = g.joints();
-    const std::uint32_t b = graph::compute_metadata(g).beliefs;
-
-    std::vector<float> acc(static_cast<std::size_t>(n) * b, 0.0f);
-    EdgeBlockScratch scratch;
-
-    runtime::DenseSweep sched(edges.size());
-    const runtime::ConvergenceController ctl(
-        opts, runtime::ConvergenceController::Cadence::kEveryIteration);
-
-    runtime::run_loop(
-        opts, r.stats, ctl, sched,
-        [&](std::uint32_t, runtime::IterationOutcome& out) {
-          // Phase 1: reset accumulators to the multiplicative identity
-          // (streaming); Algorithm 1 combines incoming updates only.
-          for (NodeId v = 0; v < n; ++v) {
-            const std::uint32_t arity = g.arity(v);
-            float* a = acc.data() + static_cast<std::size_t>(v) * b;
-            for (std::uint32_t s = 0; s < arity; ++s) a[s] = 0.0f;
-            meter.seq_write(4ull * arity);
-          }
-
-          // Phase 2: one message per directed edge (edges sorted by source,
-          // so the source belief is streamed; the destination combine is
-          // the scattered write, §3.3). Edge-blocked traversal: gather a
-          // block of sources, run the batched message kernel once, then
-          // scatter the log-space combines in edge order.
-          for (std::size_t base = 0; base < edges.size();
-               base += graph::kEdgeBlock) {
-            const std::size_t count =
-                std::min(graph::kEdgeBlock, edges.size() - base);
-            for (std::size_t k = 0; k < count; ++k) {
-              const auto e = static_cast<EdgeId>(base + k);
-              ++out.processed;
-              const auto& ed = edges[e];
-              meter.seq_read(sizeof(ed));
-              const BeliefVec& src = r.beliefs[ed.src];
-              meter.seq_read(belief_bytes(src.size));
-              charge_joint_load(meter, joints, e);
-              scratch.srcs[k] = &src;
-              if (!joints.is_shared()) scratch.mats[k] = &joints.at(e);
-            }
-            meter.flop(compute_block(joints, scratch, count));
-            for (std::size_t k = 0; k < count; ++k) {
-              const auto& ed = edges[base + k];
-              const BeliefVec& msg = scratch.msgs[k];
-              float* a = acc.data() + static_cast<std::size_t>(ed.dst) * b;
-              for (std::uint32_t s = 0; s < msg.size; ++s) {
-                a[s] += log_msg(msg.v[s]);
-              }
-              meter.flop(2ull * msg.size);
-              // Packed accumulator array stays cache-resident (near
-              // scatter).
-              meter.near_read(4ull * msg.size);
-              meter.near_write(4ull * msg.size);
-            }
-          }
-
-          // Phase 3: marginalize + convergence (streaming). Nodes with no
-          // incoming edges received no updates and keep their beliefs.
-          double sum = 0.0;
-          for (NodeId v = 0; v < n; ++v) {
-            if (g.observed(v) || g.in_csr().degree(v) == 0) continue;
-            const std::uint32_t arity = g.arity(v);
-            BeliefVec nb;
-            meter.flop(softmax(acc.data() + static_cast<std::size_t>(v) * b,
-                               arity, nb));
-            meter.seq_read(4ull * arity);
-            meter.flop(ctl.damp(nb, r.beliefs[v]));
-            const float d = graph::l1_diff(r.beliefs[v], nb);
-            meter.flop(2ull * arity);
-            meter.seq_read(belief_bytes(arity));
-            r.beliefs[v] = nb;
-            meter.seq_write(belief_bytes(arity));
-            sum += d;
-          }
-          out.delta = sum;
-        },
-        [] { return 0.0; },
-        [&] { return perf::model_time(r.stats.counters, profile_); });
-    finish(r, timer, profile_);
-    return r;
-  }
-
   /// §3.5 queued form: per-edge message caches are updated incrementally
   /// (acc += log(new) - log(old)); only edges whose source changed last
   /// iteration are reprocessed. EdgeFrontier schedule.
@@ -366,20 +452,22 @@ class CpuEdgeEngine final : public CpuEngineBase {
           out.delta = sum;
         },
         [] { return 0.0; },
-        [&] { return perf::model_time(r.stats.counters, profile_); });
-    finish(r, timer, profile_);
+        [&] { return perf::model_time(r.stats.counters, hardware()); });
+    finish(r, timer, hardware());
     return r;
   }
 };
 
 }  // namespace
 
-std::unique_ptr<Engine> make_cpu_node(const perf::HardwareProfile& p) {
-  return std::make_unique<CpuNodeEngine>(p);
+std::unique_ptr<Engine> make_node_engine(EngineKind kind,
+                                         const perf::HardwareProfile& p) {
+  return std::make_unique<NodeEngine>(kind, p);
 }
 
-std::unique_ptr<Engine> make_cpu_edge(const perf::HardwareProfile& p) {
-  return std::make_unique<CpuEdgeEngine>(p);
+std::unique_ptr<Engine> make_edge_engine(EngineKind kind,
+                                         const perf::HardwareProfile& p) {
+  return std::make_unique<EdgeEngine>(kind, p);
 }
 
 }  // namespace credo::bp::internal

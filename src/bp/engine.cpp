@@ -14,6 +14,37 @@
 
 namespace credo::bp {
 
+namespace {
+
+/// The platform each kind's engine runs on: the one table behind the
+/// profile check and the default profiles.
+perf::PlatformKind engine_platform(EngineKind kind) noexcept {
+  switch (kind) {
+    case EngineKind::kCpuNode:
+    case EngineKind::kCpuEdge:
+    case EngineKind::kTree:
+    case EngineKind::kResidual:
+      return perf::PlatformKind::kCpuSerial;
+    case EngineKind::kOmpNode:
+    case EngineKind::kOmpEdge:
+    case EngineKind::kBulkResidual:
+      return perf::PlatformKind::kCpuParallel;
+    case EngineKind::kCudaNode:
+    case EngineKind::kCudaEdge:
+    case EngineKind::kAccEdge:
+      return perf::PlatformKind::kGpu;
+  }
+  return perf::PlatformKind::kCpuSerial;
+}
+
+}  // namespace
+
+Engine::Engine(EngineKind kind, perf::HardwareProfile profile)
+    : kind_(kind), profile_(std::move(profile)) {
+  CREDO_CHECK_MSG(profile_.kind == engine_platform(kind),
+                  "engine profile is not of the engine kind's platform");
+}
+
 BpResult Engine::run(const graph::FactorGraph& g,
                      const BpOptions& opts) const {
   if (const auto s = opts.validate_status(); !s.is_ok()) {
@@ -210,10 +241,12 @@ std::optional<EngineKind> engine_from_name(std::string_view name) noexcept {
 std::unique_ptr<Engine> make_engine(EngineKind kind,
                                     const perf::HardwareProfile& profile) {
   switch (kind) {
-    case EngineKind::kCpuNode: return internal::make_cpu_node(profile);
-    case EngineKind::kCpuEdge: return internal::make_cpu_edge(profile);
-    case EngineKind::kOmpNode: return internal::make_omp_node(profile);
-    case EngineKind::kOmpEdge: return internal::make_omp_edge(profile);
+    case EngineKind::kCpuNode:
+    case EngineKind::kOmpNode:
+      return internal::make_node_engine(kind, profile);
+    case EngineKind::kCpuEdge:
+    case EngineKind::kOmpEdge:
+      return internal::make_edge_engine(kind, profile);
     case EngineKind::kCudaNode: return internal::make_cuda_node(profile);
     case EngineKind::kCudaEdge: return internal::make_cuda_edge(profile);
     case EngineKind::kAccEdge: return internal::make_acc_edge(profile);
@@ -226,21 +259,15 @@ std::unique_ptr<Engine> make_engine(EngineKind kind,
 }
 
 std::unique_ptr<Engine> make_default_engine(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kCpuNode:
-    case EngineKind::kCpuEdge:
-    case EngineKind::kTree:
-    case EngineKind::kResidual:
+  switch (engine_platform(kind)) {
+    case perf::PlatformKind::kCpuSerial:
       return make_engine(kind, perf::cpu_i7_7700hq_serial());
-    case EngineKind::kOmpNode:
-    case EngineKind::kOmpEdge:
-    case EngineKind::kBulkResidual:
+    case perf::PlatformKind::kCpuParallel:
       return make_engine(kind, perf::cpu_i7_7700hq_parallel(8));
-    case EngineKind::kCudaNode:
-    case EngineKind::kCudaEdge:
-      return make_engine(kind, perf::gpu_gtx1070());
-    case EngineKind::kAccEdge:
-      return make_engine(kind, perf::gpu_gtx1070_openacc());
+    case perf::PlatformKind::kGpu:
+      return make_engine(kind, kind == EngineKind::kAccEdge
+                                   ? perf::gpu_gtx1070_openacc()
+                                   : perf::gpu_gtx1070());
   }
   throw util::InvalidArgument("unknown engine kind");
 }

@@ -80,11 +80,16 @@ struct BpResult {
 /// A belief-propagation engine bound to a hardware profile.
 class Engine {
  public:
+  /// Binds the engine to `profile`, which must be of the platform `kind`
+  /// runs on (serial CPU, CPU-parallel or GPU); throws std::logic_error
+  /// otherwise. Engine is abstract: subclasses inherit this constructor.
+  Engine(EngineKind kind, perf::HardwareProfile profile);
   virtual ~Engine() = default;
 
-  [[nodiscard]] virtual EngineKind kind() const noexcept = 0;
-  [[nodiscard]] virtual const perf::HardwareProfile& hardware()
-      const noexcept = 0;
+  [[nodiscard]] EngineKind kind() const noexcept { return kind_; }
+  [[nodiscard]] const perf::HardwareProfile& hardware() const noexcept {
+    return profile_;
+  }
 
   /// Runs BP on `g` to convergence (or the iteration cap) and returns the
   /// marginal beliefs. Validates `opts` first (BpOptions::validate, which
@@ -103,10 +108,17 @@ class Engine {
   /// Engine implementation hook; `opts` arrives validated.
   [[nodiscard]] virtual BpResult do_run(const graph::FactorGraph& g,
                                         const BpOptions& opts) const = 0;
+
+ private:
+  EngineKind kind_;
+  perf::HardwareProfile profile_;
 };
 
-/// Creates an engine of the given kind on the given hardware profile. CPU
-/// kinds require a CPU profile and GPU kinds a GPU profile (checked).
+/// Creates an engine of the given kind on the given hardware profile. The
+/// profile's platform must match the kind's: a serial CPU profile for
+/// c-node, c-edge, tree and residual, a CPU-parallel one for omp-node,
+/// omp-edge and bulk-residual, a GPU one for cuda-node, cuda-edge and
+/// acc-edge (checked; throws std::logic_error).
 [[nodiscard]] std::unique_ptr<Engine> make_engine(
     EngineKind kind, const perf::HardwareProfile& profile);
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bp/engine.h"
+#include "bp/runtime/backend.h"
 #include "graph/belief.h"
 #include "graph/belief_kernels.h"
 #include "graph/csr.h"
@@ -22,10 +23,12 @@
 
 namespace credo::bp::internal {
 
-std::unique_ptr<Engine> make_cpu_node(const perf::HardwareProfile& p);
-std::unique_ptr<Engine> make_cpu_edge(const perf::HardwareProfile& p);
-std::unique_ptr<Engine> make_omp_node(const perf::HardwareProfile& p);
-std::unique_ptr<Engine> make_omp_edge(const perf::HardwareProfile& p);
+/// c-node / omp-node and c-edge / omp-edge: one engine per paradigm, the
+/// kind picking the backend (cpu_engines.cpp).
+std::unique_ptr<Engine> make_node_engine(EngineKind kind,
+                                         const perf::HardwareProfile& p);
+std::unique_ptr<Engine> make_edge_engine(EngineKind kind,
+                                         const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_cuda_node(const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_cuda_edge(const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_acc_edge(const perf::HardwareProfile& p);
@@ -70,6 +73,24 @@ inline parallel::ThreadPool& select_pool(
   local.emplace(team);
   return *local;
 }
+
+/// A run's thread team (§2.4): the modelled profile of opts.threads
+/// workers, the pool they run on, one metering sink per worker and the
+/// PoolBackend dispatching on that pool, which meters its regions on
+/// `main`. omp-node, omp-edge and bulk-residual run on one; the sequential
+/// engines run the same bodies on one sink and the SequentialBackend.
+struct Team {
+  Team(const perf::HardwareProfile& engine_profile, const BpOptions& opts,
+       perf::Counters& main)
+      : prof(effective_profile(engine_profile, opts)),
+        backend(select_pool(opts, prof, local_pool), main),
+        sinks(backend.workers()) {}
+
+  perf::HardwareProfile prof;
+  std::optional<parallel::ThreadPool> local_pool;  // if shared_pool misfits
+  runtime::PoolBackend backend;
+  std::vector<WorkerSink> sinks;
+};
 
 /// Telemetry view of "counters so far": the main counters plus every
 /// worker sink, folded the same way finish() folds them at the end.

@@ -5,9 +5,10 @@
 // worker, under which stopping rule (§3.3–§3.5). A family kernel owns only
 // what differs between families: the per-run state, the node update, the
 // §3.5 frontier keep rule, the syndrome stop and the end-of-run
-// finalization. c-node, omp-node, residual and bulk-residual are each
-// written once as a template over a kernel; do_run picks the kernel from
-// g.family() once per graph, so no inner loop dispatches on the family.
+// finalization. The node body (c-node and omp-node), residual and
+// bulk-residual are each written once as a template over a kernel; do_run
+// picks the kernel from g.family() once per graph, so no inner loop
+// dispatches on the family.
 //
 // A kernel K provides:
 //   K(g, opts, ctl, beliefs, meter)         per-run state; set-up metered

@@ -165,40 +165,19 @@ void download(Device& dev, DeviceGraph& d, BpResult& r,
   r.stats.host_seconds = timer.seconds();
 }
 
-class GpuEngineBase : public Engine {
- public:
-  explicit GpuEngineBase(perf::HardwareProfile profile)
-      : profile_(std::move(profile)) {
-    CREDO_CHECK_MSG(profile_.kind == perf::PlatformKind::kGpu,
-                    "CUDA-style engine requires a GPU profile");
-  }
-
-  [[nodiscard]] const perf::HardwareProfile& hardware()
-      const noexcept override {
-    return profile_;
-  }
-
- protected:
-  perf::HardwareProfile profile_;
-};
-
 // ---------------------------------------------------------------------------
 // CUDA Node
 // ---------------------------------------------------------------------------
 
-class CudaNodeEngine final : public GpuEngineBase {
+class CudaNodeEngine final : public Engine {
  public:
-  using GpuEngineBase::GpuEngineBase;
-
-  [[nodiscard]] EngineKind kind() const noexcept override {
-    return EngineKind::kCudaNode;
-  }
+  using Engine::Engine;
 
  protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
                                 const BpOptions& opts) const override {
     const util::Timer timer;
-    Device dev(profile_);
+    Device dev(hardware());
     DeviceGraph d = upload(dev, g, /*need_in_csr=*/true,
                            /*need_edges=*/false);
     const NodeId n = g.num_nodes();
@@ -347,13 +326,9 @@ class CudaNodeEngine final : public GpuEngineBase {
 // CUDA Edge
 // ---------------------------------------------------------------------------
 
-class CudaEdgeEngine final : public GpuEngineBase {
+class CudaEdgeEngine final : public Engine {
  public:
-  using GpuEngineBase::GpuEngineBase;
-
-  [[nodiscard]] EngineKind kind() const noexcept override {
-    return EngineKind::kCudaEdge;
-  }
+  using Engine::Engine;
 
  protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
@@ -365,7 +340,7 @@ class CudaEdgeEngine final : public GpuEngineBase {
   [[nodiscard]] BpResult run_full(const FactorGraph& g,
                                   const BpOptions& opts) const {
     const util::Timer timer;
-    Device dev(profile_);
+    Device dev(hardware());
     DeviceGraph d = upload(dev, g, /*need_in_csr=*/false,
                            /*need_edges=*/true);
     const NodeId n = g.num_nodes();
@@ -455,7 +430,7 @@ class CudaEdgeEngine final : public GpuEngineBase {
   [[nodiscard]] BpResult run_queued(const FactorGraph& g,
                                     const BpOptions& opts) const {
     const util::Timer timer;
-    Device dev(profile_);
+    Device dev(hardware());
     DeviceGraph d = upload(dev, g, /*need_in_csr=*/false,
                            /*need_edges=*/true);
     const NodeId n = g.num_nodes();
@@ -599,11 +574,11 @@ class CudaEdgeEngine final : public GpuEngineBase {
 }  // namespace
 
 std::unique_ptr<Engine> make_cuda_node(const perf::HardwareProfile& p) {
-  return std::make_unique<CudaNodeEngine>(p);
+  return std::make_unique<CudaNodeEngine>(EngineKind::kCudaNode, p);
 }
 
 std::unique_ptr<Engine> make_cuda_edge(const perf::HardwareProfile& p) {
-  return std::make_unique<CudaEdgeEngine>(p);
+  return std::make_unique<CudaEdgeEngine>(EngineKind::kCudaEdge, p);
 }
 
 }  // namespace credo::bp::internal

@@ -10,7 +10,7 @@
 #include "bp/runtime/telemetry.h"
 #include "graph/belief.h"
 #include "graph/csr.h"
-#include "parallel/parallel_for.h"
+#include "parallel/thread_pool.h"
 #include "perf/cost_model.h"
 #include "perf/counters.h"
 #include "util/error.h"
@@ -41,10 +41,9 @@ struct BpOptions {
   /// (the batching of §2.4/§3.6). 1 = check every iteration.
   std::uint32_t convergence_batch = 4;
 
-  /// CPU-parallel engines: team size and loop schedule (§2.4).
+  /// CPU-parallel engines: team size (§2.4). Every loop is dispatched
+  /// statically, one contiguous block per worker.
   unsigned threads = 8;
-  parallel::Schedule schedule = parallel::Schedule::kStatic;
-  std::uint64_t chunk = 256;
 
   /// GPU engines: threads per block (the paper uses 1024 everywhere).
   std::uint32_t block_threads = 1024;
@@ -153,14 +152,6 @@ struct BpOptions {
   }
   BpOptions& with_threads(unsigned v) noexcept {
     threads = v;
-    return *this;
-  }
-  BpOptions& with_schedule(parallel::Schedule v) noexcept {
-    schedule = v;
-    return *this;
-  }
-  BpOptions& with_chunk(std::uint64_t v) noexcept {
-    chunk = v;
     return *this;
   }
   BpOptions& with_block_threads(std::uint32_t v) noexcept {

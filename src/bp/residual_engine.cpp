@@ -37,20 +37,7 @@ using graph::NodeId;
 
 class ResidualEngine final : public Engine {
  public:
-  explicit ResidualEngine(perf::HardwareProfile profile)
-      : profile_(std::move(profile)) {
-    CREDO_CHECK_MSG(profile_.kind == perf::PlatformKind::kCpuSerial,
-                    "residual engine requires a serial CPU profile");
-  }
-
-  [[nodiscard]] EngineKind kind() const noexcept override {
-    return EngineKind::kResidual;
-  }
-
-  [[nodiscard]] const perf::HardwareProfile& hardware()
-      const noexcept override {
-    return profile_;
-  }
+  using Engine::Engine;
 
  protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
@@ -78,19 +65,17 @@ class ResidualEngine final : public Engine {
         opts, g.num_nodes(), r.stats, sched,
         [&](NodeId v) { return kernel.update(worker, v, meter); },
         [&] { return kernel.syndrome_met(meter); },
-        [&] { return perf::model_time(r.stats.counters, profile_); });
+        [&] { return perf::model_time(r.stats.counters, hardware()); });
     kernel.finish(r.stats, meter);
-    finish(r, timer, profile_);
+    finish(r, timer, hardware());
     return r;
   }
-
-  perf::HardwareProfile profile_;
 };
 
 }  // namespace
 
 std::unique_ptr<Engine> make_residual(const perf::HardwareProfile& p) {
-  return std::make_unique<ResidualEngine>(p);
+  return std::make_unique<ResidualEngine>(EngineKind::kResidual, p);
 }
 
 }  // namespace credo::bp::internal

@@ -3,19 +3,23 @@
 // The runtime's third axis. A backend binds the engine's loop body to an
 // execution substrate without owning any BP semantics:
 //  * SequentialBackend — the body runs inline on the calling thread;
-//  * PoolBackend       — one fork/join dispatch over a ThreadPool per call
-//                        (§2.4's "#pragma omp parallel for", with the
+//  * PoolBackend       — one static fork/join dispatch over a ThreadPool per
+//                        call (§2.4's "#pragma omp parallel for", with the
 //                        parallel_region event the cost model charges for
 //                        team wake/join);
 //  * DeviceBackend     — kernel launches on the simulated GPU, plus the
 //                        §3.6 shared-memory tree reduction for deferred
 //                        convergence sums.
+//
+// The two CPU backends carry `kTeam`: the engine bodies written over either
+// one (c-node/omp-node, c-edge/omp-edge) meter the events of a thread team
+// — the §3.5 shared queue cursor and the §3.3 atomic combine — only when
+// it is true, so the sequential engines keep their serial costs.
 #pragma once
 
 #include <cstdint>
 #include <utility>
 
-#include "bp/options.h"
 #include "gpusim/device.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
@@ -25,6 +29,10 @@ namespace credo::bp::runtime {
 
 /// Inline execution: the body sees the whole range as one chunk, worker 0.
 struct SequentialBackend {
+  static constexpr bool kTeam = false;
+
+  [[nodiscard]] static constexpr unsigned workers() noexcept { return 1; }
+
   template <typename Body>
   void for_range(std::uint64_t begin, std::uint64_t end, Body&& body) const {
     if (begin < end) body(begin, end, 0u);
@@ -40,25 +48,23 @@ struct SequentialBackend {
   }
 };
 
-/// Fork/join dispatch over a ThreadPool with the run's schedule and chunk
-/// size. Each dispatch meters one parallel_region on the main counters —
-/// the team wake/join overhead that §2.4 found dominating BP's
-/// sub-millisecond regions.
+/// Static fork/join dispatch over a ThreadPool. Each dispatch meters one
+/// parallel_region on the main counters — the team wake/join overhead that
+/// §2.4 found dominating BP's sub-millisecond regions.
 class PoolBackend {
  public:
-  PoolBackend(parallel::ThreadPool& pool, const BpOptions& opts,
+  static constexpr bool kTeam = true;
+
+  PoolBackend(parallel::ThreadPool& pool,
               perf::Counters& main_counters) noexcept
-      : pool_(pool),
-        schedule_(opts.schedule),
-        chunk_(opts.chunk),
-        meter_(main_counters) {}
+      : pool_(pool), meter_(main_counters) {}
 
   [[nodiscard]] unsigned workers() const noexcept { return pool_.size(); }
 
   template <typename Body>
   void for_range(std::uint64_t begin, std::uint64_t end, Body&& body) {
     meter_.parallel_region();
-    parallel::parallel_for_chunked(pool_, begin, end, schedule_, chunk_,
+    parallel::parallel_for_chunked(pool_, begin, end,
                                    std::forward<Body>(body));
   }
 
@@ -66,15 +72,12 @@ class PoolBackend {
   [[nodiscard]] double reduce_range(std::uint64_t begin, std::uint64_t end,
                                     Body&& body) {
     meter_.parallel_region();
-    return parallel::parallel_reduce_chunked(pool_, begin, end, schedule_,
-                                             chunk_,
+    return parallel::parallel_reduce_chunked(pool_, begin, end,
                                              std::forward<Body>(body));
   }
 
  private:
   parallel::ThreadPool& pool_;
-  parallel::Schedule schedule_;
-  std::uint64_t chunk_;
   perf::Meter meter_;
 };
 

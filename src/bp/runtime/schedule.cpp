@@ -10,48 +10,8 @@ constexpr std::uint32_t kNoLevel = ~0u;
 }  // namespace
 
 NodeFrontier::NodeFrontier(const graph::FactorGraph& g, bool use_queue,
+                           unsigned workers,
                            const std::vector<graph::NodeId>* seed)
-    : use_queue_(use_queue || seed != nullptr), n_(g.num_nodes()) {
-  if (!use_queue_) return;
-  if (seed != nullptr) {
-    g_ = &g;
-    stamp_.assign(g.num_nodes(), 0);
-    queue_ = *seed;
-    return;
-  }
-  queue_.reserve(g.num_nodes());
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!g.observed(v)) queue_.push_back(v);
-  }
-}
-
-void NodeFrontier::push_next(perf::Meter& meter, graph::NodeId v) {
-  if (stamp_[v] == round_) return;
-  stamp_[v] = round_;
-  next_.push_back(v);
-  meter.seq_write(sizeof(graph::NodeId));
-}
-
-void NodeFrontier::keep(perf::Meter& meter, graph::NodeId v) {
-  if (g_ == nullptr) {
-    next_.push_back(v);
-    meter.seq_write(sizeof(graph::NodeId));
-    return;
-  }
-  // Seeded mode: wake v's children too — they may never have been queued.
-  push_next(meter, v);
-  meter.seq_read(sizeof(std::uint64_t));  // CSR offset
-  for (const auto& entry : g_->out_csr().neighbors(v)) {
-    meter.seq_read(sizeof(entry));
-    const graph::NodeId c = entry.node;
-    if (g_->observed(c) || g_->in_csr().degree(c) == 0) continue;
-    push_next(meter, c);
-  }
-}
-
-FragmentedNodeFrontier::FragmentedNodeFrontier(
-    const graph::FactorGraph& g, bool use_queue, unsigned workers,
-    const std::vector<graph::NodeId>* seed)
     : use_queue_(use_queue || seed != nullptr),
       n_(g.num_nodes()),
       frags_(workers) {
@@ -63,40 +23,24 @@ FragmentedNodeFrontier::FragmentedNodeFrontier(
     queue_ = *seed;
     return;
   }
+  queue_.reserve(g.num_nodes());
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     if (!g.observed(v)) queue_.push_back(v);
   }
 }
 
-void FragmentedNodeFrontier::push_next(perf::Meter& meter, unsigned worker,
-                                       graph::NodeId v) {
-  std::uint32_t cur = stamp_[v].load(std::memory_order_relaxed);
-  if (cur == round_) return;
-  if (!stamp_[v].compare_exchange_strong(cur, round_,
-                                         std::memory_order_relaxed)) {
-    return;  // another worker woke v this round
+bool NodeFrontier::advance(std::uint32_t /*iter*/) {
+  if (!use_queue_) return true;
+  if (frags_.size() == 1) {
+    queue_.swap(frags_[0].nodes);
+  } else {
+    queue_.clear();
+    for (const Fragment& f : frags_) {
+      queue_.insert(queue_.end(), f.nodes.begin(), f.nodes.end());
+    }
   }
-  frags_[worker].push_back(v);
-  meter.atomic(1, 1);
-  meter.seq_write(sizeof(graph::NodeId));
-}
-
-void FragmentedNodeFrontier::keep(perf::Meter& meter, unsigned worker,
-                                  graph::NodeId v) {
-  if (g_ == nullptr) {
-    frags_[worker].push_back(v);
-    meter.atomic(1, 1);
-    meter.seq_write(sizeof(graph::NodeId));
-    return;
-  }
-  push_next(meter, worker, v);
-  meter.seq_read(sizeof(std::uint64_t));  // CSR offset
-  for (const auto& entry : g_->out_csr().neighbors(v)) {
-    meter.seq_read(sizeof(entry));
-    const graph::NodeId c = entry.node;
-    if (g_->observed(c) || g_->in_csr().degree(c) == 0) continue;
-    push_next(meter, worker, c);
-  }
+  for (Fragment& f : frags_) f.nodes.clear();
+  return !queue_.empty();
 }
 
 EdgeFrontier::EdgeFrontier(const graph::FactorGraph& g) {

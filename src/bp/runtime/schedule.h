@@ -5,8 +5,7 @@
 // schedules plus the residual extension:
 //  * DenseSweep           — every element, every iteration (Algorithm 1);
 //  * NodeFrontier /       — §3.5 work queues: elements whose delta stayed
-//    FragmentedNodeFrontier / EdgeFrontier
-//                           above the per-element threshold re-enqueue for
+//    EdgeFrontier           above the per-element threshold re-enqueue for
 //                           the next round, everything else freezes;
 //  * ResidualSchedule     — residual-prioritized selection (cf. §5.1,
 //                           Gonzalez et al.): the node that moved most
@@ -16,7 +15,7 @@
 //                           one dense frontier.
 //
 // Queue traffic is metered here (entry reads on fetch, entry writes on
-// re-enqueue, the shared-cursor atomic for the fragmented form) exactly as
+// re-enqueue, the shared-cursor atomic for a thread team) exactly as
 // the engines metered it before the refactor, so modelled costs are
 // unchanged. TreeLevels is the schedule of the non-loopy §2.1.1 baseline:
 // a by-level edge ordering for the two Pearl sweeps.
@@ -51,28 +50,33 @@ class DenseSweep {
   std::uint64_t count_;
 };
 
-/// §3.5 node work queue (sequential form): a double-buffered index list.
-/// With `use_queue` false it degrades to a dense [0, n) sweep so one engine
-/// body serves both modes.
+/// §3.5 node work queue: the nodes to update this round, with one fragment
+/// per worker collecting the next round's. With `use_queue` false it
+/// degrades to a dense [0, n) sweep so one engine body serves both modes.
+///
+/// keep() appends to the calling worker's fragment and advance() makes the
+/// fragments, in worker order, the next frontier — with one fragment (the
+/// sequential backend) by a swap, so the queue is double-buffered and never
+/// copied. A thread team appends through one shared cursor, so keep<true>
+/// (Backend::kTeam) meters that atomic per append; keep<false> does not.
 ///
 /// Seeded form (DESIGN.md §5h): when `seed` is non-null the first frontier
 /// is that node list instead of every unobserved node, queue mode is
 /// forced, and `keep` becomes propagating — a still-active node re-enqueues
-/// itself AND its out-neighbors (per-round stamp-deduplicated), because a
-/// node outside the seed was never in the queue and must be woken when a
-/// perturbation reaches it. Unseeded behavior and metering are unchanged.
+/// itself AND its out-neighbors, because a node outside the seed was never
+/// in the queue and must be woken when a perturbation reaches it. A
+/// per-round stamp enqueues each node at most once per round; the team form
+/// claims the stamp by CAS, so exactly one worker appends a woken node
+/// (duplicates across fragments would otherwise grow unboundedly).
 class NodeFrontier {
  public:
-  NodeFrontier(const graph::FactorGraph& g, bool use_queue,
+  NodeFrontier(const graph::FactorGraph& g, bool use_queue, unsigned workers,
                const std::vector<graph::NodeId>* seed = nullptr);
 
   [[nodiscard]] bool queued() const noexcept { return use_queue_; }
 
-  std::uint64_t begin_iteration(std::uint32_t /*iter*/) {
-    if (use_queue_) {
-      next_.clear();
-      ++round_;
-    }
+  std::uint64_t begin_iteration(std::uint32_t /*iter*/) noexcept {
+    if (use_queue_) ++round_;
     return size();
   }
   [[nodiscard]] std::uint64_t size() const noexcept {
@@ -87,84 +91,64 @@ class NodeFrontier {
     return queue_[qi];
   }
 
-  /// Re-enqueues a still-active node for the next round (plus its
-  /// out-neighbors in seeded mode — the change flows to its children).
-  void keep(perf::Meter& meter, graph::NodeId v);
-
-  /// Swaps in the next frontier; false when it is empty (all remaining
-  /// elements individually converged).
-  bool advance(std::uint32_t /*iter*/) {
-    if (!use_queue_) return true;
-    queue_.swap(next_);
-    return !queue_.empty();
-  }
-
- private:
-  void push_next(perf::Meter& meter, graph::NodeId v);
-
-  bool use_queue_;
-  std::uint64_t n_;
-  const graph::FactorGraph* g_ = nullptr;  // set iff seeded
-  std::uint32_t round_ = 0;
-  std::vector<std::uint32_t> stamp_;  // round v was last enqueued for
-  std::vector<graph::NodeId> queue_;
-  std::vector<graph::NodeId> next_;
-};
-
-/// §3.5 node work queue, thread-team form: appends go to per-worker
-/// fragments (the real implementation appends through one shared cursor,
-/// hence the atomic charge per keep), merged into one frontier at advance.
-///
-/// Seeded form mirrors NodeFrontier's: propagating keep with an atomic
-/// per-round stamp CAS so exactly one worker enqueues a woken node per
-/// round (duplicates across fragments would otherwise grow unboundedly).
-class FragmentedNodeFrontier {
- public:
-  FragmentedNodeFrontier(const graph::FactorGraph& g, bool use_queue,
-                         unsigned workers,
-                         const std::vector<graph::NodeId>* seed = nullptr);
-
-  [[nodiscard]] bool queued() const noexcept { return use_queue_; }
-
-  std::uint64_t begin_iteration(std::uint32_t /*iter*/) noexcept {
-    if (use_queue_ && g_ != nullptr) ++round_;
-    return size();
-  }
-  [[nodiscard]] std::uint64_t size() const noexcept {
-    return use_queue_ ? queue_.size() : n_;
-  }
-
-  graph::NodeId at(perf::Meter& meter, std::uint64_t qi) const {
-    if (!use_queue_) return static_cast<graph::NodeId>(qi);
-    meter.seq_read(sizeof(graph::NodeId));
-    return queue_[qi];
-  }
-
-  /// Worker-local re-enqueue; the metered atomic is the shared cursor
-  /// bump a real lock-free append would pay. Seeded mode also wakes v's
-  /// out-neighbors (stamp-deduplicated across the team).
-  void keep(perf::Meter& meter, unsigned worker, graph::NodeId v);
-
-  bool advance(std::uint32_t /*iter*/) {
-    if (!use_queue_) return true;
-    queue_.clear();
-    for (auto& f : frags_) {
-      queue_.insert(queue_.end(), f.begin(), f.end());
-      f.clear();
+  /// Re-enqueues still-active node `v` on `worker`'s fragment for the next
+  /// round (plus its out-neighbors in seeded mode — the change flows to
+  /// its children).
+  template <bool kTeam>
+  void keep(perf::Meter& meter, unsigned worker, graph::NodeId v) {
+    if (g_ == nullptr) {
+      append<kTeam>(meter, worker, v);
+      return;
     }
-    return !queue_.empty();
+    // Seeded mode: wake v's children too — they may never have been queued.
+    append_once<kTeam>(meter, worker, v);
+    meter.seq_read(sizeof(std::uint64_t));  // CSR offset
+    for (const auto& entry : g_->out_csr().neighbors(v)) {
+      meter.seq_read(sizeof(entry));
+      const graph::NodeId c = entry.node;
+      if (g_->observed(c) || g_->in_csr().degree(c) == 0) continue;
+      append_once<kTeam>(meter, worker, c);
+    }
   }
 
+  /// Makes the kept nodes the next frontier; false when it is empty (all
+  /// remaining elements individually converged).
+  bool advance(std::uint32_t iter);
+
  private:
-  void push_next(perf::Meter& meter, unsigned worker, graph::NodeId v);
+  struct alignas(64) Fragment {
+    std::vector<graph::NodeId> nodes;
+  };
+
+  template <bool kTeam>
+  void append(perf::Meter& meter, unsigned worker, graph::NodeId v) {
+    frags_[worker].nodes.push_back(v);
+    if constexpr (kTeam) meter.atomic(1, 1);  // shared-cursor bump
+    meter.seq_write(sizeof(graph::NodeId));
+  }
+
+  template <bool kTeam>
+  void append_once(perf::Meter& meter, unsigned worker, graph::NodeId v) {
+    std::uint32_t cur = stamp_[v].load(std::memory_order_relaxed);
+    if (cur == round_) return;
+    if constexpr (kTeam) {
+      if (!stamp_[v].compare_exchange_strong(cur, round_,
+                                             std::memory_order_relaxed)) {
+        return;  // another worker woke v this round
+      }
+    } else {
+      stamp_[v].store(round_, std::memory_order_relaxed);
+    }
+    append<kTeam>(meter, worker, v);
+  }
 
   bool use_queue_;
   std::uint64_t n_;
   const graph::FactorGraph* g_ = nullptr;  // set iff seeded
   std::uint32_t round_ = 0;
-  std::vector<std::atomic<std::uint32_t>> stamp_;
+  std::vector<std::atomic<std::uint32_t>> stamp_;  // round last enqueued
   std::vector<graph::NodeId> queue_;
-  std::vector<std::vector<graph::NodeId>> frags_;
+  std::vector<Fragment> frags_;
 };
 
 /// §3.5 edge work queue: starts with every edge into an unobserved

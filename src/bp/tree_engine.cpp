@@ -37,20 +37,7 @@ using graph::NodeId;
 
 class TreeEngine final : public Engine {
  public:
-  explicit TreeEngine(perf::HardwareProfile profile)
-      : profile_(std::move(profile)) {
-    CREDO_CHECK_MSG(profile_.kind == perf::PlatformKind::kCpuSerial,
-                    "tree engine requires a serial CPU profile");
-  }
-
-  [[nodiscard]] EngineKind kind() const noexcept override {
-    return EngineKind::kTree;
-  }
-
-  [[nodiscard]] const perf::HardwareProfile& hardware()
-      const noexcept override {
-    return profile_;
-  }
+  using Engine::Engine;
 
  protected:
   [[nodiscard]] BpResult do_run(const FactorGraph& g,
@@ -103,7 +90,7 @@ class TreeEngine final : public Engine {
       // trees), so the records report structure only.
       r.stats.trace.push_back(runtime::IterationRecord{
           1, 0.0, false, pass1_edges, pass1_edges,
-          perf::model_time(r.stats.counters, profile_)});
+          perf::model_time(r.stats.counters, hardware())});
     }
 
     // ---- Pass 2 (φ / distribute): roots -> deepest level ----
@@ -147,7 +134,7 @@ class TreeEngine final : public Engine {
           r.stats.elements_processed - pass1_edges;
       r.stats.trace.push_back(runtime::IterationRecord{
           2, 0.0, false, pass2_edges, pass2_edges,
-          perf::model_time(r.stats.counters, profile_)});
+          perf::model_time(r.stats.counters, hardware())});
     }
 
     // ---- Marginalize ----
@@ -167,18 +154,16 @@ class TreeEngine final : public Engine {
 
     r.stats.iterations = 2;  // the two sweeps
     r.stats.converged = true;
-    finish(r, timer, profile_);
+    finish(r, timer, hardware());
     return r;
   }
 
- private:
-  perf::HardwareProfile profile_;
 };
 
 }  // namespace
 
 std::unique_ptr<Engine> make_tree(const perf::HardwareProfile& p) {
-  return std::make_unique<TreeEngine>(p);
+  return std::make_unique<TreeEngine>(EngineKind::kTree, p);
 }
 
 }  // namespace credo::bp::internal

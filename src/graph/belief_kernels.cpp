@@ -1,6 +1,7 @@
 // Batched multi-edge message kernel and the scalar reference kernels.
 #include "graph/belief_kernels.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace credo::graph {
@@ -59,8 +60,14 @@ std::uint64_t compute_messages_batched(const JointMatrix* const* mats,
                                        BeliefVec* outs,
                                        std::size_t count) noexcept {
   if (count == 0) return 0;
-  // All matrices in a block share one shape (fixed-arity graphs), so the
-  // width switch still happens once; only the row loads differ per edge.
+  // One width switch per block, at the widest padded width in it: a block
+  // may mix arities (the edge engines' blocks span destinations), and a
+  // narrower matrix's extra columns are zero padding, so every message is
+  // bit-identical to compute_message's for its own edge.
+  std::uint32_t cols = 0;
+  for (std::size_t e = 0; e < count; ++e) {
+    cols = std::max(cols, mats[e]->cols);
+  }
   std::uint64_t flops = 0;
   const auto run = [&]<std::uint32_t W>() {
     for (std::size_t e = 0; e < count; ++e) {
@@ -72,7 +79,7 @@ std::uint64_t compute_messages_batched(const JointMatrix* const* mats,
       flops += 2ull * j.rows * j.cols + 2ull * j.cols;
     }
   };
-  switch (padded_states(mats[0]->cols)) {
+  switch (padded_states(cols)) {
     case 8:
       run.template operator()<8>();
       break;

@@ -66,8 +66,9 @@ std::uint64_t compute_messages_batched(const JointMatrix& j,
                                        std::size_t count) noexcept;
 
 /// Per-edge-matrix variant of the batched kernel (mats[e] may repeat).
-/// Amortizes dispatch, not the matrix loads; all matrices in the block must
-/// share one shape (the engines' graphs are fixed-arity).
+/// Amortizes dispatch, not the matrix loads. Shapes may differ within a
+/// block: the block runs at its widest padded width, and each message is
+/// still bit-identical to compute_message's for its own matrix.
 std::uint64_t compute_messages_batched(const JointMatrix* const* mats,
                                        const BeliefVec* const* ins,
                                        BeliefVec* outs,

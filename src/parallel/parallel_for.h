@@ -1,120 +1,49 @@
-// OpenMP-style loop scheduling over a ThreadPool.
+// Static fork/join loop dispatch over a ThreadPool — OpenMP's
+// `schedule(static)`, the §2.4 parallel loop.
 //
-// Mirrors the schedules the paper tried in §2.4: static (contiguous blocks),
-// dynamic (chunked work queue — more overhead, better for BP's tail-heavy
-// work distribution) and guided (shrinking chunks). parallel_reduce adds the
+// Chunk-granular: the body receives a whole [lo, hi) range plus the worker
+// index, so the element loop lives in the caller and inlines — no
+// type-erased call per element. Each worker gets one contiguous block, a
+// pure function of (range, team size); parallel_reduce_chunked adds the
 // reduction pattern the convergence check uses.
-//
-// Two dispatch granularities:
-//  * chunk-granular (templated, header-only): the body receives a whole
-//    [lo, hi) range plus the worker index, so the element loop lives in the
-//    caller and inlines — no type-erased call per element. This is what the
-//    engines' hot loops use.
-//  * element-granular (std::function, in the .cpp): the original per-index
-//    API, kept for callers that don't care about dispatch overhead. It is
-//    implemented on top of the chunk-granular layer.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "parallel/thread_pool.h"
 
 namespace credo::parallel {
 
-/// Loop schedule, as in OpenMP.
-enum class Schedule {
-  kStatic,   // contiguous equal blocks, no runtime coordination
-  kDynamic,  // fixed-size chunks claimed from a shared counter
-  kGuided,   // exponentially shrinking chunks
-};
-
-namespace detail {
-
-/// Shared chunk dispenser for dynamic/guided schedules.
-struct ChunkCounter {
-  std::atomic<std::uint64_t> next;
-  std::uint64_t end;
-  std::uint64_t min_chunk;
-  unsigned team;
-
-  /// Claims the next chunk; returns false when the range is exhausted.
-  bool claim(Schedule schedule, std::uint64_t& lo, std::uint64_t& hi) {
-    if (schedule == Schedule::kDynamic) {
-      lo = next.fetch_add(min_chunk, std::memory_order_relaxed);
-      if (lo >= end) return false;
-      hi = end < lo + min_chunk ? end : lo + min_chunk;
-      return true;
-    }
-    // Guided: chunk = remaining / team, floored at min_chunk. A CAS loop is
-    // needed because the chunk size depends on the current position.
-    std::uint64_t cur = next.load(std::memory_order_relaxed);
-    for (;;) {
-      if (cur >= end) return false;
-      const std::uint64_t remaining = end - cur;
-      std::uint64_t size = remaining / team;
-      if (size < min_chunk) size = min_chunk;
-      const std::uint64_t want = end < cur + size ? end : cur + size;
-      if (next.compare_exchange_weak(cur, want,
-                                     std::memory_order_relaxed)) {
-        lo = cur;
-        hi = want;
-        return true;
-      }
-    }
-  }
-};
-
-}  // namespace detail
-
-/// Chunk-granular dispatch: runs body(lo, hi, worker) over disjoint
-/// subranges covering [begin, end). The static schedule hands each worker
-/// one contiguous block; dynamic/guided hand out chunks from a shared
-/// counter. `chunk` is the dynamic chunk size / guided minimum.
+/// Runs body(lo, hi, worker) over disjoint subranges covering
+/// [begin, end): worker w gets the w-th of `pool.size()` near-equal
+/// contiguous blocks (workers with an empty block are not called).
 template <typename Body>
 void parallel_for_chunked(ThreadPool& pool, std::uint64_t begin,
-                          std::uint64_t end, Schedule schedule,
-                          std::uint64_t chunk, Body&& body) {
+                          std::uint64_t end, Body&& body) {
   if (begin >= end) return;
   const unsigned team = pool.size();
-  if (schedule == Schedule::kStatic) {
-    const std::uint64_t span = end - begin;
-    pool.run_team([&](unsigned w) {
-      const std::uint64_t lo = begin + span * w / team;
-      const std::uint64_t hi = begin + span * (w + 1) / team;
-      if (lo < hi) body(lo, hi, w);
-    });
-    return;
-  }
-  detail::ChunkCounter counter{std::atomic<std::uint64_t>(begin), end,
-                               chunk > 0 ? chunk : 1, team};
+  const std::uint64_t span = end - begin;
   pool.run_team([&](unsigned w) {
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    while (counter.claim(schedule, lo, hi)) body(lo, hi, w);
+    const std::uint64_t lo = begin + span * w / team;
+    const std::uint64_t hi = begin + span * (w + 1) / team;
+    if (lo < hi) body(lo, hi, w);
   });
 }
 
 /// Chunk-granular reduction: body(lo, hi, worker, partial) accumulates into
 /// one cache-line-padded double per worker; the partials are summed in
-/// worker order, so for a fixed schedule-to-worker chunk assignment the
-/// result is reproducible (and exact whenever the addends are exactly
-/// representable).
+/// worker order, so the result is reproducible for a fixed range and team
+/// size (and exact whenever the addends are exactly representable).
 template <typename Body>
 [[nodiscard]] double parallel_reduce_chunked(ThreadPool& pool,
                                              std::uint64_t begin,
-                                             std::uint64_t end,
-                                             Schedule schedule,
-                                             std::uint64_t chunk,
-                                             Body&& body) {
+                                             std::uint64_t end, Body&& body) {
   struct alignas(64) Padded {
     double v = 0.0;
   };
   std::vector<Padded> partials(pool.size());
-  parallel_for_chunked(pool, begin, end, schedule, chunk,
+  parallel_for_chunked(pool, begin, end,
                        [&](std::uint64_t lo, std::uint64_t hi, unsigned w) {
                          body(lo, hi, w, partials[w].v);
                        });
@@ -122,32 +51,5 @@ template <typename Body>
   for (const auto& p : partials) sum += p.v;
   return sum;
 }
-
-/// Runs body(i) for i in [begin, end) across the pool's team.
-/// `chunk` applies to dynamic/guided (minimum chunk for guided).
-void parallel_for(ThreadPool& pool, std::uint64_t begin, std::uint64_t end,
-                  Schedule schedule, std::uint64_t chunk,
-                  const std::function<void(std::uint64_t)>& body);
-
-/// Runs body(i, partial) with one `partial` accumulator per worker, then
-/// returns the sum of partials — the reduction idiom of Algorithm 1's
-/// convergence sum.
-[[nodiscard]] double parallel_reduce(
-    ThreadPool& pool, std::uint64_t begin, std::uint64_t end,
-    Schedule schedule, std::uint64_t chunk,
-    const std::function<void(std::uint64_t, double&)>& body);
-
-/// Like parallel_for, but the body also receives the worker index — used
-/// for lock-free per-worker sinks (metering, local queues).
-void parallel_for_indexed(
-    ThreadPool& pool, std::uint64_t begin, std::uint64_t end,
-    Schedule schedule, std::uint64_t chunk,
-    const std::function<void(std::uint64_t, unsigned)>& body);
-
-/// Worker-indexed reduction.
-[[nodiscard]] double parallel_reduce_indexed(
-    ThreadPool& pool, std::uint64_t begin, std::uint64_t end,
-    Schedule schedule, std::uint64_t chunk,
-    const std::function<void(std::uint64_t, unsigned, double&)>& body);
 
 }  // namespace credo::parallel

@@ -228,6 +228,36 @@ TEST(BeliefKernels, BatchedPerEdgeMatricesMatchPerEdgeKernel) {
           << "arity " << arity << " count " << count;
     }
   }
+
+  // One block mixing padded widths 8, 16, 24 and 32, as the edge engines'
+  // blocks do on per-node-arity graphs: every message must equal the
+  // single-edge kernel's for its own matrix, bit for bit.
+  const std::array<std::uint32_t, 4> cols = {2, 9, 17, 32};
+  const std::array<std::uint32_t, 4> rows = {9, 2, 32, 17};
+  std::vector<BeliefVec> ins(kEdgeBlock);
+  std::vector<JointMatrix> mats(kEdgeBlock);
+  std::array<const BeliefVec*, kEdgeBlock> in_ptrs{};
+  std::array<const JointMatrix*, kEdgeBlock> mat_ptrs{};
+  for (std::size_t e = 0; e < kEdgeBlock; ++e) {
+    ins[e] = random_belief(rng, rows[e % 4]);
+    mats[e] = random_joint(rng, rows[e % 4], cols[(e + e / 4) % 4]);
+    in_ptrs[e] = &ins[e];
+    mat_ptrs[e] = &mats[e];
+  }
+  std::array<BeliefVec, kEdgeBlock> outs{};
+  const std::uint64_t batched_flops = compute_messages_batched(
+      mat_ptrs.data(), in_ptrs.data(), outs.data(), kEdgeBlock);
+  std::uint64_t ref_flops = 0;
+  for (std::size_t e = 0; e < kEdgeBlock; ++e) {
+    BeliefVec single;
+    ref_flops += compute_message(ins[e], mats[e], single);
+    ASSERT_EQ(outs[e].size, single.size) << "edge " << e;
+    for (std::uint32_t s = 0; s < single.size; ++s) {
+      EXPECT_EQ(outs[e].v[s], single.v[s]) << "edge " << e << " state " << s;
+    }
+    expect_pad_lanes_zero(outs[e], "batched mixed widths");
+  }
+  EXPECT_EQ(batched_flops, ref_flops) << "mixed widths";
 }
 
 TEST(BeliefKernels, BatchedKernelIsBitIdenticalToVectorizedSingle) {

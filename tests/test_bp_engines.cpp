@@ -4,14 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iterator>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bp/engine.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "graph/ldpc.h"
 #include "graph/metadata.h"
+#include "perf/profiles.h"
 #include "util/error.h"
 #include "util/prng.h"
 
@@ -41,6 +46,12 @@ FactorGraph small_graph(std::uint32_t beliefs, std::uint64_t seed = 7) {
   cfg.observed_fraction = 0.1;
   return graph::uniform_random(200, 800, cfg);
 }
+
+constexpr std::array<EngineKind, 10> kAllKinds = {
+    EngineKind::kCpuNode,  EngineKind::kCpuEdge,  EngineKind::kOmpNode,
+    EngineKind::kOmpEdge,  EngineKind::kCudaNode, EngineKind::kCudaEdge,
+    EngineKind::kAccEdge,  EngineKind::kTree,     EngineKind::kResidual,
+    EngineKind::kBulkResidual};
 
 BpOptions default_opts() {
   BpOptions o;
@@ -111,35 +122,226 @@ TEST(BpEngines, AllLoopyEnginesAgree) {
   EXPECT_LT(max_belief_gap(weak_reference, weak_omp), 0.02f);
 }
 
+/// Number of nodes whose belief differs from `want` in any bit.
+std::size_t differing_nodes(const BpResult& got, const BpResult& want) {
+  EXPECT_EQ(got.beliefs.size(), want.beliefs.size());
+  std::size_t differing = 0;
+  for (std::size_t v = 0; v < got.beliefs.size(); ++v) {
+    const auto& a = got.beliefs[v];
+    const auto& b = want.beliefs[v];
+    if (a.size != b.size) {
+      ++differing;
+      continue;
+    }
+    for (std::uint32_t s = 0; s < a.size; ++s) {
+      if (a.v[s] != b.v[s]) {
+        ++differing;
+        break;
+      }
+    }
+  }
+  return differing;
+}
+
+/// A 40-node path with per-edge tables on which every third node has
+/// `arity` states and the rest are binary, so the edge engines' message
+/// blocks mix padded widths.
+FactorGraph mixed_arity_path(std::uint32_t arity) {
+  graph::GraphBuilder b;
+  util::Prng rng(5);
+  const auto states = [&](int i) { return i % 3 == 0 ? arity : 2u; };
+  constexpr int kNodes = 40;
+  for (int i = 0; i < kNodes; ++i) {
+    b.add_node(graph::random_prior(states(i), rng));
+  }
+  for (int i = 0; i + 1 < kNodes; ++i) {
+    graph::JointMatrix j(states(i), states(i + 1));
+    for (std::uint32_t r = 0; r < j.rows; ++r) {
+      for (std::uint32_t c = 0; c < j.cols; ++c) {
+        j.at(r, c) = 0.05f + rng.uniform01f();
+      }
+    }
+    b.add_undirected(static_cast<graph::NodeId>(i),
+                     static_cast<graph::NodeId>(i + 1), j);
+  }
+  return b.finalize();
+}
+
 TEST(BpEngines, OmpEdgeMatchesCEdgeBitForBit) {
-  // omp-edge combines destination-owned, each node's in-edges in c-edge's
-  // add order, so any team size reproduces c-edge exactly. Long per-worker
-  // ranges on a 20k-node graph are where racing shared-accumulator adds
-  // would lose addends.
+  // omp-edge and c-edge run one dense body, combining destination-owned,
+  // each node's in-edges in ascending edge id, so any team size reproduces
+  // c-edge exactly. Long per-worker ranges on a 20k-node graph are where
+  // racing shared-accumulator adds would lose addends; the mixed-arity
+  // path puts message blocks of different widths through the batched
+  // kernel.
   BeliefConfig cfg;
   cfg.beliefs = 3;
   cfg.seed = 7;
   cfg.observed_fraction = 0.1;
-  const auto g = graph::uniform_random(20000, 80000, cfg);
+  const auto uniform = graph::uniform_random(20000, 80000, cfg);
+  const auto mixed = mixed_arity_path(17);
+  for (const auto* g : {&uniform, &mixed}) {
+    BpOptions opts = default_opts();
+    if (g == &mixed) opts.damping = 0.3f;
+    const auto reference =
+        bp::make_default_engine(EngineKind::kCpuEdge)->run(*g, opts);
+    ASSERT_TRUE(reference.stats.converged);
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      opts.threads = threads;
+      const auto r =
+          bp::make_default_engine(EngineKind::kOmpEdge)->run(*g, opts);
+      EXPECT_EQ(differing_nodes(r, reference), 0u)
+          << g->num_nodes() << " nodes, " << threads << " threads";
+      EXPECT_EQ(r.stats.iterations, reference.stats.iterations)
+          << g->num_nodes() << " nodes, " << threads << " threads";
+    }
+  }
+  // The path is a tree: c-edge reaches the fixed point c-node does.
   BpOptions opts = default_opts();
-  const auto reference =
-      bp::make_default_engine(EngineKind::kCpuEdge)->run(g, opts);
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    opts.threads = threads;
-    const auto r = bp::make_default_engine(EngineKind::kOmpEdge)->run(g, opts);
-    ASSERT_EQ(r.beliefs.size(), reference.beliefs.size());
-    std::size_t differing = 0;
-    for (std::size_t v = 0; v < r.beliefs.size(); ++v) {
-      for (std::uint32_t s = 0; s < r.beliefs[v].size; ++s) {
-        if (r.beliefs[v].v[s] != reference.beliefs[v].v[s]) {
-          ++differing;
-          break;
-        }
+  opts.damping = 0.3f;
+  const auto node =
+      bp::make_default_engine(EngineKind::kCpuNode)->run(mixed, opts);
+  const auto edge =
+      bp::make_default_engine(EngineKind::kCpuEdge)->run(mixed, opts);
+  EXPECT_LT(max_belief_gap(node, edge), 1e-3f);
+}
+
+/// Every Counters field but the team charges: omp-node at one worker
+/// meters c-node's events plus a parallel region per dispatch and a
+/// shared-cursor atomic per queue append.
+void expect_counters_equal_but_team_charges(const perf::Counters& a,
+                                            const perf::Counters& b,
+                                            const std::string& what) {
+  using C = perf::Counters;
+  constexpr std::uint64_t C::*kFields[] = {
+      &C::flops,          &C::seq_read_bytes,   &C::seq_write_bytes,
+      &C::rand_read_bytes, &C::rand_read_ops,   &C::rand_write_bytes,
+      &C::rand_write_ops, &C::near_read_bytes,  &C::near_read_ops,
+      &C::near_write_bytes, &C::near_write_ops, &C::shared_ops,
+      &C::const_ops,      &C::serial_latency_ops, &C::kernel_launches,
+      &C::barriers,       &C::h2d_bytes,        &C::d2h_bytes,
+      &C::transfer_ops,   &C::device_allocs,    &C::device_alloc_bytes};
+  for (std::size_t f = 0; f < std::size(kFields); ++f) {
+    EXPECT_EQ(a.*kFields[f], b.*kFields[f]) << what << " field " << f;
+  }
+}
+
+TEST(BpEngines, OmpNodeMatchesCNodeAtOneWorker) {
+  // One node body runs both engines: at one worker omp-node is c-node plus
+  // the team charges, bit for bit — cold, warm and seeded, and on both
+  // LDPC families with and without the syndrome stop.
+  BeliefConfig cfg;
+  cfg.beliefs = 3;
+  cfg.seed = 31;
+  cfg.observed_fraction = 0.1;
+  // Sparse enough that some nodes have no parents.
+  const auto g = graph::uniform_random(1000, 1200, cfg);
+
+  struct Case {
+    std::string name;
+    const FactorGraph* graph;
+    BpOptions opts;
+  };
+  std::vector<Case> cases;
+  BpOptions dense = default_opts();
+  dense.threads = 1;
+  cases.push_back({"dense", &g, dense});
+  BpOptions queued = dense;
+  queued.work_queue = true;
+  cases.push_back({"queued", &g, queued});
+
+  const auto cold =
+      bp::make_default_engine(EngineKind::kCpuNode)->run(g, dense);
+  auto warm_state = std::make_shared<std::vector<graph::BeliefVec>>(
+      cold.beliefs);
+  auto seed = std::make_shared<std::vector<graph::NodeId>>();
+  for (graph::NodeId v = 3; v < g.num_nodes(); v += 97) {
+    (*warm_state)[v] = graph::BeliefVec::uniform(g.arity(v));
+    seed->push_back(v);
+  }
+  BpOptions warm = queued;
+  warm.init_beliefs = warm_state;
+  cases.push_back({"warm", &g, warm});
+  BpOptions seeded = warm;
+  seeded.frontier_seed = seed;
+  cases.push_back({"seeded", &g, seeded});
+
+  const auto code = graph::ldpc::random_regular(96, 3, 6, 11);
+  util::Prng rng(3);
+  std::vector<std::uint8_t> error(code.bits, 0);
+  for (auto& e : error) e = rng.uniform01f() < 0.04f ? 1 : 0;
+  const auto syndrome = graph::ldpc::syndrome(code, error);
+  const auto min_sum = graph::ldpc::build_graph(
+      code, syndrome, 0.05f, graph::FactorFamily::kLdpcMinSum);
+  const auto sum_product = graph::ldpc::build_graph(
+      code, syndrome, 0.05f, graph::FactorFamily::kLdpcSumProduct);
+  for (const auto* ldpc : {&min_sum, &sum_product}) {
+    for (const bool stop : {false, true}) {
+      for (const bool wq : {false, true}) {
+        BpOptions o = dense;
+        o.max_iterations = 60;
+        o.syndrome_stop = stop;
+        o.work_queue = wq;
+        const std::string family =
+            ldpc == &min_sum ? "min-sum" : "sum-product";
+        cases.push_back({family + (stop ? " stop" : "") +
+                             (wq ? " queued" : ""),
+                         ldpc, o});
       }
     }
-    EXPECT_EQ(differing, 0u) << threads << " threads";
-    EXPECT_EQ(r.stats.iterations, reference.stats.iterations)
-        << threads << " threads";
+  }
+
+  for (const auto& c : cases) {
+    const auto want =
+        bp::make_default_engine(EngineKind::kCpuNode)->run(*c.graph, c.opts);
+    const auto got =
+        bp::make_default_engine(EngineKind::kOmpNode)->run(*c.graph, c.opts);
+    EXPECT_EQ(differing_nodes(got, want), 0u) << c.name;
+    EXPECT_EQ(got.stats.iterations, want.stats.iterations) << c.name;
+    EXPECT_EQ(got.stats.converged, want.stats.converged) << c.name;
+    EXPECT_EQ(got.stats.final_delta, want.stats.final_delta) << c.name;
+    EXPECT_EQ(got.stats.syndrome_satisfied, want.stats.syndrome_satisfied)
+        << c.name;
+    EXPECT_EQ(got.stats.elements_processed, want.stats.elements_processed)
+        << c.name;
+    expect_counters_equal_but_team_charges(got.stats.counters,
+                                           want.stats.counters, c.name);
+  }
+}
+
+TEST(BpEngines, MakeEngineRejectsAProfileOfTheWrongPlatform) {
+  // Each kind runs on one platform; make_engine refuses the other two.
+  using perf::PlatformKind;
+  const auto platform = [](EngineKind kind) {
+    switch (kind) {
+      case EngineKind::kOmpNode:
+      case EngineKind::kOmpEdge:
+      case EngineKind::kBulkResidual:
+        return PlatformKind::kCpuParallel;
+      case EngineKind::kCudaNode:
+      case EngineKind::kCudaEdge:
+      case EngineKind::kAccEdge:
+        return PlatformKind::kGpu;
+      default:
+        return PlatformKind::kCpuSerial;
+    }
+  };
+  const std::array<perf::HardwareProfile, 3> profiles = {
+      perf::cpu_i7_7700hq_serial(), perf::cpu_i7_7700hq_parallel(4),
+      perf::gpu_gtx1070()};
+  for (const auto kind : kAllKinds) {
+    const PlatformKind own = platform(kind);
+    EXPECT_EQ(bp::make_default_engine(kind)->hardware().kind, own)
+        << bp::engine_slug(kind);
+    for (const auto& p : profiles) {
+      if (p.kind == own) {
+        EXPECT_NO_THROW((void)bp::make_engine(kind, p))
+            << bp::engine_slug(kind) << " on " << p.name;
+      } else {
+        EXPECT_THROW((void)bp::make_engine(kind, p), std::logic_error)
+            << bp::engine_slug(kind) << " on " << p.name;
+      }
+    }
   }
 }
 
@@ -362,12 +564,7 @@ TEST(BpEngines, EngineNamesRoundTripThroughTheOneParser) {
   // bp::engine_from_name is the single parser for engine names: both the
   // paper's display names and the CLI slugs must round-trip for all ten
   // kinds, so new engines can't silently miss a spelling.
-  constexpr std::array<EngineKind, 10> kAll = {
-      EngineKind::kCpuNode,  EngineKind::kCpuEdge,  EngineKind::kOmpNode,
-      EngineKind::kOmpEdge,  EngineKind::kCudaNode, EngineKind::kCudaEdge,
-      EngineKind::kAccEdge,  EngineKind::kTree,     EngineKind::kResidual,
-      EngineKind::kBulkResidual};
-  for (const auto kind : kAll) {
+  for (const auto kind : kAllKinds) {
     const auto from_display = bp::engine_from_name(bp::engine_name(kind));
     ASSERT_TRUE(from_display.has_value()) << bp::engine_name(kind);
     EXPECT_EQ(*from_display, kind) << bp::engine_name(kind);

@@ -119,11 +119,27 @@ TEST(Schedules, DenseSweepNeverDrains) {
   EXPECT_TRUE(s.advance(1));
 }
 
-TEST(Schedules, NodeFrontierDenseModeCoversAllNodes) {
+// The one node frontier in both of its forms: the sequential backend's
+// (one fragment, no team charges) and a team of three workers'.
+class NodeFrontierTest : public ::testing::TestWithParam<unsigned> {
+ protected:
+  [[nodiscard]] unsigned workers() const { return GetParam(); }
+  [[nodiscard]] bool team() const { return GetParam() > 1; }
+
+  void keep(NodeFrontier& s, perf::Meter& meter, unsigned w, NodeId v) {
+    if (team()) {
+      s.keep<true>(meter, w, v);
+    } else {
+      s.keep<false>(meter, w, v);
+    }
+  }
+};
+
+TEST_P(NodeFrontierTest, DenseModeCoversAllNodes) {
   const auto g = chain_graph();
   perf::Counters c;
   perf::Meter meter(c);
-  NodeFrontier s(g, /*use_queue=*/false);
+  NodeFrontier s(g, /*use_queue=*/false, workers());
   EXPECT_FALSE(s.queued());
   EXPECT_EQ(s.size(), g.num_nodes());
   EXPECT_EQ(s.at(meter, 3), 3u);
@@ -131,11 +147,11 @@ TEST(Schedules, NodeFrontierDenseModeCoversAllNodes) {
   EXPECT_TRUE(s.advance(0));        // dense sweeps never drain
 }
 
-TEST(Schedules, NodeFrontierQueueShrinksAndDrains) {
+TEST_P(NodeFrontierTest, QueueShrinksAndDrains) {
   const auto g = chain_graph();  // node 2 observed -> 3 initial entries
   perf::Counters c;
   perf::Meter meter(c);
-  NodeFrontier s(g, /*use_queue=*/true);
+  NodeFrontier s(g, /*use_queue=*/true, workers());
   EXPECT_TRUE(s.queued());
   ASSERT_EQ(s.begin_iteration(0), 3u);
   std::vector<NodeId> seen;
@@ -143,29 +159,61 @@ TEST(Schedules, NodeFrontierQueueShrinksAndDrains) {
   EXPECT_EQ(seen, (std::vector<NodeId>{0, 1, 3}));
   EXPECT_EQ(c.seq_read_bytes, 3 * sizeof(NodeId));
 
-  s.keep(meter, 1);  // only node 1 stays active
+  keep(s, meter, workers() - 1, 1);  // only node 1 stays active
+  EXPECT_EQ(c.seq_write_bytes, sizeof(NodeId));
   ASSERT_TRUE(s.advance(0));
   ASSERT_EQ(s.begin_iteration(1), 1u);
   EXPECT_EQ(s.at(meter, 0), 1u);
   EXPECT_FALSE(s.advance(1));  // nothing kept -> frontier drained
 }
 
-TEST(Schedules, FragmentedNodeFrontierMergesWorkerFragments) {
+TEST_P(NodeFrontierTest, MergesWorkerFragmentsAndChargesTheTeamCursor) {
   const auto g = chain_graph();
   perf::Counters c;
   perf::Meter meter(c);
-  FragmentedNodeFrontier s(g, /*use_queue=*/true, /*workers=*/3);
-  ASSERT_EQ(s.size(), 3u);
-  s.keep(meter, 2, 3);
-  s.keep(meter, 0, 0);
-  EXPECT_EQ(c.atomic_ops, 2u);  // one shared-cursor bump per keep
+  NodeFrontier s(g, /*use_queue=*/true, workers());
+  ASSERT_EQ(s.begin_iteration(0), 3u);
+  keep(s, meter, workers() - 1, 3);
+  keep(s, meter, 0, 0);
+  // A team appends through one shared cursor: one atomic per keep, all on
+  // one conflict chain. The sequential form charges none.
+  EXPECT_EQ(c.atomic_ops, team() ? 2u : 0u);
+  EXPECT_EQ(c.atomic_chain_ops, team() ? 2u : 0u);
   ASSERT_TRUE(s.advance(0));
-  ASSERT_EQ(s.size(), 2u);
-  // Fragments merge in worker order.
-  EXPECT_EQ(s.at(meter, 0), 0u);
-  EXPECT_EQ(s.at(meter, 1), 3u);
+  ASSERT_EQ(s.begin_iteration(1), 2u);
+  // Fragments merge in worker order; one fragment keeps append order.
+  const std::vector<NodeId> want =
+      team() ? std::vector<NodeId>{0, 3} : std::vector<NodeId>{3, 0};
+  EXPECT_EQ(s.at(meter, 0), want[0]);
+  EXPECT_EQ(s.at(meter, 1), want[1]);
   EXPECT_FALSE(s.advance(1));
 }
+
+TEST_P(NodeFrontierTest, SeededKeepWakesChildrenOncePerRound) {
+  const auto g = chain_graph();  // 0 - 1 - 2(observed) - 3
+  perf::Counters c;
+  perf::Meter meter(c);
+  const std::vector<NodeId> seed{1};
+  NodeFrontier s(g, /*use_queue=*/false, workers(), &seed);
+  EXPECT_TRUE(s.queued());  // a seed forces queue mode
+  ASSERT_EQ(s.begin_iteration(0), 1u);
+  keep(s, meter, 0, 1);              // 1 and its unobserved child 0
+  keep(s, meter, workers() - 1, 0);  // 0 and its child 1: both stamped
+  EXPECT_EQ(c.atomic_ops, team() ? 2u : 0u);  // two appends
+  ASSERT_TRUE(s.advance(0));
+  ASSERT_EQ(s.begin_iteration(1), 2u);
+  EXPECT_EQ(s.at(meter, 0), 1u);
+  EXPECT_EQ(s.at(meter, 1), 0u);
+  keep(s, meter, 0, 1);  // a new round: the stamps no longer match
+  ASSERT_TRUE(s.advance(1));
+  EXPECT_EQ(s.begin_iteration(2), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SequentialAndTeam, NodeFrontierTest,
+                         ::testing::Values(1u, 3u),
+                         [](const ::testing::TestParamInfo<unsigned>& info) {
+                           return std::to_string(info.param) + "_workers";
+                         });
 
 TEST(Schedules, EdgeFrontierSkipsObservedDestinations) {
   const auto g = chain_graph();
@@ -419,7 +467,8 @@ TEST(Telemetry, TraceOffByDefault) {
 }
 
 TEST(Telemetry, CpuTraceMatchesFinalStats) {
-  for (const auto kind : {EngineKind::kCpuNode, EngineKind::kCpuEdge}) {
+  for (const auto kind : {EngineKind::kCpuNode, EngineKind::kCpuEdge,
+                          EngineKind::kOmpNode, EngineKind::kOmpEdge}) {
     auto opts = base_opts();
     opts.collect_trace = true;
     opts.work_queue = true;

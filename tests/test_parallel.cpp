@@ -1,9 +1,11 @@
-// Tests for the thread-pool substrate: team execution, schedules,
-// reductions, and coverage properties.
+// Tests for the thread-pool substrate: team execution, the static
+// chunk-granular dispatch, reductions, and coverage properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "parallel/parallel_for.h"
@@ -38,84 +40,17 @@ TEST(ThreadPool, SingleWorkerWorks) {
   EXPECT_EQ(value, 42);
 }
 
-class ScheduleTest : public ::testing::TestWithParam<Schedule> {};
-
-TEST_P(ScheduleTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr std::uint64_t kN = 10'000;
-  std::vector<std::atomic<int>> hits(kN);
-  parallel_for(pool, 0, kN, GetParam(), 64,
-               [&](std::uint64_t i) { hits[i].fetch_add(1); });
-  for (std::uint64_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST_P(ScheduleTest, HandlesEmptyAndOffsetRanges) {
-  ThreadPool pool(2);
-  int count = 0;
-  std::mutex mu;
-  parallel_for(pool, 5, 5, GetParam(), 8, [&](std::uint64_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    ++count;
-  });
-  EXPECT_EQ(count, 0);
-  std::vector<std::uint64_t> seen;
-  parallel_for(pool, 100, 110, GetParam(), 3, [&](std::uint64_t i) {
-    std::lock_guard<std::mutex> lock(mu);
-    seen.push_back(i);
-  });
-  std::sort(seen.begin(), seen.end());
-  ASSERT_EQ(seen.size(), 10u);
-  EXPECT_EQ(seen.front(), 100u);
-  EXPECT_EQ(seen.back(), 109u);
-}
-
-TEST_P(ScheduleTest, ReduceSumsCorrectly) {
-  ThreadPool pool(4);
-  constexpr std::uint64_t kN = 5000;
-  const double sum = parallel_reduce(
-      pool, 0, kN, GetParam(), 32,
-      [](std::uint64_t i, double& partial) {
-        partial += static_cast<double>(i);
-      });
-  EXPECT_DOUBLE_EQ(sum, kN * (kN - 1) / 2.0);
-}
-
-TEST_P(ScheduleTest, IndexedVariantReportsValidWorker) {
-  ThreadPool pool(3);
-  std::atomic<bool> ok{true};
-  parallel_for_indexed(pool, 0, 1000, GetParam(), 16,
-                       [&](std::uint64_t, unsigned w) {
-                         if (w >= 3) ok = false;
-                       });
-  EXPECT_TRUE(ok.load());
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSchedules, ScheduleTest,
-                         ::testing::Values(Schedule::kStatic,
-                                           Schedule::kDynamic,
-                                           Schedule::kGuided),
-                         [](const ::testing::TestParamInfo<Schedule>& info) {
-                           switch (info.param) {
-                             case Schedule::kStatic: return "static";
-                             case Schedule::kDynamic: return "dynamic";
-                             case Schedule::kGuided: return "guided";
-                           }
-                           return "unknown";
-                         });
-
 // ---------------------------------------------------------------------------
-// Chunk-granular overloads: the templated body(lo, hi, worker) dispatch the
-// engines' hot loops use (no type-erased call per element).
+// Static chunk-granular dispatch: the body(lo, hi, worker) form every
+// PoolBackend region uses (no type-erased call per element).
 // ---------------------------------------------------------------------------
 
-TEST_P(ScheduleTest, ChunkedForTilesTheRangeExactly) {
+TEST(ParallelChunked, ForTilesTheRangeExactly) {
   ThreadPool pool(4);
   constexpr std::uint64_t kBegin = 17, kEnd = 10'017;
   std::mutex mu;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> chunks;
-  parallel_for_chunked(pool, kBegin, kEnd, GetParam(), 64,
+  parallel_for_chunked(pool, kBegin, kEnd,
                        [&](std::uint64_t lo, std::uint64_t hi, unsigned w) {
                          std::lock_guard<std::mutex> lock(mu);
                          EXPECT_LT(lo, hi);
@@ -123,7 +58,7 @@ TEST_P(ScheduleTest, ChunkedForTilesTheRangeExactly) {
                          chunks.emplace_back(lo, hi);
                        });
   std::sort(chunks.begin(), chunks.end());
-  ASSERT_FALSE(chunks.empty());
+  ASSERT_EQ(chunks.size(), 4u);  // one contiguous block per worker
   EXPECT_EQ(chunks.front().first, kBegin);
   EXPECT_EQ(chunks.back().second, kEnd);
   for (std::size_t i = 1; i < chunks.size(); ++i) {
@@ -132,44 +67,44 @@ TEST_P(ScheduleTest, ChunkedForTilesTheRangeExactly) {
   }
 }
 
-TEST_P(ScheduleTest, ChunkedForEmptyRangeNeverInvokesBody) {
+TEST(ParallelChunked, ForEmptyRangeNeverInvokesBody) {
   ThreadPool pool(2);
   std::atomic<int> calls{0};
-  parallel_for_chunked(pool, 5, 5, GetParam(), 8,
+  parallel_for_chunked(pool, 5, 5,
                        [&](std::uint64_t, std::uint64_t, unsigned) {
                          calls.fetch_add(1);
                        });
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST_P(ScheduleTest, ChunkedForChunkLargerThanRange) {
+TEST(ParallelChunked, ForSmallOffsetRangesTileAcrossTheTeam) {
+  // A range shorter than the team leaves the extra workers without a
+  // block; either way the blocks tile the range exactly.
   ThreadPool pool(4);
-  std::mutex mu;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> chunks;
-  parallel_for_chunked(pool, 100, 110, GetParam(), 1000,
-                       [&](std::uint64_t lo, std::uint64_t hi, unsigned) {
-                         std::lock_guard<std::mutex> lock(mu);
-                         EXPECT_LT(lo, hi);
-                         chunks.emplace_back(lo, hi);
-                       });
-  // Dynamic and guided hand the whole range to one claimer; static splits
-  // it across the team (OpenMP semantics) — either way it tiles exactly.
-  std::sort(chunks.begin(), chunks.end());
-  ASSERT_FALSE(chunks.empty());
-  EXPECT_LE(chunks.size(), 4u);
-  if (GetParam() != Schedule::kStatic) EXPECT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks.front().first, 100u);
-  EXPECT_EQ(chunks.back().second, 110u);
-  for (std::size_t i = 1; i < chunks.size(); ++i) {
-    EXPECT_EQ(chunks[i].first, chunks[i - 1].second);
+  for (const std::uint64_t len : {10u, 3u, 1u}) {
+    std::mutex mu;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> chunks;
+    parallel_for_chunked(pool, 100, 100 + len,
+                         [&](std::uint64_t lo, std::uint64_t hi, unsigned) {
+                           std::lock_guard<std::mutex> lock(mu);
+                           EXPECT_LT(lo, hi);
+                           chunks.emplace_back(lo, hi);
+                         });
+    std::sort(chunks.begin(), chunks.end());
+    ASSERT_EQ(chunks.size(), std::min<std::uint64_t>(len, 4)) << len;
+    EXPECT_EQ(chunks.front().first, 100u);
+    EXPECT_EQ(chunks.back().second, 100 + len);
+    for (std::size_t i = 1; i < chunks.size(); ++i) {
+      EXPECT_EQ(chunks[i].first, chunks[i - 1].second);
+    }
   }
 }
 
-TEST_P(ScheduleTest, ChunkedReduceMatchesSerialSum) {
+TEST(ParallelChunked, ReduceMatchesSerialSum) {
   ThreadPool pool(4);
   constexpr std::uint64_t kN = 5000;
   const double sum = parallel_reduce_chunked(
-      pool, 0, kN, GetParam(), 32,
+      pool, 0, kN,
       [](std::uint64_t lo, std::uint64_t hi, unsigned, double& partial) {
         for (std::uint64_t i = lo; i < hi; ++i) {
           partial += static_cast<double>(i);
@@ -179,14 +114,14 @@ TEST_P(ScheduleTest, ChunkedReduceMatchesSerialSum) {
 }
 
 TEST(ParallelChunked, StaticReductionIsDeterministic) {
-  // Static chunk->worker assignment is a pure function of (range, chunk,
-  // workers), and partials are summed in worker order — so a reduction over
-  // rounding-sensitive values must give the same bits every run.
+  // Static block->worker assignment is a pure function of (range,
+  // workers), and partials are summed in worker order — so a reduction
+  // over rounding-sensitive values must give the same bits every run.
   ThreadPool pool(4);
   constexpr std::uint64_t kN = 20'000;
   const auto run = [&] {
     return parallel_reduce_chunked(
-        pool, 0, kN, Schedule::kStatic, 64,
+        pool, 0, kN,
         [](std::uint64_t lo, std::uint64_t hi, unsigned, double& partial) {
           for (std::uint64_t i = lo; i < hi; ++i) {
             partial += 0.1 * static_cast<double>(i % 7);
@@ -199,33 +134,15 @@ TEST(ParallelChunked, StaticReductionIsDeterministic) {
   }
 }
 
-TEST(ParallelChunked, ElementApisAgreeWithChunkedApis) {
-  // The std::function entry points are thin wrappers over the chunked
-  // templates; both views of the same range must produce the same result.
-  ThreadPool pool(3);
-  constexpr std::uint64_t kN = 1234;
-  const double per_element = parallel_reduce(
-      pool, 0, kN, Schedule::kGuided, 16,
-      [](std::uint64_t i, double& partial) {
-        partial += static_cast<double>(i * i);
-      });
-  const double chunked = parallel_reduce_chunked(
-      pool, 0, kN, Schedule::kGuided, 16,
-      [](std::uint64_t lo, std::uint64_t hi, unsigned, double& partial) {
-        for (std::uint64_t i = lo; i < hi; ++i) {
-          partial += static_cast<double>(i * i);
-        }
-      });
-  EXPECT_DOUBLE_EQ(per_element, chunked);
-}
-
-TEST(ParallelReduce, PartialsAreIsolatedPerWorker) {
-  // A reduction whose body writes large values must not race: the result
-  // must be exact, not approximately right.
+TEST(ParallelChunked, ReducePartialsAreIsolatedPerWorker) {
+  // A reduction whose body writes its partial per element must not race:
+  // the result must be exact, not approximately right.
   ThreadPool pool(4);
-  const double sum = parallel_reduce(
-      pool, 0, 100'000, Schedule::kDynamic, 128,
-      [](std::uint64_t, double& partial) { partial += 1.0; });
+  const double sum = parallel_reduce_chunked(
+      pool, 0, 100'000,
+      [](std::uint64_t lo, std::uint64_t hi, unsigned, double& partial) {
+        for (std::uint64_t i = lo; i < hi; ++i) partial += 1.0;
+      });
   EXPECT_DOUBLE_EQ(sum, 100'000.0);
 }
 
