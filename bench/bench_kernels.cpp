@@ -129,8 +129,8 @@ Row bench_message(credo::util::Prng& rng, std::uint32_t arity) {
   const JointMatrix j = random_joint(rng, arity);
   const std::size_t ops = ops_for(arity);
 
-  std::array<const BeliefVec*, kPool> ptrs{};
-  for (std::size_t i = 0; i < kPool; ++i) ptrs[i] = &pool[i];
+  std::array<const float*, kPool> ptrs{};
+  for (std::size_t i = 0; i < kPool; ++i) ptrs[i] = pool[i].v.data();
   std::array<BeliefVec, kEdgeBlock> outs{};
 
   // Both variants run through one indirect-call harness: the timed loop is

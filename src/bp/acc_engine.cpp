@@ -19,6 +19,7 @@
 
 #include "bp/engines_internal.h"
 #include "bp/runtime/backend.h"
+#include "bp/runtime/belief_state.h"
 #include "bp/runtime/convergence.h"
 #include "bp/runtime/driver.h"
 #include "bp/runtime/schedule.h"
@@ -26,7 +27,6 @@
 #include "gpusim/device.h"
 #include "graph/metadata.h"
 #include "util/error.h"
-#include "util/timer.h"
 
 namespace credo::bp::internal {
 namespace {
@@ -50,9 +50,8 @@ class AccEdgeEngine final : public Engine {
   using Engine::Engine;
 
  protected:
-  [[nodiscard]] BpResult do_run(const FactorGraph& g,
-                                const BpOptions& opts) const override {
-    const util::Timer timer;
+  [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
+                               runtime::BeliefState& state) const override {
     Device dev(hardware());
     const NodeId n = g.num_nodes();
     const std::uint64_t m = g.num_edges();
@@ -101,14 +100,14 @@ class AccEdgeEngine final : public Engine {
     const auto diff = diff_buf.span();
     const bool shared = g.joints().is_shared();
 
-    BpResult r;
+    BpStats stats;
     runtime::DenseSweep sched(m);
     const runtime::ConvergenceController ctl(
         opts, runtime::ConvergenceController::Cadence::kBatched);
     runtime::DeviceBackend backend(dev, opts.block_threads);
 
     runtime::run_loop(
-        opts, r.stats, ctl, sched,
+        opts, stats, ctl, sched,
         [&](std::uint32_t, runtime::IterationOutcome& out) {
           out.delta_valid = false;
 
@@ -153,7 +152,8 @@ class AccEdgeEngine final : public Engine {
                   acc.load(ctx, static_cast<std::size_t>(v) * b + s);
             }
             BeliefVec nb;
-            ctx.flop(softmax(local, arity, nb));
+            nb.size = arity;
+            ctx.flop(softmax(local, arity, nb.v.data()));
             const BeliefVec prev =
                 beliefs.load_bytes(ctx, v, belief_bytes(arity));
             ctx.flop(ctl.damp(nb, prev));
@@ -169,12 +169,12 @@ class AccEdgeEngine final : public Engine {
         [&] { return backend.reduce_to_host(diff_buf, n); },
         [&] { return dev.modelled_time(); });
 
-    r.beliefs.resize(n);
-    dev.d2h<BeliefVec>(r.beliefs, beliefs_buf);
-    r.stats.counters = dev.counters();
-    r.stats.time = dev.modelled_time();
-    r.stats.host_seconds = timer.seconds();
-    return r;
+    std::vector<BeliefVec> result(n);
+    dev.d2h<BeliefVec>(result, beliefs_buf);
+    for (NodeId v = 0; v < n; ++v) state.store(v, result[v]);
+    stats.counters = dev.counters();
+    stats.time = dev.modelled_time();
+    return stats;
   }
 };
 

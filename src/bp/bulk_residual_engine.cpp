@@ -24,9 +24,8 @@
 #include "bp/runtime/backend.h"
 #include "bp/runtime/convergence.h"
 #include "bp/runtime/driver.h"
-#include "bp/runtime/init.h"
+#include "bp/runtime/belief_state.h"
 #include "bp/runtime/schedule.h"
-#include "util/timer.h"
 
 namespace credo::bp::internal {
 namespace {
@@ -39,26 +38,23 @@ class BulkResidualEngine final : public Engine {
   using Engine::Engine;
 
  protected:
-  [[nodiscard]] BpResult do_run(const FactorGraph& g,
-                                const BpOptions& opts) const override {
-    return graph::is_ldpc(g.family()) ? drain<LdpcKernel>(g, opts)
-                                      : drain<TabularKernel>(g, opts);
+  [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
+                               runtime::BeliefState& state) const override {
+    return graph::is_ldpc(g.family()) ? drain<LdpcKernel>(g, opts, state)
+                                      : drain<TabularKernel>(g, opts, state);
   }
 
  private:
   template <typename Kernel>
-  [[nodiscard]] BpResult drain(const FactorGraph& g,
-                               const BpOptions& opts) const {
-    const util::Timer timer;
-    BpResult r;
-    r.beliefs = runtime::initial_state(g, opts);
-    Team team(hardware(), opts, r.stats.counters);
-    perf::Meter main_meter(r.stats.counters);
+  [[nodiscard]] BpStats drain(const FactorGraph& g, const BpOptions& opts,
+                              runtime::BeliefState& state) const {
+    BpStats stats;
+    Team team(hardware(), opts, stats.counters);
+    perf::Meter main_meter(stats.counters);
 
     const runtime::ConvergenceController ctl(
         opts, runtime::ConvergenceController::Cadence::kEveryIteration);
-    Kernel kernel(g, opts, ctl, r.beliefs, main_meter);
-    std::vector<typename Kernel::Worker> workers(team.backend.workers());
+    Kernel kernel(g, opts, ctl, state, main_meter);
     runtime::BulkResidualSchedule sched(g, ctl, team.backend.workers(),
                                         opts.frontier_seed.get());
 
@@ -71,12 +67,11 @@ class BulkResidualEngine final : public Engine {
           [&](std::uint64_t lo, std::uint64_t hi, unsigned w,
               double& partial) {
             perf::Meter meter(team.sinks[w].counters);
-            typename Kernel::Worker& worker = workers[w];
             for (std::uint64_t qi = lo; qi < hi; ++qi) {
               meter.seq_read(sizeof(NodeId));  // selection entry
               const NodeId v = nodes[qi];
               sched.consume(meter, v);
-              const float d = kernel.update(worker, v, meter);
+              const float d = kernel.update(v, meter);
               partial += d;
               sched.record(w, meter, v, d);
             }
@@ -84,7 +79,7 @@ class BulkResidualEngine final : public Engine {
     };
 
     runtime::run_round_loop(
-        opts, g.num_nodes(), r.stats, ctl, sched,
+        opts, g.num_nodes(), stats, ctl, sched,
         [&](std::uint64_t budget, double& delta) -> std::uint64_t {
           const auto round = sched.select(main_meter, budget);
           const auto split = static_cast<std::size_t>(
@@ -98,11 +93,11 @@ class BulkResidualEngine final : public Engine {
         },
         [&] { return kernel.syndrome_met(main_meter); },
         [&] {
-          return snapshot_time(r.stats.counters, team.sinks, team.prof);
+          return snapshot_time(stats.counters, team.sinks, team.prof);
         });
-    kernel.finish(r.stats, main_meter);
-    finish(r, timer, team.prof, team.sinks);
-    return r;
+    kernel.finish(stats, main_meter);
+    finish(stats, team.prof, team.sinks);
+    return stats;
   }
 };
 

@@ -30,11 +30,10 @@
 #include "bp/runtime/backend.h"
 #include "bp/runtime/convergence.h"
 #include "bp/runtime/driver.h"
-#include "bp/runtime/init.h"
+#include "bp/runtime/belief_state.h"
 #include "bp/runtime/schedule.h"
 #include "graph/metadata.h"
 #include "perf/cost_model.h"
-#include "util/timer.h"
 
 namespace credo::bp::internal {
 namespace {
@@ -44,26 +43,24 @@ using graph::EdgeId;
 using graph::FactorGraph;
 using graph::NodeId;
 
-/// Runs `sweep(backend, sinks, prof, r)` on the engine's backend — inline
-/// on one sink for the serial kinds, on the run's Team for the
-/// CPU-parallel ones — then folds the sinks into the result.
+/// Runs `sweep(backend, sinks, prof, stats)` on the engine's backend —
+/// inline on one sink for the serial kinds, on the run's Team for the
+/// CPU-parallel ones — then folds the sinks into the stats.
 template <typename Sweep>
-BpResult run_on_backend(const Engine& engine, const FactorGraph& g,
-                        const BpOptions& opts, Sweep&& sweep) {
-  const util::Timer timer;
-  BpResult r;
-  r.beliefs = runtime::initial_state(g, opts);
+BpStats run_on_backend(const Engine& engine, const BpOptions& opts,
+                       Sweep&& sweep) {
+  BpStats stats;
   if (engine.hardware().kind == perf::PlatformKind::kCpuSerial) {
     runtime::SequentialBackend backend;
     std::vector<WorkerSink> sinks(1);
-    sweep(backend, std::span<WorkerSink>(sinks), engine.hardware(), r);
-    finish(r, timer, engine.hardware(), sinks);
+    sweep(backend, std::span<WorkerSink>(sinks), engine.hardware(), stats);
+    finish(stats, engine.hardware(), sinks);
   } else {
-    Team team(engine.hardware(), opts, r.stats.counters);
-    sweep(team.backend, std::span<WorkerSink>(team.sinks), team.prof, r);
-    finish(r, timer, team.prof, team.sinks);
+    Team team(engine.hardware(), opts, stats.counters);
+    sweep(team.backend, std::span<WorkerSink>(team.sinks), team.prof, stats);
+    finish(stats, team.prof, team.sinks);
   }
-  return r;
+  return stats;
 }
 
 // ---------------------------------------------------------------------------
@@ -78,8 +75,9 @@ BpResult run_on_backend(const Engine& engine, const FactorGraph& g,
 template <typename Kernel, typename Backend>
 void node_sweep(const FactorGraph& g, const BpOptions& opts,
                 const perf::HardwareProfile& prof, Backend& backend,
-                std::span<WorkerSink> sinks, BpResult& r) {
-  perf::Meter main_meter(r.stats.counters);
+                std::span<WorkerSink> sinks, runtime::BeliefState& state,
+                BpStats& stats) {
+  perf::Meter main_meter(stats.counters);
   const auto& in = g.in_csr();
 
   // Work queue (§3.5): indices of unconverged nodes; starts full — or
@@ -88,11 +86,10 @@ void node_sweep(const FactorGraph& g, const BpOptions& opts,
                               opts.frontier_seed.get());
   const runtime::ConvergenceController ctl(
       opts, runtime::ConvergenceController::Cadence::kEveryIteration);
-  Kernel kernel(g, opts, ctl, r.beliefs, main_meter);
+  Kernel kernel(g, opts, ctl, state, main_meter);
 
-  // Hoisted per-worker scratch, plus the count of nodes it updated.
+  // Per-worker count of the nodes it updated, cache-line padded.
   struct alignas(64) Lane {
-    typename Kernel::Worker scratch;
     std::uint64_t updated = 0;
   };
   std::vector<Lane> lanes(backend.workers());
@@ -104,7 +101,7 @@ void node_sweep(const FactorGraph& g, const BpOptions& opts,
       !sched.queued() && backend.workers() > 1 ? kernel.phase_split() : 0;
 
   runtime::run_loop(
-      opts, r.stats, ctl, sched,
+      opts, stats, ctl, sched,
       [&](std::uint32_t iter, runtime::IterationOutcome& out) {
         const std::uint64_t count = sched.size();
         // "#pragma omp parallel for reduction(+:sum)" on a team. The node
@@ -122,7 +119,7 @@ void node_sweep(const FactorGraph& g, const BpOptions& opts,
             ++lane.updated;
             // In-place (chaotic) reads: on a team a neighbor may already
             // hold its new state this iteration — standard async BP.
-            const float d = kernel.update(lane.scratch, v, meter);
+            const float d = kernel.update(v, meter);
             partial += d;
             if (sched.queued() && ctl.element_active(d)) {
               kernel.keep(meter, iter, v, [&](NodeId u) {
@@ -146,8 +143,8 @@ void node_sweep(const FactorGraph& g, const BpOptions& opts,
         }
       },
       [] { return 0.0; },  // delta is never deferred on the CPU
-      [&] { return snapshot_time(r.stats.counters, sinks, prof); });
-  kernel.finish(r.stats, main_meter);
+      [&] { return snapshot_time(stats.counters, sinks, prof); });
+  kernel.finish(stats, main_meter);
 }
 
 class NodeEngine final : public Engine {
@@ -155,22 +152,22 @@ class NodeEngine final : public Engine {
   using Engine::Engine;
 
  protected:
-  [[nodiscard]] BpResult do_run(const FactorGraph& g,
-                                const BpOptions& opts) const override {
+  [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
+                               runtime::BeliefState& state) const override {
     // Per-graph family dispatch (§5g): decided once, before any loop.
-    return graph::is_ldpc(g.family()) ? run<LdpcKernel>(g, opts)
-                                      : run<TabularKernel>(g, opts);
+    return graph::is_ldpc(g.family()) ? run<LdpcKernel>(g, opts, state)
+                                      : run<TabularKernel>(g, opts, state);
   }
 
  private:
   template <typename Kernel>
-  [[nodiscard]] BpResult run(const FactorGraph& g,
-                             const BpOptions& opts) const {
+  [[nodiscard]] BpStats run(const FactorGraph& g, const BpOptions& opts,
+                            runtime::BeliefState& state) const {
     return run_on_backend(
-        *this, g, opts,
+        *this, opts,
         [&](auto& backend, std::span<WorkerSink> sinks,
-            const perf::HardwareProfile& prof, BpResult& r) {
-          node_sweep<Kernel>(g, opts, prof, backend, sinks, r);
+            const perf::HardwareProfile& prof, BpStats& stats) {
+          node_sweep<Kernel>(g, opts, prof, backend, sinks, state, stats);
         });
   }
 };
@@ -198,7 +195,8 @@ struct EdgeScratch {
 template <typename Backend>
 void edge_sweep(const FactorGraph& g, const BpOptions& opts,
                 const perf::HardwareProfile& prof, Backend& backend,
-                std::span<WorkerSink> sinks, BpResult& r) {
+                std::span<WorkerSink> sinks, runtime::BeliefState& state,
+                BpStats& stats) {
   const NodeId n = g.num_nodes();
   const auto& edges = g.edges();
   const auto& joints = g.joints();
@@ -207,14 +205,14 @@ void edge_sweep(const FactorGraph& g, const BpOptions& opts,
 
   std::vector<float> acc(static_cast<std::size_t>(n) * b, 0.0f);
   std::vector<EdgeScratch> scratch(backend.workers());
-  perf::Meter main_meter(r.stats.counters);
+  perf::Meter main_meter(stats.counters);
 
   runtime::DenseSweep sched(edges.size());
   const runtime::ConvergenceController ctl(
       opts, runtime::ConvergenceController::Cadence::kEveryIteration);
 
   runtime::run_loop(
-      opts, r.stats, ctl, sched,
+      opts, stats, ctl, sched,
       [&](std::uint32_t, runtime::IterationOutcome& out) {
         // Region 1: reset accumulators to the multiplicative identity
         // (streaming); Algorithm 1 combines incoming updates only.
@@ -223,7 +221,7 @@ void edge_sweep(const FactorGraph& g, const BpOptions& opts,
               perf::Meter meter(sinks[w].counters);
               for (std::uint64_t vi = lo; vi < hi; ++vi) {
                 const auto v = static_cast<NodeId>(vi);
-                const std::uint32_t arity = g.arity(v);
+                const std::uint32_t arity = state.arity(v);
                 float* a = acc.data() + static_cast<std::size_t>(v) * b;
                 for (std::uint32_t s = 0; s < arity; ++s) a[s] = 0.0f;
                 meter.seq_write(4ull * arity);
@@ -265,10 +263,9 @@ void edge_sweep(const FactorGraph& g, const BpOptions& opts,
                   const EdgeId e = entry.edge;
                   const auto& ed = edges[e];
                   meter.seq_read(sizeof(ed));
-                  const BeliefVec& src = r.beliefs[ed.src];
-                  meter.seq_read(belief_bytes(src.size));
+                  s.srcs[count] = state.lanes(ed.src);
+                  meter.seq_read(belief_bytes(state.arity(ed.src)));
                   charge_joint_load(meter, joints, e);
-                  s.srcs[count] = &src;
                   if (!joints.is_shared()) s.mats[count] = &joints.at(e);
                   dsts[count] = v;
                   if (++count == graph::kEdgeBlock) flush();
@@ -293,23 +290,20 @@ void edge_sweep(const FactorGraph& g, const BpOptions& opts,
               for (std::uint64_t vi = lo; vi < hi; ++vi) {
                 const auto v = static_cast<NodeId>(vi);
                 if (g.observed(v) || g.in_csr().degree(v) == 0) continue;
-                const std::uint32_t arity = g.arity(v);
-                BeliefVec nb;
-                meter.flop(softmax(
-                    acc.data() + static_cast<std::size_t>(v) * b, arity, nb));
+                const std::uint32_t arity = state.arity(v);
+                std::uint64_t flops = 0;
+                partial += marginalize(
+                    acc.data() + static_cast<std::size_t>(v) * b, arity,
+                    state.lanes(v), ctl, flops);
+                meter.flop(flops);
                 meter.seq_read(4ull * arity);
-                meter.flop(ctl.damp(nb, r.beliefs[v]));
-                const float d = graph::l1_diff(r.beliefs[v], nb);
-                meter.flop(2ull * arity);
                 meter.seq_read(belief_bytes(arity));
-                graph::copy_belief(r.beliefs[v], nb);
                 meter.seq_write(belief_bytes(arity));
-                partial += d;
               }
             });
       },
       [] { return 0.0; },
-      [&] { return snapshot_time(r.stats.counters, sinks, prof); });
+      [&] { return snapshot_time(stats.counters, sinks, prof); });
 }
 
 class EdgeEngine final : public Engine {
@@ -317,28 +311,29 @@ class EdgeEngine final : public Engine {
   using Engine::Engine;
 
  protected:
-  [[nodiscard]] BpResult do_run(const FactorGraph& g,
-                                const BpOptions& opts) const override {
+  [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
+                               runtime::BeliefState& state) const override {
     // Families without log-space accumulators sweep Jacobi-style. The work
     // queue has no incremental form there, so queued runs sweep densely.
     if (graph::is_ldpc(g.family())) {
       return run_on_backend(
-          *this, g, opts,
+          *this, opts,
           [&](auto& backend, std::span<WorkerSink> sinks,
-              const perf::HardwareProfile& prof, BpResult& r) {
-            jacobi_sweep<LdpcKernel>(g, opts, prof, backend, sinks, r);
+              const perf::HardwareProfile& prof, BpStats& stats) {
+            jacobi_sweep<LdpcKernel>(g, opts, prof, backend, sinks, state,
+                                     stats);
           });
     }
     // The incremental queue is c-edge's; omp-edge sweeps densely with it.
     if (opts.work_queue &&
         hardware().kind == perf::PlatformKind::kCpuSerial) {
-      return run_queued(g, opts);
+      return run_queued(g, opts, state);
     }
     return run_on_backend(
-        *this, g, opts,
+        *this, opts,
         [&](auto& backend, std::span<WorkerSink> sinks,
-            const perf::HardwareProfile& prof, BpResult& r) {
-          edge_sweep(g, opts, prof, backend, sinks, r);
+            const perf::HardwareProfile& prof, BpStats& stats) {
+          edge_sweep(g, opts, prof, backend, sinks, state, stats);
         });
   }
 
@@ -346,12 +341,11 @@ class EdgeEngine final : public Engine {
   /// §3.5 queued form: per-edge message caches are updated incrementally
   /// (acc += log(new) - log(old)); only edges whose source changed last
   /// iteration are reprocessed. EdgeFrontier schedule.
-  [[nodiscard]] BpResult run_queued(const FactorGraph& g,
-                                    const BpOptions& opts) const {
-    const util::Timer timer;
-    BpResult r;
-    r.beliefs = runtime::initial_state(g, opts);
-    perf::Meter meter(r.stats.counters);
+  [[nodiscard]] BpStats run_queued(const FactorGraph& g,
+                                   const BpOptions& opts,
+                                   runtime::BeliefState& state) const {
+    BpStats stats;
+    perf::Meter meter(stats.counters);
 
     const NodeId n = g.num_nodes();
     const auto& edges = g.edges();
@@ -373,7 +367,7 @@ class EdgeEngine final : public Engine {
 
     EdgeBlockScratch scratch;
     runtime::run_loop(
-        opts, r.stats, ctl, sched,
+        opts, stats, ctl, sched,
         [&](std::uint32_t, runtime::IterationOutcome& out) {
           // Phase 1: replay queued edges with incremental combines. The
           // queue is rebuilt in ascending edge-id order (nodes scanned in
@@ -391,10 +385,9 @@ class EdgeEngine final : public Engine {
               ++out.processed;
               const auto& ed = edges[e];
               meter.seq_read(sizeof(ed));
-              const BeliefVec& src = r.beliefs[ed.src];
-              meter.seq_read(belief_bytes(src.size));
+              scratch.srcs[k] = state.lanes(ed.src);
+              meter.seq_read(belief_bytes(state.arity(ed.src)));
               charge_joint_load(meter, joints, e);
-              scratch.srcs[k] = &src;
               if (!joints.is_shared()) scratch.mats[k] = &joints.at(e);
             }
             meter.flop(compute_block(joints, scratch, count));
@@ -427,16 +420,14 @@ class EdgeEngine final : public Engine {
             if (!dirty[v]) continue;
             dirty[v] = 0;
             if (g.observed(v)) continue;
-            const std::uint32_t arity = g.arity(v);
-            BeliefVec nb;
-            meter.flop(softmax(acc.data() + static_cast<std::size_t>(v) * b,
-                               arity, nb));
+            const std::uint32_t arity = state.arity(v);
+            std::uint64_t flops = 0;
+            const float d =
+                marginalize(acc.data() + static_cast<std::size_t>(v) * b,
+                            arity, state.lanes(v), ctl, flops);
+            meter.flop(flops);
             meter.near_read(4ull * arity);
-            meter.flop(ctl.damp(nb, r.beliefs[v]));
-            const float d = graph::l1_diff(r.beliefs[v], nb);
-            meter.flop(2ull * arity);
             meter.rand_read(belief_bytes(arity));
-            r.beliefs[v] = nb;
             meter.rand_write(belief_bytes(arity));
             sum += d;
             if (ctl.element_active(d)) {
@@ -452,9 +443,9 @@ class EdgeEngine final : public Engine {
           out.delta = sum;
         },
         [] { return 0.0; },
-        [&] { return perf::model_time(r.stats.counters, hardware()); });
-    finish(r, timer, hardware());
-    return r;
+        [&] { return perf::model_time(stats.counters, hardware()); });
+    finish(stats, hardware());
+    return stats;
   }
 };
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bp/engines_internal.h"
+#include "bp/runtime/belief_state.h"
 #include "bp/runtime/init.h"
 #include "graph/reorder.h"
 #include "util/error.h"
@@ -47,6 +48,7 @@ Engine::Engine(EngineKind kind, perf::HardwareProfile profile)
 
 BpResult Engine::run(const graph::FactorGraph& g,
                      const BpOptions& opts) const {
+  const util::Timer timer;
   if (const auto s = opts.validate_status(); !s.is_ok()) {
     throw util::InvalidArgument(s.message());
   }
@@ -89,15 +91,11 @@ BpResult Engine::run(const graph::FactorGraph& g,
         "BpOptions: init_beliefs must hold exactly one belief per node");
   }
   // Callers speak original node ids; do_run speaks the graph's internal
-  // (possibly reordered) ids. Translate both warm inputs here, in the same
-  // place the outputs are translated back, so engine bodies never see a
-  // permutation.
+  // (possibly reordered) ids. The state reads warm input through the
+  // permutation and writes the result back through it; the seed is
+  // translated here, so engine bodies never see a permutation.
   const graph::Permutation* perm = g.permutation();
   BpOptions eff = opts;
-  if (opts.init_beliefs && perm != nullptr) {
-    eff.init_beliefs = std::make_shared<std::vector<graph::BeliefVec>>(
-        perm->apply(*opts.init_beliefs));
-  }
   if (opts.frontier_seed) {
     std::vector<graph::NodeId> touched;
     touched.reserve(opts.frontier_seed->size());
@@ -116,18 +114,24 @@ BpResult Engine::run(const graph::FactorGraph& g,
     // the caller's damping untouched.
     eff.damping = std::max(eff.damping, opts.frontier_damping);
   }
-  BpResult result = do_run(g, eff);
+  runtime::BeliefState state(g, eff);
+  BpResult result;
+  result.stats = do_run(g, eff, state);
   if (eff.frontier_seed) {
     result.stats.frontier_seeded = eff.frontier_seed->size();
   }
-  // The locality pass renumbers nodes at build time; results leave the
+  // The one write of BpResult::beliefs, fused with the un-permute: the
+  // locality pass renumbers nodes at build time, and results leave the
   // engine layer in the caller's original ids so the pass stays invisible
-  // above the graph layer. Timed so request spans can report the phase.
-  if (perm != nullptr) {
-    const util::Timer unpermute_timer;
-    result.beliefs = perm->unapply(result.beliefs);
-    result.stats.unpermute_seconds = unpermute_timer.seconds();
-  }
+  // above the graph layer. The result is allocated (its pages faulted in)
+  // on the host clock, as it would be without a permutation; the write
+  // pass is timed so request spans can report the phase.
+  result.beliefs.resize(g.num_nodes());
+  const double before_write = timer.seconds();
+  state.unpack(perm, result.beliefs);
+  const double total = timer.seconds();
+  if (perm != nullptr) result.stats.unpermute_seconds = total - before_write;
+  result.stats.host_seconds = total - result.stats.unpermute_seconds;
   return result;
 }
 

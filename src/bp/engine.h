@@ -16,6 +16,10 @@
 
 namespace credo::bp {
 
+namespace runtime {
+class BeliefState;  // bp/runtime/belief_state.h
+}
+
 /// Engine identifiers, named as the paper names them.
 enum class EngineKind {
   kCpuNode,   // "C Node"  — sequential, per-node processing
@@ -94,9 +98,12 @@ class Engine {
   /// Runs BP on `g` to convergence (or the iteration cap) and returns the
   /// marginal beliefs. Validates `opts` first (BpOptions::validate, which
   /// throws util::InvalidArgument on out-of-domain settings). The graph is
-  /// not modified; engines copy the mutable state they need. When `g` was
-  /// built through the locality pass (graph/reorder.h), the returned
-  /// beliefs are un-permuted back to the caller's original node ids.
+  /// not modified: the run packs its own belief state (a
+  /// runtime::BeliefState) and writes the result from it once. When `g`
+  /// was built through the locality pass (graph/reorder.h), warm input is
+  /// read and the returned beliefs are written in the caller's original
+  /// node ids. `host_seconds` covers the run except that write pass when
+  /// it un-permutes, which `unpermute_seconds` times.
   [[nodiscard]] BpResult run(const graph::FactorGraph& g,
                              const BpOptions& opts) const;
 
@@ -105,9 +112,13 @@ class Engine {
   }
 
  protected:
-  /// Engine implementation hook; `opts` arrives validated.
-  [[nodiscard]] virtual BpResult do_run(const graph::FactorGraph& g,
-                                        const BpOptions& opts) const = 0;
+  /// Engine implementation hook; `opts` arrives validated. Runs on
+  /// `state` — packed in g's internal ids, holding the priors and any warm
+  /// overlay — and leaves the final beliefs in it; returns the run's stats
+  /// without the host-time fields, which run() stamps.
+  [[nodiscard]] virtual BpStats do_run(const graph::FactorGraph& g,
+                                       const BpOptions& opts,
+                                       runtime::BeliefState& state) const = 0;
 
  private:
   EngineKind kind_;

@@ -12,6 +12,7 @@
 
 #include "bp/engine.h"
 #include "bp/runtime/backend.h"
+#include "bp/runtime/convergence.h"
 #include "graph/belief.h"
 #include "graph/belief_kernels.h"
 #include "graph/csr.h"
@@ -19,7 +20,6 @@
 #include "parallel/thread_pool.h"
 #include "perf/cost_model.h"
 #include "perf/profiles.h"
-#include "util/timer.h"
 
 namespace credo::bp::internal {
 
@@ -103,13 +103,11 @@ inline perf::TimeBreakdown snapshot_time(const perf::Counters& main,
 }
 
 /// Folds the worker sinks into the run's counters, then stamps the
-/// modelled time on `p` and the host time since `timer` started.
-inline void finish(BpResult& r, const util::Timer& timer,
-                   const perf::HardwareProfile& p,
+/// modelled time on `p`. (Engine::run stamps the host time.)
+inline void finish(BpStats& stats, const perf::HardwareProfile& p,
                    std::span<const WorkerSink> sinks = {}) {
-  for (const auto& s : sinks) r.stats.counters.add(s.counters);
-  r.stats.time = perf::model_time(r.stats.counters, p);
-  r.stats.host_seconds = timer.seconds();
+  for (const auto& s : sinks) stats.counters.add(s.counters);
+  stats.time = perf::model_time(stats.counters, p);
 }
 
 /// Messages are clamped away from zero before entering log space so a
@@ -121,23 +119,41 @@ inline float log_msg(float v) noexcept {
   return std::log(v < kMsgFloor ? kMsgFloor : v);
 }
 
-/// Numerically stable exp-normalization of a log-space accumulator into a
-/// belief vector. Returns flops performed.
+/// Numerically stable exp-normalization of a log-space accumulator into
+/// the n live lanes of `out`. Returns flops performed.
 inline std::uint32_t softmax(const float* log_acc, std::uint32_t n,
-                             graph::BeliefVec& out) noexcept {
-  out.size = n;
+                             float* out) noexcept {
   float maxv = log_acc[0];
   for (std::uint32_t i = 1; i < n; ++i) {
     if (log_acc[i] > maxv) maxv = log_acc[i];
   }
   float sum = 0.0f;
   for (std::uint32_t i = 0; i < n; ++i) {
-    out.v[i] = std::exp(log_acc[i] - maxv);
-    sum += out.v[i];
+    out[i] = std::exp(log_acc[i] - maxv);
+    sum += out[i];
   }
   const float inv = 1.0f / sum;
-  for (std::uint32_t i = 0; i < n; ++i) out.v[i] *= inv;
+  for (std::uint32_t i = 0; i < n; ++i) out[i] *= inv;
   return 4 * n;
+}
+
+/// The edge engines' marginalization of one node: softmax of its log-space
+/// accumulator, damping against its current lanes `cur`, then the store
+/// into them. Returns the belief's L1 change; `flops` gains the
+/// arithmetic.
+inline float marginalize(const float* log_acc, std::uint32_t n, float* cur,
+                         const runtime::ConvergenceController& ctl,
+                         std::uint64_t& flops) noexcept {
+  return graph::with_padded_width(n, [&]<std::uint32_t W>() {
+    float nb[W];
+    flops += softmax(log_acc, n, nb);
+    for (std::uint32_t i = n; i < W; ++i) nb[i] = 0.0f;
+    flops += ctl.damp<W>(nb, cur, n);
+    const float d = graph::l1_diff_lanes(cur, nb, n);
+    flops += 2ull * n;
+    for (std::uint32_t i = 0; i < W; ++i) cur[i] = nb[i];
+    return d;
+  });
 }
 
 /// Flop cost of one message computation (matvec + normalize), matching
@@ -169,10 +185,10 @@ inline std::uint64_t belief_bytes(std::uint32_t arity) noexcept {
 }
 
 /// Scratch for one kEdgeBlock-wide pass through the batched message kernel:
-/// gathered source-belief and joint-matrix pointers plus the message
+/// gathered source lanes and joint-matrix pointers plus the message
 /// outputs. ~2.5 KiB, L1-resident; hoist one instance per worker.
 struct EdgeBlockScratch {
-  std::array<const graph::BeliefVec*, graph::kEdgeBlock> srcs;
+  std::array<const float*, graph::kEdgeBlock> srcs;
   std::array<const graph::JointMatrix*, graph::kEdgeBlock> mats;
   std::array<graph::BeliefVec, graph::kEdgeBlock> msgs;
 };
@@ -189,37 +205,6 @@ inline std::uint64_t compute_block(const graph::JointStore& joints,
                                                count)
              : graph::compute_messages_batched(s.mats.data(), s.srcs.data(),
                                                s.msgs.data(), count);
-}
-
-/// Node-paradigm pull: walks v's in-edges in kEdgeBlock blocks through the
-/// batched message kernel and combines in CSR order — bit-identical to the
-/// per-edge path, with the joint-matrix loads amortized per block. Metering
-/// matches the per-edge form event for event: every parent touch is a
-/// scattered DRAM read.
-inline void pull_parents_blocked(std::span<const graph::Csr::Entry> nbrs,
-                                 const std::vector<graph::BeliefVec>& beliefs,
-                                 const graph::JointStore& joints,
-                                 perf::Meter& meter, EdgeBlockScratch& s,
-                                 graph::BeliefVec& acc) {
-  const bool shared = joints.is_shared();
-  for (std::size_t base = 0; base < nbrs.size();
-       base += graph::kEdgeBlock) {
-    const std::size_t count =
-        std::min(graph::kEdgeBlock, nbrs.size() - base);
-    for (std::size_t k = 0; k < count; ++k) {
-      const auto& entry = nbrs[base + k];
-      meter.seq_read(sizeof(entry));  // adjacency index walk
-      const graph::BeliefVec& parent = beliefs[entry.node];
-      meter.rand_read(belief_bytes(parent.size));
-      charge_joint_load(meter, joints, entry.edge);
-      s.srcs[k] = &parent;
-      if (!shared) s.mats[k] = &joints.at(entry.edge);
-    }
-    meter.flop(compute_block(joints, s, count));
-    for (std::size_t k = 0; k < count; ++k) {
-      meter.flop(graph::combine(acc, s.msgs[k]));
-    }
-  }
 }
 
 }  // namespace credo::bp::internal

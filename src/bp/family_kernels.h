@@ -11,9 +11,8 @@
 // dispatches on the family.
 //
 // A kernel K provides:
-//   K(g, opts, ctl, beliefs, meter)         per-run state; set-up metered
-//   K::Worker                               per-worker scratch
-//   float update(worker, v, meter)          Gauss-Seidel update, returns Δ
+//   K(g, opts, ctl, state, meter)           per-run state; set-up metered
+//   float update(v, meter)                  Gauss-Seidel update, returns Δ
 //   void keep(meter, iter, v, push)         §3.5 re-enqueue of a live node
 //   bool syndrome_met(meter)                alternative stopping rule
 //   NodeId phase_split()                    first node of the second phase
@@ -22,12 +21,14 @@
 // c-edge and omp-edge), begin_jacobi / jacobi_update / end_jacobi_sweep.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "bp/engines_internal.h"
+#include "bp/runtime/belief_state.h"
 #include "bp/runtime/convergence.h"
 #include "bp/runtime/driver.h"
 #include "bp/runtime/schedule.h"
@@ -35,43 +36,29 @@
 namespace credo::bp::internal {
 
 // ---------------------------------------------------------------------------
-// Tabular: joint-matrix pull, damping, BeliefVec state.
+// Tabular: joint-matrix pull, damping, packed belief state.
 // ---------------------------------------------------------------------------
 
 class TabularKernel {
  public:
-  struct alignas(64) Worker {
-    EdgeBlockScratch scratch;
-    graph::BeliefVec prev;
-  };
-
   TabularKernel(const graph::FactorGraph& g, const BpOptions& /*opts*/,
                 const runtime::ConvergenceController& ctl,
-                std::vector<graph::BeliefVec>& beliefs,
-                perf::Meter& /*meter*/) noexcept
-      : g_(g), ctl_(ctl), beliefs_(beliefs) {}
+                runtime::BeliefState& state, perf::Meter& /*meter*/) noexcept
+      : g_(g),
+        ctl_(ctl),
+        state_(state),
+        shared_(g.joints().is_shared() ? &g.joints().shared_matrix()
+                                       : nullptr) {}
 
-  /// The tabular node update (Algorithm 1 lines 5-12): recomputes
-  /// beliefs[v] from its parents and returns the belief's L1 change. Every
-  /// belief touch is a scattered DRAM access.
-  float update(Worker& w, graph::NodeId v, perf::Meter& meter) {
-    graph::BeliefVec& prev = w.prev;
-    graph::copy_belief(prev, beliefs_[v]);
-    meter.rand_read(belief_bytes(prev.size));
-    // The new belief combines the incoming updates only — priors enter as
-    // the initial state.
-    graph::BeliefVec acc = graph::BeliefVec::ones(prev.size);
-    meter.seq_read(sizeof(std::uint64_t));  // CSR offset
-    pull_parents_blocked(g_.in_csr().neighbors(v), beliefs_, g_.joints(),
-                         meter, w.scratch, acc);
-    graph::normalize(acc);
-    meter.flop(2ull * acc.size);
-    meter.flop(ctl_.damp(acc, prev));
-    graph::copy_belief(beliefs_[v], acc);
-    meter.rand_write(belief_bytes(acc.size));
-    const float d = graph::l1_diff(prev, acc);
-    meter.flop(2ull * acc.size);
-    return d;
+  /// The tabular node update (Algorithm 1 lines 5-12): recomputes v's
+  /// belief from its parents and returns its L1 change, at v's padded
+  /// width — every in-edge's J.cols is v's arity, so one W serves the
+  /// whole update.
+  float update(graph::NodeId v, perf::Meter& meter) {
+    const std::uint32_t n = state_.arity(v);
+    return graph::with_padded_width(n, [&]<std::uint32_t W>() {
+      return update<W>(v, n, meter);
+    });
   }
 
   /// A still-active node re-enqueues itself.
@@ -95,9 +82,63 @@ class TabularKernel {
                                perf::Meter& /*meter*/) noexcept {}
 
  private:
+  /// The update on `float[W]` temporaries: walks v's in-edges in
+  /// kEdgeBlock blocks through the batched block body, combining in CSR
+  /// order, so it is bit-identical to the per-edge kernels with the
+  /// joint-matrix loads amortized per block. Every belief touch is a
+  /// scattered DRAM access, metered event for event as the per-edge form.
+  template <std::uint32_t W>
+  float update(graph::NodeId v, std::uint32_t n, perf::Meter& meter) {
+    float* cur = state_.lanes(v);
+    float prev[W];
+    for (std::uint32_t i = 0; i < W; ++i) prev[i] = cur[i];
+    meter.rand_read(belief_bytes(n));
+    // The new belief combines the incoming updates only — priors enter as
+    // the initial state.
+    float acc[W];
+    for (std::uint32_t i = 0; i < W; ++i) acc[i] = i < n ? 1.0f : 0.0f;
+    meter.seq_read(sizeof(std::uint64_t));  // CSR offset
+    const auto nbrs = g_.in_csr().neighbors(v);
+    const graph::JointStore& joints = g_.joints();
+    const float* srcs[graph::kEdgeBlock];
+    const graph::JointMatrix* mats[graph::kEdgeBlock];
+    float msgs[graph::kEdgeBlock][W];
+    const auto out = [&](std::size_t k) { return msgs[k]; };
+    for (std::size_t base = 0; base < nbrs.size();
+         base += graph::kEdgeBlock) {
+      const std::size_t count =
+          std::min(graph::kEdgeBlock, nbrs.size() - base);
+      for (std::size_t k = 0; k < count; ++k) {
+        const auto& entry = nbrs[base + k];
+        meter.seq_read(sizeof(entry));  // adjacency index walk
+        srcs[k] = state_.lanes(entry.node);
+        meter.rand_read(belief_bytes(state_.arity(entry.node)));
+        charge_joint_load(meter, joints, entry.edge);
+        if (shared_ == nullptr) mats[k] = &joints.at(entry.edge);
+      }
+      meter.flop(shared_ != nullptr
+                     ? graph::detail::messages_block<W>(*shared_, srcs,
+                                                        count, out)
+                     : graph::detail::messages_block<W>(mats, srcs, count,
+                                                        out));
+      for (std::size_t k = 0; k < count; ++k) {
+        meter.flop(graph::combine_lanes<W>(acc, msgs[k], n));
+      }
+    }
+    graph::normalize_lanes<W>(acc, n);
+    meter.flop(2ull * n);
+    meter.flop(ctl_.damp<W>(acc, prev, n));
+    for (std::uint32_t i = 0; i < W; ++i) cur[i] = acc[i];
+    meter.rand_write(belief_bytes(n));
+    const float d = graph::l1_diff_lanes(prev, acc, n);
+    meter.flop(2ull * n);
+    return d;
+  }
+
   const graph::FactorGraph& g_;
   const runtime::ConvergenceController& ctl_;
-  std::vector<graph::BeliefVec>& beliefs_;
+  runtime::BeliefState& state_;
+  const graph::JointMatrix* shared_;  // the §2.2 shared matrix, if any
 };
 
 // ---------------------------------------------------------------------------
@@ -117,17 +158,15 @@ class TabularKernel {
 
 class LdpcKernel {
  public:
-  struct Worker {};
-
   LdpcKernel(const graph::FactorGraph& g, const BpOptions& opts,
              const runtime::ConvergenceController& ctl,
-             std::vector<graph::BeliefVec>& beliefs, perf::Meter& meter);
+             runtime::BeliefState& state, perf::Meter& meter);
 
   /// Gauss-Seidel in place: reads current messages, rewrites v's outgoing
   /// ones. Workers write disjoint edges (each directed edge has one
   /// source); torn reads of a neighbor's in-flight message are the chaotic
   /// relaxation the tabular §2.4 engines already make.
-  float update(Worker& /*w*/, graph::NodeId v, perf::Meter& meter) {
+  float update(graph::NodeId v, perf::Meter& meter) {
     return update_node(msg_.data(), msg_.data(), v, meter);
   }
 
@@ -188,7 +227,7 @@ class LdpcKernel {
 
   const graph::FactorGraph& g_;
   const runtime::ConvergenceController& ctl_;
-  std::vector<graph::BeliefVec>& beliefs_;
+  runtime::BeliefState& state_;
   graph::NodeId vars_;  // variables are [0, vars_), checks [vars_, n)
   bool min_sum_;        // kLdpcMinSum: two-min approximation of the check
   std::vector<float> llr_;           // per variable: log(P(0) / P(1))
@@ -212,15 +251,16 @@ class LdpcKernel {
 template <typename Kernel, typename Backend>
 void jacobi_sweep(const graph::FactorGraph& g, const BpOptions& opts,
                   const perf::HardwareProfile& prof, Backend& backend,
-                  std::span<WorkerSink> sinks, BpResult& r) {
-  perf::Meter main_meter(r.stats.counters);
+                  std::span<WorkerSink> sinks, runtime::BeliefState& state,
+                  BpStats& stats) {
+  perf::Meter main_meter(stats.counters);
   const runtime::ConvergenceController ctl(
       opts, runtime::ConvergenceController::Cadence::kEveryIteration);
-  Kernel kernel(g, opts, ctl, r.beliefs, main_meter);
+  Kernel kernel(g, opts, ctl, state, main_meter);
   kernel.begin_jacobi();
   runtime::DenseSweep sched(g.num_edges());
   runtime::run_loop(
-      opts, r.stats, ctl, sched,
+      opts, stats, ctl, sched,
       [&](std::uint32_t iter, runtime::IterationOutcome& out) {
         out.delta = backend.reduce_range(
             0, g.num_nodes(),
@@ -240,8 +280,8 @@ void jacobi_sweep(const graph::FactorGraph& g, const BpOptions& opts,
         }
       },
       [] { return 0.0; },  // delta is never deferred on the CPU
-      [&] { return snapshot_time(r.stats.counters, sinks, prof); });
-  kernel.finish(r.stats, main_meter);
+      [&] { return snapshot_time(stats.counters, sinks, prof); });
+  kernel.finish(stats, main_meter);
 }
 
 }  // namespace credo::bp::internal

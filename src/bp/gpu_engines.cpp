@@ -21,6 +21,7 @@
 
 #include "bp/engines_internal.h"
 #include "bp/runtime/backend.h"
+#include "bp/runtime/belief_state.h"
 #include "bp/runtime/convergence.h"
 #include "bp/runtime/device_schedule.h"
 #include "bp/runtime/driver.h"
@@ -29,7 +30,6 @@
 #include "gpusim/device.h"
 #include "graph/metadata.h"
 #include "util/error.h"
-#include "util/timer.h"
 
 namespace credo::bp::internal {
 namespace {
@@ -155,14 +155,15 @@ std::uint64_t warp_divergence_slots(std::uint64_t count, DegreeFn&& degree) {
   return extra;
 }
 
-/// Copies final beliefs back and fills in common result fields.
-void download(Device& dev, DeviceGraph& d, BpResult& r,
-              const util::Timer& timer) {
-  r.beliefs.resize(d.beliefs.size());
-  dev.d2h<BeliefVec>(r.beliefs, d.beliefs);
-  r.stats.counters = dev.counters();
-  r.stats.time = dev.modelled_time();
-  r.stats.host_seconds = timer.seconds();
+/// Copies final beliefs back into the run's packed state and fills in
+/// the device's counters and modelled time.
+void download(Device& dev, DeviceGraph& d, runtime::BeliefState& state,
+              BpStats& stats) {
+  std::vector<BeliefVec> beliefs(d.beliefs.size());
+  dev.d2h<BeliefVec>(beliefs, d.beliefs);
+  for (NodeId v = 0; v < beliefs.size(); ++v) state.store(v, beliefs[v]);
+  stats.counters = dev.counters();
+  stats.time = dev.modelled_time();
 }
 
 // ---------------------------------------------------------------------------
@@ -174,15 +175,14 @@ class CudaNodeEngine final : public Engine {
   using Engine::Engine;
 
  protected:
-  [[nodiscard]] BpResult do_run(const FactorGraph& g,
-                                const BpOptions& opts) const override {
-    const util::Timer timer;
+  [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
+                               runtime::BeliefState& state) const override {
     Device dev(hardware());
     DeviceGraph d = upload(dev, g, /*need_in_csr=*/true,
                            /*need_edges=*/false);
     const NodeId n = g.num_nodes();
 
-    BpResult r;
+    BpStats stats;
     const auto beliefs = d.beliefs.span();
     const auto observed = d.observed.cspan();
     const auto offsets = d.in_offsets.cspan();
@@ -198,7 +198,7 @@ class CudaNodeEngine final : public Engine {
     runtime::DeviceBackend backend(dev, opts.block_threads);
 
     runtime::run_loop(
-        opts, r.stats, ctl, sched,
+        opts, stats, ctl, sched,
         [&](std::uint32_t iter, runtime::IterationOutcome& out) {
           out.delta_valid = false;  // sum lives on-device until a check
           const std::uint64_t count = sched.size();
@@ -241,8 +241,9 @@ class CudaNodeEngine final : public Engine {
                   graph::kEdgeBlock, hi - base);
               for (std::size_t k = 0; k < bcount; ++k) {
                 const auto entry = entries.load(ctx, base + k);
-                scratch.srcs[k] = &beliefs.load_scattered_bytes(
+                const BeliefVec& src = beliefs.load_scattered_bytes(
                     ctx, entry.node, belief_bytes(prev.size));
+                scratch.srcs[k] = src.v.data();
                 scratch.mats[k] = &d.joint(ctx, entry.edge);
               }
               ctx.flop(d.shared_joint
@@ -317,8 +318,8 @@ class CudaNodeEngine final : public Engine {
         // scalar transfer.
         [&] { return backend.reduce_to_host(d.diff, n); },
         [&] { return dev.modelled_time(); });
-    download(dev, d, r, timer);
-    return r;
+    download(dev, d, state, stats);
+    return stats;
   }
 };
 
@@ -331,15 +332,15 @@ class CudaEdgeEngine final : public Engine {
   using Engine::Engine;
 
  protected:
-  [[nodiscard]] BpResult do_run(const FactorGraph& g,
-                                const BpOptions& opts) const override {
-    return opts.work_queue ? run_queued(g, opts) : run_full(g, opts);
+  [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
+                               runtime::BeliefState& state) const override {
+    return opts.work_queue ? run_queued(g, opts, state)
+                           : run_full(g, opts, state);
   }
 
  private:
-  [[nodiscard]] BpResult run_full(const FactorGraph& g,
-                                  const BpOptions& opts) const {
-    const util::Timer timer;
+  [[nodiscard]] BpStats run_full(const FactorGraph& g, const BpOptions& opts,
+                                 runtime::BeliefState& state) const {
     Device dev(hardware());
     DeviceGraph d = upload(dev, g, /*need_in_csr=*/false,
                            /*need_edges=*/true);
@@ -355,14 +356,14 @@ class CudaEdgeEngine final : public Engine {
     const auto edges = d.edges.cspan();
     const auto diff = d.diff.span();
 
-    BpResult r;
+    BpStats stats;
     runtime::DenseSweep sched(m);
     const runtime::ConvergenceController ctl(
         opts, runtime::ConvergenceController::Cadence::kBatched);
     runtime::DeviceBackend backend(dev, opts.block_threads);
 
     runtime::run_loop(
-        opts, r.stats, ctl, sched,
+        opts, stats, ctl, sched,
         [&](std::uint32_t, runtime::IterationOutcome& out) {
           out.delta_valid = false;
 
@@ -411,7 +412,8 @@ class CudaEdgeEngine final : public Engine {
                   acc.load(ctx, static_cast<std::size_t>(v) * b + s);
             }
             BeliefVec nb;
-            ctx.flop(softmax(local, arity, nb));
+            nb.size = arity;
+            ctx.flop(softmax(local, arity, nb.v.data()));
             const BeliefVec prev =
                 beliefs.load_bytes(ctx, v, belief_bytes(arity));
             ctx.flop(ctl.damp(nb, prev));
@@ -423,13 +425,13 @@ class CudaEdgeEngine final : public Engine {
         },
         [&] { return backend.reduce_to_host(d.diff, n); },
         [&] { return dev.modelled_time(); });
-    download(dev, d, r, timer);
-    return r;
+    download(dev, d, state, stats);
+    return stats;
   }
 
-  [[nodiscard]] BpResult run_queued(const FactorGraph& g,
-                                    const BpOptions& opts) const {
-    const util::Timer timer;
+  [[nodiscard]] BpStats run_queued(const FactorGraph& g,
+                                   const BpOptions& opts,
+                                   runtime::BeliefState& state) const {
     Device dev(hardware());
     DeviceGraph d = upload(dev, g, /*need_in_csr=*/false,
                            /*need_edges=*/true);
@@ -476,13 +478,13 @@ class CudaEdgeEngine final : public Engine {
     const auto ooffs = out_off.cspan();
     const auto oents = out_ent.cspan();
 
-    BpResult r;
+    BpStats stats;
     const runtime::ConvergenceController ctl(
         opts, runtime::ConvergenceController::Cadence::kBatched);
     runtime::DeviceBackend backend(dev, opts.block_threads);
 
     runtime::run_loop(
-        opts, r.stats, ctl, sched,
+        opts, stats, ctl, sched,
         [&](std::uint32_t iter, runtime::IterationOutcome& out) {
           out.delta_valid = false;
           const std::uint64_t queued = sched.size();
@@ -538,7 +540,8 @@ class CudaEdgeEngine final : public Engine {
                   acc.load_near(ctx, static_cast<std::size_t>(v) * b + s);
             }
             BeliefVec nb;
-            ctx.flop(softmax(local, arity, nb));
+            nb.size = arity;
+            ctx.flop(softmax(local, arity, nb.v.data()));
             const BeliefVec prev =
                 beliefs.load_scattered_bytes(ctx, v, belief_bytes(arity));
             ctx.flop(ctl.damp(nb, prev));
@@ -566,8 +569,8 @@ class CudaEdgeEngine final : public Engine {
         },
         [&] { return backend.reduce_to_host(d.diff, n); },
         [&] { return dev.modelled_time(); });
-    download(dev, d, r, timer);
-    return r;
+    download(dev, d, state, stats);
+    return stats;
   }
 };
 

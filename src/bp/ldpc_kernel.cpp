@@ -44,25 +44,23 @@ inline float clamp_llr(float x) noexcept {
   return x < -kLlrClamp ? -kLlrClamp : (x > kLlrClamp ? kLlrClamp : x);
 }
 
-/// Posterior bit marginal of a total LLR, stable for either sign.
-BeliefVec bit_marginal(float total) noexcept {
-  BeliefVec nb;
-  nb.size = 2;
+/// Posterior bit marginal of a total LLR, stable for either sign, into
+/// two lanes.
+void bit_marginal(float total, float* out) noexcept {
   const float e = std::exp(-std::fabs(total));
   const float big = 1.0f / (1.0f + e);
-  nb.v[0] = total >= 0.0f ? big : 1.0f - big;
-  nb.v[1] = 1.0f - nb.v[0];
-  return nb;
+  out[0] = total >= 0.0f ? big : 1.0f - big;
+  out[1] = 1.0f - out[0];
 }
 
 }  // namespace
 
 LdpcKernel::LdpcKernel(const graph::FactorGraph& g, const BpOptions& opts,
                        const runtime::ConvergenceController& ctl,
-                       std::vector<BeliefVec>& beliefs, perf::Meter& meter)
+                       runtime::BeliefState& state, perf::Meter& meter)
     : g_(g),
       ctl_(ctl),
-      beliefs_(beliefs),
+      state_(state),
       vars_(g.ldpc_variables()),
       min_sum_(g.family() == graph::FactorFamily::kLdpcMinSum) {
   const NodeId n = g.num_nodes();
@@ -126,12 +124,15 @@ float LdpcKernel::update_node(const float* in_msg, float* out_msg, NodeId v,
       meter.rand_write(4);
       meter.flop(2);
     }
-    const BeliefVec nb = bit_marginal(total);
+    float nb[2];
+    bit_marginal(total, nb);
     meter.flop(5);
-    const float d = graph::l1_diff(beliefs_[v], nb);
+    float* cur = state_.lanes(v);
+    const float d = graph::l1_diff_lanes(cur, nb, 2);
     meter.flop(4);
     meter.rand_read(belief_bytes(2));
-    graph::copy_belief(beliefs_[v], nb);
+    cur[0] = nb[0];
+    cur[1] = nb[1];
     meter.rand_write(belief_bytes(2));
     return d;
   }
@@ -255,7 +256,7 @@ void LdpcKernel::finish(BpStats& stats, perf::Meter& meter) {
     for (const auto& entry : g_.in_csr().neighbors(v)) {
       total += msg_[entry.edge];
     }
-    graph::copy_belief(beliefs_[v], bit_marginal(total));
+    bit_marginal(total, state_.lanes(v));
   }
   meter.seq_read(4ull * g_.num_edges() / 2 + 4ull * vars_);
   meter.seq_write(belief_bytes(2) * vars_);

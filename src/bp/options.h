@@ -259,9 +259,9 @@ struct BpOptions {
 };
 
 /// Outcome of a run. `time` is the modelled execution time on the engine's
-/// hardware profile (see DESIGN.md §2); `host_seconds` is the real time the
-/// simulation itself took (reported for transparency, never used in the
-/// paper-reproduction tables).
+/// hardware profile (see DESIGN.md §2); `host_seconds` is the real time
+/// Engine::run took, less `unpermute_seconds` (reported for transparency,
+/// never used in the paper-reproduction tables).
 struct BpStats {
   std::uint32_t iterations = 0;
   bool converged = false;
@@ -271,9 +271,11 @@ struct BpStats {
   perf::TimeBreakdown time;
   double host_seconds = 0.0;
 
-  /// Host time Engine::run spent un-permuting beliefs back to the caller's
-  /// original node ids (0 when the graph carried no permutation). Reported
-  /// so request spans can attribute the phase (DESIGN.md §5e).
+  /// Host time of Engine::run's one write of the packed state into
+  /// BpResult::beliefs when it un-permutes them back to the caller's
+  /// original node ids (0 when the graph carried no permutation, and
+  /// host_seconds covers the write). Reported so request spans can
+  /// attribute the phase (DESIGN.md §5e).
   double unpermute_seconds = 0.0;
 
   /// Why the run ended early, if it did (cancellation or a deadline,

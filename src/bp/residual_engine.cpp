@@ -22,12 +22,11 @@
 #include "bp/family_kernels.h"
 #include "bp/runtime/convergence.h"
 #include "bp/runtime/driver.h"
-#include "bp/runtime/init.h"
+#include "bp/runtime/belief_state.h"
 #include "bp/runtime/schedule.h"
 #include "graph/metadata.h"
 #include "perf/cost_model.h"
 #include "util/error.h"
-#include "util/timer.h"
 
 namespace credo::bp::internal {
 namespace {
@@ -40,35 +39,32 @@ class ResidualEngine final : public Engine {
   using Engine::Engine;
 
  protected:
-  [[nodiscard]] BpResult do_run(const FactorGraph& g,
-                                const BpOptions& opts) const override {
-    return graph::is_ldpc(g.family()) ? drain<LdpcKernel>(g, opts)
-                                      : drain<TabularKernel>(g, opts);
+  [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
+                               runtime::BeliefState& state) const override {
+    return graph::is_ldpc(g.family()) ? drain<LdpcKernel>(g, opts, state)
+                                      : drain<TabularKernel>(g, opts, state);
   }
 
  private:
   template <typename Kernel>
-  [[nodiscard]] BpResult drain(const FactorGraph& g,
-                               const BpOptions& opts) const {
-    const util::Timer timer;
-    BpResult r;
-    r.beliefs = runtime::initial_state(g, opts);
-    perf::Meter meter(r.stats.counters);
+  [[nodiscard]] BpStats drain(const FactorGraph& g, const BpOptions& opts,
+                              runtime::BeliefState& state) const {
+    BpStats stats;
+    perf::Meter meter(stats.counters);
 
     const runtime::ConvergenceController ctl(
         opts, runtime::ConvergenceController::Cadence::kEveryIteration);
-    Kernel kernel(g, opts, ctl, r.beliefs, meter);
+    Kernel kernel(g, opts, ctl, state, meter);
     runtime::ResidualSchedule sched(g, ctl, meter, opts.frontier_seed.get());
 
-    typename Kernel::Worker worker;
     runtime::run_priority_loop(
-        opts, g.num_nodes(), r.stats, sched,
-        [&](NodeId v) { return kernel.update(worker, v, meter); },
+        opts, g.num_nodes(), stats, sched,
+        [&](NodeId v) { return kernel.update(v, meter); },
         [&] { return kernel.syndrome_met(meter); },
-        [&] { return perf::model_time(r.stats.counters, hardware()); });
-    kernel.finish(r.stats, meter);
-    finish(r, timer, hardware());
-    return r;
+        [&] { return perf::model_time(stats.counters, hardware()); });
+    kernel.finish(stats, meter);
+    finish(stats, hardware());
+    return stats;
   }
 };
 

@@ -16,6 +16,7 @@
 
 #include "bp/options.h"
 #include "graph/belief.h"
+#include "graph/belief_kernels.h"
 
 namespace credo::bp::runtime {
 
@@ -63,15 +64,23 @@ class ConvergenceController {
   }
 
   /// Applies damping: b = (1-d)*b + d*prev, renormalized. No-op at d == 0.
-  /// Returns flops performed (for the caller's meter).
+  /// Lane form over a padded width W with n live states (the engines'
+  /// packed state); returns flops performed (for the caller's meter).
+  template <std::uint32_t W>
+  std::uint32_t damp(float* b, const float* prev,
+                     std::uint32_t n) const noexcept {
+    if (damping_ <= 0.0f) return 0;
+    graph::blend_lanes(b, prev, n, damping_);
+    graph::normalize_lanes<W>(b, n);
+    return 5 * n;
+  }
+
+  /// BeliefVec form of damp().
   std::uint32_t damp(graph::BeliefVec& b,
                      const graph::BeliefVec& prev) const noexcept {
-    if (damping_ <= 0.0f) return 0;
-    for (std::uint32_t i = 0; i < b.size; ++i) {
-      b.v[i] = (1.0f - damping_) * b.v[i] + damping_ * prev.v[i];
-    }
-    graph::normalize(b);
-    return 5 * b.size;
+    return graph::with_padded_width(b.size, [&]<std::uint32_t W>() {
+      return damp<W>(b.v.data(), prev.v.data(), b.size);
+    });
   }
 
  private:

@@ -3,28 +3,8 @@
 #include <algorithm>
 
 #include "graph/csr.h"
-#include "util/error.h"
 
 namespace credo::bp::runtime {
-
-std::vector<graph::BeliefVec> initial_state(const graph::FactorGraph& g,
-                                            const BpOptions& opts) {
-  std::vector<graph::BeliefVec> state = g.initial_beliefs();
-  if (!opts.init_beliefs) return state;
-  const auto& warm = *opts.init_beliefs;
-  CREDO_CHECK_MSG(warm.size() == state.size(),
-                  "init_beliefs size mismatch (Engine::run checks this)");
-  for (graph::NodeId v = 0; v < state.size(); ++v) {
-    if (g.observed(v)) continue;  // evidence stays pinned
-    if (warm[v].size != state[v].size) {
-      throw util::InvalidArgument(
-          "BpOptions: init_beliefs arity mismatch — warm state does not "
-          "match this graph's node arities");
-    }
-    state[v] = warm[v];
-  }
-  return state;
-}
 
 std::vector<graph::NodeId> expand_frontier_seed(
     const graph::FactorGraph& g, std::span<const graph::NodeId> touched) {

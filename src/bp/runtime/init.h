@@ -1,29 +1,15 @@
-// Initial-state construction for warm-started runs (DESIGN.md §5h).
-//
-// Every engine body starts from `initial_state(g, opts)` instead of
-// `g.initial_beliefs()`: cold runs get the priors exactly as before, and
-// runs carrying BpOptions::init_beliefs get that state overlaid for the
-// unobserved nodes (evidence stays pinned — a warm overlay must never
-// un-observe a node). Frontier seeds are expanded once here, in
-// Engine::run, so the schedules receive the final internal-id node list.
+// Frontier-seed expansion for incremental re-convergence (DESIGN.md §5h).
+// Seeds are expanded once, in Engine::run, so the schedules receive the
+// final internal-id node list. (The warm overlay a seeded run starts from
+// is packed by runtime::BeliefState.)
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "bp/options.h"
-#include "graph/belief.h"
 #include "graph/factor_graph.h"
 
 namespace credo::bp::runtime {
-
-/// The belief state a run starts from, in the graph's internal node ids.
-/// opts.init_beliefs (already permuted by Engine::run when the graph was
-/// reordered) overrides the priors for unobserved nodes; per-node arity is
-/// checked (util::InvalidArgument on mismatch) because a wrong-arity warm
-/// vector would feed the kernels out-of-range state indices.
-[[nodiscard]] std::vector<graph::BeliefVec> initial_state(
-    const graph::FactorGraph& g, const BpOptions& opts);
 
 /// Expands the touched-node list of an evidence delta into the node set a
 /// schedule should start from: the touched nodes plus their out-neighbors

@@ -21,10 +21,10 @@
 #include <vector>
 
 #include "bp/engines_internal.h"
+#include "bp/runtime/belief_state.h"
 #include "bp/runtime/schedule.h"
 #include "perf/cost_model.h"
 #include "util/error.h"
-#include "util/timer.h"
 
 namespace credo::bp::internal {
 namespace {
@@ -40,11 +40,10 @@ class TreeEngine final : public Engine {
   using Engine::Engine;
 
  protected:
-  [[nodiscard]] BpResult do_run(const FactorGraph& g,
-                                const BpOptions& opts) const override {
-    const util::Timer timer;
-    BpResult r;
-    perf::Meter meter(r.stats.counters);
+  [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
+                               runtime::BeliefState& state) const override {
+    BpStats stats;
+    perf::Meter meter(stats.counters);
     const NodeId n = g.num_nodes();
     const auto& edges = g.edges();
 
@@ -70,7 +69,7 @@ class TreeEngine final : public Engine {
     BeliefVec msg;
     auto process_up_edge = [&](EdgeId e) {
       const auto& ed = edges[e];
-      ++r.stats.elements_processed;
+      ++stats.elements_processed;
       meter.rand_read(belief_bytes(up[ed.src].size));
       charge_joint_load(meter, g.joints(), e);
       meter.flop(graph::compute_message(up[ed.src], g.joints().at(e), msg));
@@ -84,13 +83,13 @@ class TreeEngine final : public Engine {
       levels.for_edges(g, l, l - 1, meter, process_up_edge);
       if (l == 1) break;
     }
-    const std::uint64_t pass1_edges = r.stats.elements_processed;
+    const std::uint64_t pass1_edges = stats.elements_processed;
     if (opts.collect_trace) {
       // The sweeps carry no convergence delta (the result is exact on
       // trees), so the records report structure only.
-      r.stats.trace.push_back(runtime::IterationRecord{
+      stats.trace.push_back(runtime::IterationRecord{
           1, 0.0, false, pass1_edges, pass1_edges,
-          perf::model_time(r.stats.counters, hardware())});
+          perf::model_time(stats.counters, hardware())});
     }
 
     // ---- Pass 2 (φ / distribute): roots -> deepest level ----
@@ -101,7 +100,7 @@ class TreeEngine final : public Engine {
     }
     auto process_down_edge = [&](EdgeId e) {
       const auto& ed = edges[e];  // p -> c
-      ++r.stats.elements_processed;
+      ++stats.elements_processed;
       // Exclusion: belief-so-far at p with c's own upward message divided
       // back out.
       BeliefVec excl = up[ed.src];
@@ -131,31 +130,28 @@ class TreeEngine final : public Engine {
     }
     if (opts.collect_trace) {
       const std::uint64_t pass2_edges =
-          r.stats.elements_processed - pass1_edges;
-      r.stats.trace.push_back(runtime::IterationRecord{
+          stats.elements_processed - pass1_edges;
+      stats.trace.push_back(runtime::IterationRecord{
           2, 0.0, false, pass2_edges, pass2_edges,
-          perf::model_time(r.stats.counters, hardware())});
+          perf::model_time(stats.counters, hardware())});
     }
 
-    // ---- Marginalize ----
-    r.beliefs.resize(n);
+    // ---- Marginalize into the packed state (observed nodes keep the
+    // point mass it was packed with) ----
     for (NodeId v = 0; v < n; ++v) {
-      if (g.observed(v)) {
-        r.beliefs[v] = g.prior(v);
-        continue;
-      }
+      if (g.observed(v)) continue;
       BeliefVec belief = up[v];
       meter.flop(graph::combine(belief, down[v]));
       graph::normalize(belief);
       meter.flop(2ull * belief.size);
-      r.beliefs[v] = belief;
+      state.store(v, belief);
       meter.seq_write(belief_bytes(belief.size));
     }
 
-    r.stats.iterations = 2;  // the two sweeps
-    r.stats.converged = true;
-    finish(r, timer, hardware());
-    return r;
+    stats.iterations = 2;  // the two sweeps
+    stats.converged = true;
+    finish(stats, hardware());
+    return stats;
   }
 
 };

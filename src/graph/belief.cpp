@@ -1,98 +1,28 @@
-// Public belief kernels, restructured into the padded, stride-aligned
-// forms of belief_kernels.h. See that header for the layout and numerical
-// contracts (bit-identical to the scalar reference; convergence-feeding
-// reductions stay in scalar order).
+// Public belief kernels: thin BeliefVec wrappers over the lane forms of
+// belief_kernels.h, which hold each primitive's one implementation. See
+// that header for the layout and numerical contracts (bit-identical to the
+// scalar reference; convergence-feeding reductions stay in scalar order).
 #include "graph/belief.h"
-
-#include <cmath>
 
 #include "graph/belief_kernels.h"
 
 namespace credo::graph {
 
 float normalize(BeliefVec& b) noexcept {
-  const std::uint32_t n = b.size;
-  const std::uint32_t w = padded_states(n);
-  float* __restrict v = b.v.data();
-  // Scalar-order sum: this value feeds convergence decisions downstream,
-  // so its rounding must not depend on the vector width.
-  float sum = 0.0f;
-  for (std::uint32_t i = 0; i < n; ++i) sum += v[i];
-  if (sum > 0.0f && std::isfinite(sum)) {
-    const float inv = 1.0f / sum;
-    // Elementwise over the padded width (pads scale 0 -> 0 exactly).
-    for (std::uint32_t i = 0; i < w; ++i) v[i] *= inv;
-  } else {
-    const float p = 1.0f / static_cast<float>(n);
-    for (std::uint32_t i = 0; i < n; ++i) v[i] = p;
-  }
-  return sum;
+  return with_padded_width(b.size, [&]<std::uint32_t W>() {
+    return normalize_lanes<W>(b.v.data(), b.size);
+  });
 }
 
 float l1_diff(const BeliefVec& a, const BeliefVec& b) noexcept {
-  // Selected path: scalar at every arity (kCombineScalarMaxArity comment
-  // in belief_kernels.h). The sum feeds the convergence decision, so the
-  // accumulation order must match the scalar reference exactly — this is
-  // the reference loop, live lanes only.
-  const std::uint32_t n = a.size < b.size ? a.size : b.size;
-  float d = 0.0f;
-  for (std::uint32_t i = 0; i < n; ++i) d += std::fabs(a.v[i] - b.v[i]);
-  return d;
+  return l1_diff_lanes(a.v.data(), b.v.data(),
+                       a.size < b.size ? a.size : b.size);
 }
 
 std::uint32_t combine(BeliefVec& acc, const BeliefVec& m) noexcept {
-  const std::uint32_t n = acc.size;
-  float* __restrict a = acc.v.data();
-  const float* __restrict mv = m.v.data();
-  if (n <= kCombineScalarMaxArity) {
-    // Live lanes only, exactly the reference loop: padding the trip count
-    // to kSimdLane touched 8 lanes to update as few as 2 (measured
-    // 0.47–0.84x at these arities — see kCombineScalarMaxArity).
-    float maxv = 0.0f;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      a[i] *= mv[i];
-      if (a[i] > maxv) maxv = a[i];
-    }
-    if (maxv > 0.0f && maxv < 1e-20f) {
-      const float inv = 1.0f / maxv;
-      for (std::uint32_t i = 0; i < n; ++i) a[i] *= inv;
-      return 2 * n;
-    }
-    return n;
-  }
-  // Padded width, strips of four with one max accumulator per lane. A
-  // single loop-carried float max is a reduction GCC will not reorder
-  // without -ffast-math, so the fused one-accumulator loop compiles to a
-  // serial maxss chain (~4 cycles/element); four independent accumulators
-  // are throughput-bound and let the products vectorize. Beliefs are
-  // non-negative and pad lanes are 0 * 0 = 0, so max is exact under any
-  // order and the pads never win: bit-identical to the scalar form.
-  const std::uint32_t w = padded_states(n);
-  float m0 = 0.0f, m1 = 0.0f, m2 = 0.0f, m3 = 0.0f;
-  for (std::uint32_t i = 0; i < w; i += 4) {
-    const float p0 = a[i] * mv[i];
-    const float p1 = a[i + 1] * mv[i + 1];
-    const float p2 = a[i + 2] * mv[i + 2];
-    const float p3 = a[i + 3] * mv[i + 3];
-    a[i] = p0;
-    a[i + 1] = p1;
-    a[i + 2] = p2;
-    a[i + 3] = p3;
-    m0 = p0 > m0 ? p0 : m0;
-    m1 = p1 > m1 ? p1 : m1;
-    m2 = p2 > m2 ? p2 : m2;
-    m3 = p3 > m3 ? p3 : m3;
-  }
-  const float ma = m0 > m1 ? m0 : m1;
-  const float mb = m2 > m3 ? m2 : m3;
-  const float maxv = ma > mb ? ma : mb;
-  // Rescale before products of many sub-unit messages underflow float.
-  if (maxv > 0.0f && maxv < 1e-20f) {
-    const float inv = 1.0f / maxv;
-    for (std::uint32_t i = 0; i < w; ++i) a[i] *= inv;
-    return 2 * n;
-  }
-  return n;
+  return with_padded_width(acc.size, [&]<std::uint32_t W>() {
+    return combine_lanes<W>(acc.v.data(), m.v.data(), acc.size);
+  });
 }
 
 JointMatrix JointMatrix::diffusion(std::uint32_t n, float stay) {
@@ -112,24 +42,10 @@ std::uint32_t compute_message(const BeliefVec& in, const JointMatrix& j,
   // One switch on the padded width selects a fixed-trip-count matvec the
   // compiler fully vectorizes; matrix pad columns are zero, so out's pad
   // lanes come out zero as the layout contract requires.
-  const float* iv = in.v.data();
-  const std::array<float, kMaxStates>* rows = j.m.data();
-  float* ov = out.v.data();
-  switch (padded_states(j.cols)) {
-    case 8:
-      detail::matvec_padded<8>(iv, rows, j.rows, ov);
-      break;
-    case 16:
-      detail::matvec_padded<16>(iv, rows, j.rows, ov);
-      break;
-    case 24:
-      detail::matvec_padded<24>(iv, rows, j.rows, ov);
-      break;
-    default:
-      detail::matvec_padded<32>(iv, rows, j.rows, ov);
-      break;
-  }
-  normalize(out);
+  with_padded_width(j.cols, [&]<std::uint32_t W>() {
+    detail::matvec_padded<W>(in.v.data(), j.m.data(), j.rows, out.v.data());
+    normalize_lanes<W>(out.v.data(), j.cols);
+  });
   return 2u * j.rows * j.cols + 2u * j.cols;
 }
 

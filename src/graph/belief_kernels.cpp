@@ -5,95 +5,34 @@
 #include <cmath>
 
 namespace credo::graph {
-namespace {
-
-/// Block body shared by both batched entry points: pairs of edges walk the
-/// matrix together (matvec2), an odd tail edge runs alone. Width is the
-/// padded column count, fixed per instantiation.
-template <std::uint32_t W>
-void batched_block(const JointMatrix& j, const BeliefVec* const* ins,
-                   BeliefVec* outs, std::size_t count) noexcept {
-  const std::array<float, kMaxStates>* rows = j.m.data();
-  std::size_t e = 0;
-  for (; e + 1 < count; e += 2) {
-    detail::matvec2_padded<W>(ins[e]->v.data(), ins[e + 1]->v.data(), rows,
-                              j.rows, outs[e].v.data(),
-                              outs[e + 1].v.data());
-    outs[e].size = j.cols;
-    outs[e + 1].size = j.cols;
-    normalize(outs[e]);
-    normalize(outs[e + 1]);
-  }
-  if (e < count) {
-    detail::matvec_padded<W>(ins[e]->v.data(), rows, j.rows,
-                             outs[e].v.data());
-    outs[e].size = j.cols;
-    normalize(outs[e]);
-  }
-}
-
-}  // namespace
 
 std::uint64_t compute_messages_batched(const JointMatrix& j,
-                                       const BeliefVec* const* ins,
+                                       const float* const* ins,
                                        BeliefVec* outs,
                                        std::size_t count) noexcept {
-  switch (padded_states(j.cols)) {
-    case 8:
-      batched_block<8>(j, ins, outs, count);
-      break;
-    case 16:
-      batched_block<16>(j, ins, outs, count);
-      break;
-    case 24:
-      batched_block<24>(j, ins, outs, count);
-      break;
-    default:
-      batched_block<32>(j, ins, outs, count);
-      break;
-  }
-  return count * (2ull * j.rows * j.cols + 2ull * j.cols);
+  for (std::size_t e = 0; e < count; ++e) outs[e].size = j.cols;
+  return with_padded_width(j.cols, [&]<std::uint32_t W>() {
+    return detail::messages_block<W>(
+        j, ins, count, [&](std::size_t e) { return outs[e].v.data(); });
+  });
 }
 
 std::uint64_t compute_messages_batched(const JointMatrix* const* mats,
-                                       const BeliefVec* const* ins,
+                                       const float* const* ins,
                                        BeliefVec* outs,
                                        std::size_t count) noexcept {
-  if (count == 0) return 0;
   // One width switch per block, at the widest padded width in it: a block
-  // may mix arities (the edge engines' blocks span destinations), and a
-  // narrower matrix's extra columns are zero padding, so every message is
-  // bit-identical to compute_message's for its own edge.
+  // may mix arities (the edge engines' blocks span destinations).
   std::uint32_t cols = 0;
   for (std::size_t e = 0; e < count; ++e) {
     cols = std::max(cols, mats[e]->cols);
+    outs[e].size = mats[e]->cols;
   }
-  std::uint64_t flops = 0;
-  const auto run = [&]<std::uint32_t W>() {
-    for (std::size_t e = 0; e < count; ++e) {
-      const JointMatrix& j = *mats[e];
-      detail::matvec_padded<W>(ins[e]->v.data(), j.m.data(), j.rows,
-                               outs[e].v.data());
-      outs[e].size = j.cols;
-      normalize(outs[e]);
-      flops += 2ull * j.rows * j.cols + 2ull * j.cols;
-    }
-  };
-  switch (padded_states(cols)) {
-    case 8:
-      run.template operator()<8>();
-      break;
-    case 16:
-      run.template operator()<16>();
-      break;
-    case 24:
-      run.template operator()<24>();
-      break;
-    default:
-      run.template operator()<32>();
-      break;
-  }
-  return flops;
+  if (count == 0) return 0;
+  return with_padded_width(cols, [&]<std::uint32_t W>() {
+    return detail::messages_block<W>(
+        mats, ins, count, [&](std::size_t e) { return outs[e].v.data(); });
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -116,12 +116,12 @@ class FactorGraph;
 /// one contiguous float buffer, each node occupying exactly
 /// padded_states(arity) lanes at a prefix-sum offset, in the graph's
 /// (possibly reordered) node order. Unlike AosBeliefStore — whose fixed
-/// sizeof(BeliefVec) slots spend 136 bytes per node regardless of arity —
+/// sizeof(BeliefVec) slots spend 132 bytes per node regardless of arity —
 /// the arena packs an arity-4 node into 32 bytes, so a BFS/RCM ordering
 /// puts ~4x more neighborhoods on every cache line. The cachesim reorder
-/// experiment replays traversals against this layout; per-arity SIMD
-/// padding from the kernel layer is preserved, so kernels could run on the
-/// arena slices unchanged.
+/// experiment replays traversals against this layout. The engines' own
+/// packed state (bp/runtime/belief_state.h) keeps one graph-wide stride
+/// instead of these offsets.
 class PackedAosBeliefStore final : public BeliefStore {
  public:
   /// Lays out one slot per node of `g`, in g's node order, initialized to

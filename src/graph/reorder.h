@@ -83,7 +83,7 @@ class Permutation {
   }
 
   /// Inverse of apply: maps a by-new-id vector back to by-old-id order,
-  /// out[i] = in[to_new(i)]. This is what un-permutes engine beliefs.
+  /// out[i] = in[to_new(i)].
   template <typename T>
   [[nodiscard]] std::vector<T> unapply(const std::vector<T>& by_new) const {
     CREDO_CHECK_MSG(by_new.size() == to_new_.size(),

@@ -2,10 +2,12 @@
 // stride-aligned kernel (and the batched multi-edge message kernel) must
 // agree with the scalar reference in belief_kernels.h's `scalar::`
 // namespace across the full arity range, and must uphold the layout
-// contract (pad lanes zero in produced vectors).
+// contract (pad lanes zero in produced vectors). The lane forms the
+// engines' tabular update runs on must match the reference bit for bit.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -42,6 +44,32 @@ void expect_same_distribution(const BeliefVec& got, const BeliefVec& want,
   for (std::uint32_t i = 0; i < want.size; ++i) {
     EXPECT_NEAR(got.v[i], want.v[i], kTol) << what << " state " << i;
   }
+}
+
+/// Bit-for-bit agreement of the live lanes (the lane forms must match the
+/// scalar reference exactly, not within a tolerance).
+void expect_same_bits(const BeliefVec& got, const BeliefVec& want,
+                      const char* what) {
+  ASSERT_EQ(got.size, want.size) << what;
+  for (std::uint32_t i = 0; i < want.size; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.v[i]),
+              std::bit_cast<std::uint32_t>(want.v[i]))
+        << what << " state " << i;
+  }
+}
+
+/// The lane forms at `n`'s own padded width, as the engines' tabular
+/// update instantiates them.
+float lanes_normalize(BeliefVec& b) {
+  return with_padded_width(b.size, [&]<std::uint32_t W>() {
+    return normalize_lanes<W>(b.v.data(), b.size);
+  });
+}
+
+std::uint32_t lanes_combine(BeliefVec& acc, const BeliefVec& m) {
+  return with_padded_width(acc.size, [&]<std::uint32_t W>() {
+    return combine_lanes<W>(acc.v.data(), m.v.data(), acc.size);
+  });
 }
 
 void expect_pad_lanes_zero(const BeliefVec& b, const char* what) {
@@ -85,21 +113,30 @@ TEST(BeliefKernels, NormalizeMatchesScalarAcrossArities) {
   for (std::uint32_t arity = 1; arity <= kMaxStates; ++arity) {
     BeliefVec vec_b = random_belief(rng, arity);
     BeliefVec ref_b = vec_b;
+    BeliefVec lane_b = vec_b;
     const float vec_sum = normalize(vec_b);
     const float ref_sum = scalar::normalize(ref_b);
+    const float lane_sum = lanes_normalize(lane_b);
     EXPECT_NEAR(vec_sum, ref_sum, kTol) << "arity " << arity;
     expect_same_distribution(vec_b, ref_b, "normalize");
     expect_pad_lanes_zero(vec_b, "normalize");
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(lane_sum),
+              std::bit_cast<std::uint32_t>(ref_sum))
+        << "arity " << arity;
+    expect_same_bits(lane_b, ref_b, "normalize_lanes");
+    expect_pad_lanes_zero(lane_b, "normalize_lanes");
   }
 }
 
 TEST(BeliefKernels, NormalizeZeroSumFallsBackToUniform) {
   for (const std::uint32_t arity : {1u, 5u, 8u, 32u}) {
-    BeliefVec vec_b, ref_b;
-    vec_b.size = ref_b.size = arity;  // all-zero states
+    BeliefVec vec_b, ref_b, lane_b;
+    vec_b.size = ref_b.size = lane_b.size = arity;  // all-zero states
     normalize(vec_b);
     scalar::normalize(ref_b);
+    lanes_normalize(lane_b);
     expect_same_distribution(vec_b, ref_b, "zero-sum normalize");
+    expect_same_bits(lane_b, ref_b, "zero-sum normalize_lanes");
     EXPECT_NEAR(vec_b.v[0], 1.0f / static_cast<float>(arity), kTol);
   }
 }
@@ -109,11 +146,15 @@ TEST(BeliefKernels, CombineMatchesScalarAcrossArities) {
   for (std::uint32_t arity = 1; arity <= kMaxStates; ++arity) {
     BeliefVec vec_acc = random_belief(rng, arity);
     BeliefVec ref_acc = vec_acc;
+    BeliefVec lane_acc = vec_acc;
     const BeliefVec m = random_belief(rng, arity);
     const std::uint32_t vec_flops = combine(vec_acc, m);
     const std::uint32_t ref_flops = scalar::combine(ref_acc, m);
+    const std::uint32_t lane_flops = lanes_combine(lane_acc, m);
     expect_same_distribution(vec_acc, ref_acc, "combine");
     EXPECT_EQ(vec_flops, ref_flops) << "arity " << arity;
+    expect_same_bits(lane_acc, ref_acc, "combine_lanes");
+    EXPECT_EQ(lane_flops, ref_flops) << "arity " << arity;
   }
 }
 
@@ -126,14 +167,19 @@ TEST(BeliefKernels, CombineUnderflowRescaleMatchesScalar) {
   for (const std::uint32_t arity : {1u, 2u, 8u, 17u, 32u}) {
     BeliefVec vec_acc = BeliefVec::ones(arity);
     BeliefVec ref_acc = BeliefVec::ones(arity);
+    BeliefVec lane_acc = BeliefVec::ones(arity);
     bool rescued = false;
     for (int step = 0; step < 64; ++step) {
       BeliefVec m = random_belief(rng, arity);
       for (std::uint32_t i = 0; i < arity; ++i) m.v[i] *= 0.25f;
       const std::uint32_t vec_flops = combine(vec_acc, m);
       const std::uint32_t ref_flops = scalar::combine(ref_acc, m);
+      const std::uint32_t lane_flops = lanes_combine(lane_acc, m);
       ASSERT_EQ(vec_flops, ref_flops)
           << "arity " << arity << " step " << step;
+      ASSERT_EQ(lane_flops, ref_flops)
+          << "arity " << arity << " step " << step;
+      expect_same_bits(lane_acc, ref_acc, "combine_lanes trajectory");
       rescued = rescued || vec_flops == 2 * arity;
       for (std::uint32_t i = 0; i < arity; ++i) {
         ASSERT_NEAR(vec_acc.v[i], ref_acc.v[i],
@@ -153,22 +199,10 @@ TEST(BeliefKernels, L1DiffMatchesScalarAcrossArities) {
     const BeliefVec b = random_belief(rng, arity);
     EXPECT_NEAR(l1_diff(a, b), scalar::l1_diff(a, b), kTol)
         << "arity " << arity;
-  }
-}
-
-TEST(BeliefKernels, CopyBeliefPreservesLiveLanesAndSize) {
-  util::Prng rng(17);
-  for (std::uint32_t arity = 1; arity <= kMaxStates; ++arity) {
-    BeliefVec src = random_belief(rng, arity);
-    normalize(src);  // establishes the pad-lanes-zero invariant
-    BeliefVec dst;
-    dst.size = kMaxStates;
-    for (std::uint32_t i = 0; i < kMaxStates; ++i) dst.v[i] = -1.0f;
-    copy_belief(dst, src);
-    EXPECT_EQ(dst.size, arity);
-    for (std::uint32_t i = 0; i < padded_states(arity); ++i) {
-      EXPECT_EQ(dst.v[i], src.v[i]) << "lane " << i;
-    }
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(
+                  l1_diff_lanes(a.v.data(), b.v.data(), arity)),
+              std::bit_cast<std::uint32_t>(scalar::l1_diff(a, b)))
+        << "arity " << arity;
   }
 }
 
@@ -180,10 +214,10 @@ TEST(BeliefKernels, BatchedSharedMatrixMatchesPerEdgeKernel) {
     const JointMatrix j = random_joint(rng, arity, arity);
     for (std::size_t count = 1; count <= kEdgeBlock; ++count) {
       std::vector<BeliefVec> ins(count);
-      std::array<const BeliefVec*, kEdgeBlock> ptrs{};
+      std::array<const float*, kEdgeBlock> ptrs{};
       for (std::size_t e = 0; e < count; ++e) {
         ins[e] = random_belief(rng, arity);
-        ptrs[e] = &ins[e];
+        ptrs[e] = ins[e].v.data();
       }
       std::array<BeliefVec, kEdgeBlock> outs{};
       const std::uint64_t batched_flops =
@@ -207,12 +241,12 @@ TEST(BeliefKernels, BatchedPerEdgeMatricesMatchPerEdgeKernel) {
     for (const std::size_t count : {1u, 2u, 7u, 15u, 16u}) {
       std::vector<BeliefVec> ins(count);
       std::vector<JointMatrix> mats(count);
-      std::array<const BeliefVec*, kEdgeBlock> in_ptrs{};
+      std::array<const float*, kEdgeBlock> in_ptrs{};
       std::array<const JointMatrix*, kEdgeBlock> mat_ptrs{};
       for (std::size_t e = 0; e < count; ++e) {
         ins[e] = random_belief(rng, arity);
         mats[e] = random_joint(rng, arity, arity);
-        in_ptrs[e] = &ins[e];
+        in_ptrs[e] = ins[e].v.data();
         mat_ptrs[e] = &mats[e];
       }
       std::array<BeliefVec, kEdgeBlock> outs{};
@@ -236,12 +270,12 @@ TEST(BeliefKernels, BatchedPerEdgeMatricesMatchPerEdgeKernel) {
   const std::array<std::uint32_t, 4> rows = {9, 2, 32, 17};
   std::vector<BeliefVec> ins(kEdgeBlock);
   std::vector<JointMatrix> mats(kEdgeBlock);
-  std::array<const BeliefVec*, kEdgeBlock> in_ptrs{};
+  std::array<const float*, kEdgeBlock> in_ptrs{};
   std::array<const JointMatrix*, kEdgeBlock> mat_ptrs{};
   for (std::size_t e = 0; e < kEdgeBlock; ++e) {
     ins[e] = random_belief(rng, rows[e % 4]);
     mats[e] = random_joint(rng, rows[e % 4], cols[(e + e / 4) % 4]);
-    in_ptrs[e] = &ins[e];
+    in_ptrs[e] = ins[e].v.data();
     mat_ptrs[e] = &mats[e];
   }
   std::array<BeliefVec, kEdgeBlock> outs{};
@@ -267,10 +301,10 @@ TEST(BeliefKernels, BatchedKernelIsBitIdenticalToVectorizedSingle) {
   const std::uint32_t arity = 32;
   const JointMatrix j = random_joint(rng, arity, arity);
   std::vector<BeliefVec> ins(kEdgeBlock);
-  std::array<const BeliefVec*, kEdgeBlock> ptrs{};
+  std::array<const float*, kEdgeBlock> ptrs{};
   for (std::size_t e = 0; e < kEdgeBlock; ++e) {
     ins[e] = random_belief(rng, arity);
-    ptrs[e] = &ins[e];
+    ptrs[e] = ins[e].v.data();
   }
   std::array<BeliefVec, kEdgeBlock> outs{};
   compute_messages_batched(j, ptrs.data(), outs.data(), kEdgeBlock);

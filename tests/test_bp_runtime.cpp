@@ -1,21 +1,27 @@
-// Unit tests for the shared BP runtime layer (DESIGN.md §5b): schedule
-// policies, the convergence controller, and per-iteration telemetry.
+// Unit tests for the shared BP runtime layer (DESIGN.md §5b): the packed
+// belief state, schedule policies, the convergence controller, and
+// per-iteration telemetry.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bp/engine.h"
+#include "bp/runtime/belief_state.h"
 #include "bp/runtime/convergence.h"
 #include "bp/runtime/schedule.h"
 #include "bp/runtime/telemetry.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "graph/reorder.h"
 #include "util/error.h"
+#include "util/prng.h"
 
 namespace credo::bp::runtime {
 namespace {
@@ -105,6 +111,155 @@ TEST(ConvergenceController, DampIsIdentityAtZeroAndBlendsOtherwise) {
   // 0.5*0.9 + 0.5*0.1 = 0.5 each way; normalized stays 0.5/0.5.
   EXPECT_NEAR(b.v[0], 0.5f, 1e-6f);
   EXPECT_NEAR(b.v[1], 0.5f, 1e-6f);
+}
+
+// ---------------------------------------------------------------------------
+// BeliefState: the packed engine state
+// ---------------------------------------------------------------------------
+
+std::uint32_t bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+/// An 8-node path of arities {2, 9, 17, 32, 2, 9, 17, 32} with per-edge
+/// tables; node 1 is observed.
+FactorGraph mixed_arity_path() {
+  GraphBuilder b;
+  util::Prng rng(3);
+  const std::uint32_t arities[] = {2, 9, 17, 32, 2, 9, 17, 32};
+  for (const std::uint32_t a : arities) b.add_node(graph::random_prior(a, rng));
+  b.observe(1, 4);
+  for (NodeId i = 0; i + 1 < 8; ++i) {
+    JointMatrix j(arities[i], arities[i + 1]);
+    for (std::uint32_t r = 0; r < j.rows; ++r) {
+      for (std::uint32_t c = 0; c < j.cols; ++c) {
+        j.at(r, c) = 0.05f + rng.uniform01f();
+      }
+    }
+    b.add_undirected(i, i + 1, j);
+  }
+  return b.finalize();
+}
+
+/// The same path under a shuffled relabeling, BFS-reordered: its recorded
+/// permutation is not the identity.
+FactorGraph permuted_path() {
+  return graph::reordered(
+      graph::relabeled(mixed_arity_path(), graph::random_order(8, 11)),
+      graph::ReorderMode::kBfs);
+}
+
+/// Node v's packed lanes hold `want`'s live states, then zero pads.
+void expect_lanes(const BeliefState& state, NodeId v, const BeliefVec& want) {
+  ASSERT_EQ(state.arity(v), want.size) << "node " << v;
+  const float* lanes = state.lanes(v);
+  for (std::uint32_t s = 0; s < want.size; ++s) {
+    EXPECT_EQ(bits(lanes[s]), bits(want.v[s])) << "node " << v << " lane " << s;
+  }
+  for (std::uint32_t s = want.size; s < state.stride(); ++s) {
+    EXPECT_EQ(bits(lanes[s]), 0u) << "node " << v << " pad lane " << s;
+  }
+}
+
+TEST(BeliefState, PriorsPackWithZeroPadLanes) {
+  graph::BeliefConfig cfg;
+  cfg.beliefs = 3;
+  cfg.observed_fraction = 0.2;
+  const FactorGraph g = graph::uniform_random(50, 100, cfg);
+  const BeliefState state(g, BpOptions{});
+  ASSERT_EQ(state.size(), g.num_nodes());
+  EXPECT_EQ(state.stride(), 8u);  // an arity-3 slot is 32 bytes
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    expect_lanes(state, v, g.prior(v));
+  }
+}
+
+TEST(BeliefState, MixedAritiesShareOneStride) {
+  const FactorGraph g = mixed_arity_path();
+  const BeliefState state(g, BpOptions{});
+  EXPECT_EQ(state.stride(), 32u);  // padded_states of the widest node
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(state.lanes(v) - state.lanes(0), 32 * static_cast<int>(v));
+    expect_lanes(state, v, g.prior(v));
+  }
+}
+
+TEST(BeliefState, WarmOverlayReadsCallerIdsAndKeepsEvidencePinned) {
+  const FactorGraph g = permuted_path();
+  const graph::Permutation* perm = g.permutation();
+  ASSERT_NE(perm, nullptr);
+  ASSERT_FALSE(perm->is_identity());
+  // Warm vectors in the caller's ids, each distinct from its prior.
+  auto warm = std::make_shared<std::vector<BeliefVec>>();
+  for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    BeliefVec b = BeliefVec::uniform(g.arity(perm->to_new(i)));
+    b.v[0] = 0.5f + 0.01f * static_cast<float>(i);
+    warm->push_back(b);
+  }
+  const BeliefState state(g, BpOptions{}.with_init_beliefs(warm));
+  std::size_t pinned = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.observed(v)) {
+      ++pinned;
+      expect_lanes(state, v, g.prior(v));  // evidence stays pinned
+    } else {
+      expect_lanes(state, v, (*warm)[perm->to_old(v)]);
+    }
+  }
+  EXPECT_EQ(pinned, 1u);
+}
+
+TEST(BeliefState, WrongArityWarmVectorThrows) {
+  const FactorGraph g = permuted_path();
+  const graph::Permutation* perm = g.permutation();
+  auto warm = std::make_shared<std::vector<BeliefVec>>();
+  for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    warm->push_back(BeliefVec::uniform(g.arity(perm->to_new(i))));
+  }
+  // An unobserved caller node of arity 17 gets a binary vector.
+  NodeId open_node = 0, pinned = 0;
+  for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    const NodeId v = perm->to_new(i);
+    if (g.observed(v)) pinned = i;
+    if (!g.observed(v) && g.arity(v) == 17) open_node = i;
+  }
+  ASSERT_TRUE(g.observed(perm->to_new(pinned)));
+  (*warm)[open_node] = BeliefVec::uniform(2);
+  EXPECT_THROW(BeliefState(g, BpOptions{}.with_init_beliefs(warm)),
+               util::InvalidArgument);
+  // The same mistake on the observed node is ignored: evidence is pinned.
+  (*warm)[open_node] = BeliefVec::uniform(17);
+  (*warm)[pinned] = BeliefVec::uniform(g.arity(perm->to_new(pinned)) + 1);
+  EXPECT_NO_THROW(BeliefState(g, BpOptions{}.with_init_beliefs(warm)));
+}
+
+TEST(BeliefState, WriteOutInCallerIdsIsTheUnappliedState) {
+  const FactorGraph g = permuted_path();
+  const graph::Permutation* perm = g.permutation();
+  BpOptions opts;
+  opts.max_iterations = 3;
+  // A state the engines have written: run c-node on it, then compare the
+  // fused write-out with un-permuting the internal-order unpack.
+  const auto r = make_default_engine(EngineKind::kCpuNode)->run(g, opts);
+  auto warm = std::make_shared<const std::vector<BeliefVec>>(r.beliefs);
+  const BeliefState state(g, BpOptions{}.with_init_beliefs(warm));
+  std::vector<BeliefVec> internal(g.num_nodes());
+  std::vector<BeliefVec> caller(g.num_nodes());
+  state.unpack(nullptr, internal);
+  state.unpack(perm, caller);
+  const std::vector<BeliefVec> want = perm->unapply(internal);
+  for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    ASSERT_EQ(caller[i].size, want[i].size) << "node " << i;
+    for (std::uint32_t s = 0; s < graph::kMaxStates; ++s) {
+      EXPECT_EQ(bits(caller[i].v[s]), bits(want[i].v[s]))
+          << "node " << i << " lane " << s;
+    }
+  }
+  // And the warm state round-trips: caller ids in, caller ids out.
+  for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    for (std::uint32_t s = 0; s < caller[i].size; ++s) {
+      EXPECT_EQ(bits(caller[i].v[s]), bits(r.beliefs[i].v[s]))
+          << "node " << i << " lane " << s;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
