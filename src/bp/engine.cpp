@@ -1,6 +1,7 @@
 #include "bp/engine.h"
 
 #include <cctype>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,32 +18,61 @@ namespace credo::bp {
 
 namespace {
 
-/// The platform each kind's engine runs on: the one table behind the
-/// profile check and the default profiles.
-perf::PlatformKind engine_platform(EngineKind kind) noexcept {
-  switch (kind) {
-    case EngineKind::kCpuNode:
-    case EngineKind::kCpuEdge:
-    case EngineKind::kTree:
-    case EngineKind::kResidual:
-      return perf::PlatformKind::kCpuSerial;
-    case EngineKind::kOmpNode:
-    case EngineKind::kOmpEdge:
-    case EngineKind::kBulkResidual:
-      return perf::PlatformKind::kCpuParallel;
-    case EngineKind::kCudaNode:
-    case EngineKind::kCudaEdge:
-    case EngineKind::kAccEdge:
-      return perf::PlatformKind::kGpu;
-  }
-  return perf::PlatformKind::kCpuSerial;
+/// One kind's facts: its names, the platform it runs on, and which
+/// families and BpOptions inputs it honours (DESIGN.md §5g, §5h).
+struct EngineFacts {
+  std::string_view name;   // the paper's name ("CUDA Edge")
+  std::string_view slug;   // the CLI slug ("cuda-edge")
+  std::string_view alias;  // another accepted name, or empty
+  perf::PlatformKind platform;
+  bool ldpc;           // runs the closed-form LDPC families
+  bool warm_start;     // honours init_beliefs on tabular graphs
+  bool frontier_seed;  // honours frontier_seed on tabular graphs
+};
+
+/// Every kind, in EngineKind order. The tree recursion and the simulated-
+/// device engines have no closed-form kernel, so they run tabular graphs
+/// only. Warm starts are a CPU-engine feature: the tree baseline is exact
+/// and start-independent, and the device engines model a fresh upload of
+/// uniform state per run. The edge engines' queued mode fills its
+/// incremental message accumulators on the first full sweep — a partial
+/// first frontier would leave the unseeded region's accumulators missing
+/// contributions — so they take warm starts but not seeds.
+constexpr EngineFacts kEngines[] = {
+    // name, slug, alias, platform, ldpc, warm_start, frontier_seed
+    {"C Node", "c-node", "", perf::PlatformKind::kCpuSerial, true, true,
+     true},
+    {"C Edge", "c-edge", "", perf::PlatformKind::kCpuSerial, true, true,
+     false},
+    {"OpenMP Node", "omp-node", "openmp-node",
+     perf::PlatformKind::kCpuParallel, true, true, true},
+    {"OpenMP Edge", "omp-edge", "openmp-edge",
+     perf::PlatformKind::kCpuParallel, true, true, false},
+    {"CUDA Node", "cuda-node", "", perf::PlatformKind::kGpu, false, false,
+     false},
+    {"CUDA Edge", "cuda-edge", "", perf::PlatformKind::kGpu, false, false,
+     false},
+    {"OpenACC Edge", "acc-edge", "openacc-edge", perf::PlatformKind::kGpu,
+     false, false, false},
+    {"Tree BP", "tree", "tree-bp", perf::PlatformKind::kCpuSerial, false,
+     false, false},
+    {"Residual", "residual", "", perf::PlatformKind::kCpuSerial, true, true,
+     true},
+    {"Bulk Residual", "bulk-residual", "", perf::PlatformKind::kCpuParallel,
+     true, true, true},
+};
+static_assert(std::size(kEngines) ==
+              static_cast<std::size_t>(EngineKind::kBulkResidual) + 1);
+
+const EngineFacts& facts(EngineKind kind) noexcept {
+  return kEngines[static_cast<std::size_t>(kind)];
 }
 
 }  // namespace
 
 Engine::Engine(EngineKind kind, perf::HardwareProfile profile)
     : kind_(kind), profile_(std::move(profile)) {
-  CREDO_CHECK_MSG(profile_.kind == engine_platform(kind),
+  CREDO_CHECK_MSG(profile_.kind == facts(kind).platform,
                   "engine profile is not of the engine kind's platform");
 }
 
@@ -136,78 +166,28 @@ BpResult Engine::run(const graph::FactorGraph& g,
 }
 
 std::string_view engine_name(EngineKind kind) noexcept {
-  switch (kind) {
-    case EngineKind::kCpuNode: return "C Node";
-    case EngineKind::kCpuEdge: return "C Edge";
-    case EngineKind::kOmpNode: return "OpenMP Node";
-    case EngineKind::kOmpEdge: return "OpenMP Edge";
-    case EngineKind::kCudaNode: return "CUDA Node";
-    case EngineKind::kCudaEdge: return "CUDA Edge";
-    case EngineKind::kAccEdge: return "OpenACC Edge";
-    case EngineKind::kTree: return "Tree BP";
-    case EngineKind::kResidual: return "Residual";
-    case EngineKind::kBulkResidual: return "Bulk Residual";
-  }
-  return "unknown";
+  return facts(kind).name;
 }
 
 std::string_view engine_slug(EngineKind kind) noexcept {
-  switch (kind) {
-    case EngineKind::kCpuNode: return "c-node";
-    case EngineKind::kCpuEdge: return "c-edge";
-    case EngineKind::kOmpNode: return "omp-node";
-    case EngineKind::kOmpEdge: return "omp-edge";
-    case EngineKind::kCudaNode: return "cuda-node";
-    case EngineKind::kCudaEdge: return "cuda-edge";
-    case EngineKind::kAccEdge: return "acc-edge";
-    case EngineKind::kTree: return "tree";
-    case EngineKind::kResidual: return "residual";
-    case EngineKind::kBulkResidual: return "bulk-residual";
-  }
-  return "unknown";
+  return facts(kind).slug;
 }
 
 bool engine_supports_family(EngineKind kind,
                             graph::FactorFamily family) noexcept {
-  if (!graph::is_ldpc(family)) return true;
-  switch (kind) {
-    case EngineKind::kTree:
-    case EngineKind::kCudaNode:
-    case EngineKind::kCudaEdge:
-    case EngineKind::kAccEdge:
-      return false;
-    default:
-      return true;
-  }
+  return !graph::is_ldpc(family) || facts(kind).ldpc;
 }
 
 bool engine_supports_warm_start(EngineKind kind,
                                 graph::FactorFamily family) noexcept {
   // The LDPC kernel holds its state in per-edge log-likelihood-ratio
-  // messages, not beliefs, so a belief overlay cannot seed them; the tree
-  // baseline is exact and start-independent; the simulated-device engines
-  // model a fresh upload of uniform state per run.
-  if (graph::is_ldpc(family)) return false;
-  switch (kind) {
-    case EngineKind::kTree:
-    case EngineKind::kCudaNode:
-    case EngineKind::kCudaEdge:
-    case EngineKind::kAccEdge:
-      return false;
-    default:
-      return true;
-  }
+  // messages, not beliefs, so a belief overlay cannot seed them.
+  return !graph::is_ldpc(family) && facts(kind).warm_start;
 }
 
 bool engine_supports_frontier_seed(EngineKind kind,
                                    graph::FactorFamily family) noexcept {
-  if (!engine_supports_warm_start(kind, family)) return false;
-  // The edge engines' queued mode fills its incremental message
-  // accumulators on the first full sweep; a partial first frontier would
-  // leave the unseeded region's accumulators missing contributions. They
-  // accept warm starts (a dense first sweep recomputes every message from
-  // the warm beliefs) but not seeds.
-  return kind != EngineKind::kCpuEdge && kind != EngineKind::kOmpEdge;
+  return !graph::is_ldpc(family) && facts(kind).frontier_seed;
 }
 
 std::optional<EngineKind> engine_from_name(std::string_view name) noexcept {
@@ -227,18 +207,12 @@ std::optional<EngineKind> engine_from_name(std::string_view name) noexcept {
   }
   if (!key.empty() && key.back() == '-') key.pop_back();
 
-  if (key == "c-node") return EngineKind::kCpuNode;
-  if (key == "c-edge") return EngineKind::kCpuEdge;
-  if (key == "omp-node" || key == "openmp-node") return EngineKind::kOmpNode;
-  if (key == "omp-edge" || key == "openmp-edge") return EngineKind::kOmpEdge;
-  if (key == "cuda-node") return EngineKind::kCudaNode;
-  if (key == "cuda-edge") return EngineKind::kCudaEdge;
-  if (key == "acc-edge" || key == "openacc-edge") {
-    return EngineKind::kAccEdge;
+  for (std::size_t i = 0; i < std::size(kEngines); ++i) {
+    const EngineFacts& f = kEngines[i];
+    if (key == f.slug || (!f.alias.empty() && key == f.alias)) {
+      return static_cast<EngineKind>(i);
+    }
   }
-  if (key == "tree" || key == "tree-bp") return EngineKind::kTree;
-  if (key == "residual") return EngineKind::kResidual;
-  if (key == "bulk-residual") return EngineKind::kBulkResidual;
   return std::nullopt;
 }
 
@@ -252,8 +226,9 @@ std::unique_ptr<Engine> make_engine(EngineKind kind,
     case EngineKind::kOmpEdge:
       return internal::make_edge_engine(kind, profile);
     case EngineKind::kCudaNode: return internal::make_cuda_node(profile);
-    case EngineKind::kCudaEdge: return internal::make_cuda_edge(profile);
-    case EngineKind::kAccEdge: return internal::make_acc_edge(profile);
+    case EngineKind::kCudaEdge:
+    case EngineKind::kAccEdge:
+      return internal::make_device_edge_engine(kind, profile);
     case EngineKind::kTree: return internal::make_tree(profile);
     case EngineKind::kResidual: return internal::make_residual(profile);
     case EngineKind::kBulkResidual:
@@ -263,7 +238,7 @@ std::unique_ptr<Engine> make_engine(EngineKind kind,
 }
 
 std::unique_ptr<Engine> make_default_engine(EngineKind kind) {
-  switch (engine_platform(kind)) {
+  switch (facts(kind).platform) {
     case perf::PlatformKind::kCpuSerial:
       return make_engine(kind, perf::cpu_i7_7700hq_serial());
     case perf::PlatformKind::kCpuParallel:

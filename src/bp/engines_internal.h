@@ -29,9 +29,11 @@ std::unique_ptr<Engine> make_node_engine(EngineKind kind,
                                          const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_edge_engine(EngineKind kind,
                                          const perf::HardwareProfile& p);
+/// cuda-node, and cuda-edge / acc-edge: one device edge engine, the kind
+/// picking OpenACC's differences (gpu_engines.cpp).
 std::unique_ptr<Engine> make_cuda_node(const perf::HardwareProfile& p);
-std::unique_ptr<Engine> make_cuda_edge(const perf::HardwareProfile& p);
-std::unique_ptr<Engine> make_acc_edge(const perf::HardwareProfile& p);
+std::unique_ptr<Engine> make_device_edge_engine(
+    EngineKind kind, const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_tree(const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_residual(const perf::HardwareProfile& p);
 std::unique_ptr<Engine> make_bulk_residual(const perf::HardwareProfile& p);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stop_token>
 #include <utility>
 #include <vector>
 
@@ -69,7 +70,7 @@ struct BpOptions {
   /// this token once per iteration and end the run with
   /// BpStats::stop_reason == kCancelled when it fires. Default-constructed
   /// tokens never fire.
-  runtime::StopToken stop;
+  std::stop_token stop;
 
   /// Wall-clock budget for the run loop in seconds; 0 = unlimited. Checked
   /// at the convergence-check cadence; an over-budget run ends with
@@ -170,7 +171,7 @@ struct BpOptions {
     collect_trace = v;
     return *this;
   }
-  BpOptions& with_stop(runtime::StopToken t) noexcept {
+  BpOptions& with_stop(std::stop_token t) noexcept {
     stop = std::move(t);
     return *this;
   }

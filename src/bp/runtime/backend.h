@@ -87,8 +87,6 @@ class DeviceBackend {
   DeviceBackend(gpusim::Device& dev, std::uint32_t block_threads) noexcept
       : dev_(dev), block_(block_threads) {}
 
-  [[nodiscard]] gpusim::Device& device() const noexcept { return dev_; }
-
   template <typename Kernel>
   void launch(std::uint64_t work_items, Kernel&& kernel) {
     dev_.launch(gpusim::LaunchDims::cover(work_items, block_), work_items,

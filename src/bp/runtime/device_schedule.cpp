@@ -1,87 +1,25 @@
 #include "bp/runtime/device_schedule.h"
 
-#include <vector>
-
 namespace credo::bp::runtime {
 
-using gpusim::LaunchDims;
-using gpusim::ThreadCtx;
-
-DeviceNodeFrontier::DeviceNodeFrontier(gpusim::Device& dev,
-                                       const graph::FactorGraph& g,
-                                       bool use_queue,
-                                       std::uint32_t block_threads,
-                                       gpusim::DeviceSpan<float> diff)
-    : dev_(dev),
-      use_queue_(use_queue),
-      n_(g.num_nodes()),
-      block_(block_threads),
-      diff_(diff) {
-  if (!use_queue_) return;
-  const graph::NodeId n = g.num_nodes();
-  queue_a_ = dev_.alloc<std::uint32_t>(n);
-  queue_b_ = dev_.alloc<std::uint32_t>(n);
+void DeviceFrontier::upload(std::uint64_t count,
+                            std::span<const std::uint32_t> init) {
+  queue_a_ = dev_.alloc<std::uint32_t>(count);
+  queue_b_ = dev_.alloc<std::uint32_t>(count);
   cursor_ = dev_.alloc<std::uint32_t>(1);
-  std::vector<std::uint32_t> init;
-  init.reserve(n);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (!g.observed(v)) init.push_back(v);
-  }
-  queued_ = static_cast<std::uint32_t>(init.size());
   dev_.h2d<std::uint32_t>(queue_a_, init);
+  size_ = init.size();
 }
 
-std::uint64_t DeviceNodeFrontier::begin_iteration(std::uint32_t /*iter*/) {
-  if (use_queue_) {
-    const auto diff = diff_;
-    dev_.launch(LaunchDims::cover(n_, block_), n_, [&](ThreadCtx& ctx) {
-      diff.store(ctx, ctx.global_id(), 0.0f);
-    });
-    cursor_.host()[0] = 0;
-  }
-  return size();
-}
-
-bool DeviceNodeFrontier::advance(std::uint32_t /*iter*/) {
-  if (!use_queue_) return true;
+bool DeviceFrontier::advance(std::uint32_t /*iter*/) {
+  if (!queued_) return true;
   const std::uint32_t appended = cursor_.host()[0];
   perf::Meter m(dev_.mutable_counters());
   m.d2h(sizeof(std::uint32_t));
   // Every append serialized on the single cursor.
   m.atomic(0, appended);
-  queued_ = appended;
-  return queued_ != 0;
-}
-
-DeviceEdgeFrontier::DeviceEdgeFrontier(gpusim::Device& dev,
-                                       const graph::FactorGraph& g)
-    : dev_(dev) {
-  const std::uint64_t m = g.num_edges();
-  queue_a_ = dev_.alloc<std::uint32_t>(m);
-  queue_b_ = dev_.alloc<std::uint32_t>(m);
-  cursor_ = dev_.alloc<std::uint32_t>(1);
-  std::vector<std::uint32_t> init;
-  init.reserve(m);
-  for (graph::EdgeId e = 0; e < m; ++e) {
-    if (!g.observed(g.edge(e).dst)) init.push_back(e);
-  }
-  dev_.h2d<std::uint32_t>(queue_a_, init);
-  cursor_.host()[0] = static_cast<std::uint32_t>(init.size());
-  queued_ = static_cast<std::uint32_t>(init.size());
-}
-
-std::uint64_t DeviceEdgeFrontier::begin_iteration(std::uint32_t /*iter*/) {
-  cursor_.host()[0] = 0;
-  return queued_;
-}
-
-bool DeviceEdgeFrontier::advance(std::uint32_t /*iter*/) {
-  const std::uint32_t appended = cursor_.host()[0];
-  perf::Meter meter(dev_.mutable_counters());
-  meter.d2h(sizeof(std::uint32_t));
-  meter.atomic(0, appended > 0 ? appended : 0);
-  queued_ = appended;
-  return queued_ != 0;
+  size_ = appended;
+  return size_ != 0;
 }
 
 }  // namespace credo::bp::runtime

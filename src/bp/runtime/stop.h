@@ -1,22 +1,22 @@
 // Cooperative cancellation and deadline budgets for the BP runtime
 // (DESIGN.md §5c).
 //
-// A StopSource owns a shared stop flag; StopTokens are cheap copyable views
-// of it that the serve layer threads through BpOptions into the iteration
-// drivers. The drivers poll the token once per iteration and evaluate the
-// two deadline budgets (host wall-clock and modelled seconds) at the
-// convergence-check cadence, so a request over budget is stopped at the next
-// convergence check rather than mid-sweep — stats and beliefs stay
-// consistent, the run just ends early with BpStats::stop_reason set.
+// Cancellation is C++20's std::stop_source / std::stop_token: the serve
+// layer threads a token through BpOptions into the iteration drivers. The
+// drivers poll the token once per iteration and evaluate the two deadline
+// budgets (host wall-clock and modelled seconds) at the convergence-check
+// cadence, so a request over budget is stopped at the next convergence
+// check rather than mid-sweep — stats and beliefs stay consistent, the run
+// just ends early with BpStats::stop_reason set.
 //
 // The tree engine is the one exception: its two fixed sweeps have no
 // convergence checks, so a tree run always completes (it is finite by
 // construction) and deadlines apply only before and after it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <stop_token>
+#include <utility>
 
 #include "util/timer.h"
 
@@ -25,76 +25,18 @@ namespace credo::bp::runtime {
 /// Why a run ended before convergence or the iteration cap.
 enum class StopReason : std::uint8_t {
   kNone = 0,      // ran to convergence / cap
-  kCancelled = 1, // StopSource::request_stop (client cancellation)
+  kCancelled = 1, // the run's stop token fired (client cancellation)
   kDeadline = 2,  // a host or modelled time budget expired
 };
 
 [[nodiscard]] const char* stop_reason_name(StopReason r) noexcept;
-
-/// A view of a StopSource's flag. Default-constructed tokens are empty and
-/// never fire, so every existing call site keeps its behaviour for free.
-class StopToken {
- public:
-  StopToken() = default;
-
-  /// True once the owning source requested a stop.
-  [[nodiscard]] bool stop_requested() const noexcept {
-    return state_ && state_->load(std::memory_order_relaxed) != 0;
-  }
-
-  /// The reason recorded by the source (kNone while not stopped / empty).
-  [[nodiscard]] StopReason reason() const noexcept {
-    return state_ ? static_cast<StopReason>(
-                        state_->load(std::memory_order_relaxed))
-                  : StopReason::kNone;
-  }
-
-  /// False for a default-constructed (never-firing) token.
-  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
-
- private:
-  friend class StopSource;
-  explicit StopToken(
-      std::shared_ptr<const std::atomic<std::uint8_t>> s) noexcept
-      : state_(std::move(s)) {}
-
-  std::shared_ptr<const std::atomic<std::uint8_t>> state_;
-};
-
-/// The writable end of a cancellation channel. Copyable handles share one
-/// flag; the first request_stop wins and records its reason.
-class StopSource {
- public:
-  StopSource()
-      : state_(std::make_shared<std::atomic<std::uint8_t>>(0)) {}
-
-  [[nodiscard]] StopToken token() const noexcept {
-    return StopToken(state_);
-  }
-
-  /// Requests a stop; returns true if this call was the first (its reason
-  /// sticks), false if the source had already fired.
-  bool request_stop(StopReason r = StopReason::kCancelled) noexcept {
-    std::uint8_t expected = 0;
-    return state_->compare_exchange_strong(expected,
-                                           static_cast<std::uint8_t>(r),
-                                           std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] bool stop_requested() const noexcept {
-    return state_->load(std::memory_order_relaxed) != 0;
-  }
-
- private:
-  std::shared_ptr<std::atomic<std::uint8_t>> state_;
-};
 
 /// The drivers' per-run stop policy: an optional token plus the two budgets
 /// from BpOptions. Constructed once per run_loop; the no-token/no-budget
 /// case short-circuits to a couple of branch-predicted compares.
 class DeadlineGuard {
  public:
-  DeadlineGuard(StopToken token, double host_budget_seconds,
+  DeadlineGuard(std::stop_token token, double host_budget_seconds,
                 double modelled_budget_seconds) noexcept
       : token_(std::move(token)),
         host_budget_(host_budget_seconds),
@@ -102,7 +44,8 @@ class DeadlineGuard {
 
   /// True when any stop condition can ever fire.
   [[nodiscard]] bool active() const noexcept {
-    return token_.valid() || host_budget_ > 0.0 || modelled_budget_ > 0.0;
+    return token_.stop_possible() || host_budget_ > 0.0 ||
+           modelled_budget_ > 0.0;
   }
 
   /// Polls the stop conditions. Cancellation is checked on every call;
@@ -126,7 +69,7 @@ class DeadlineGuard {
   }
 
  private:
-  StopToken token_;
+  std::stop_token token_;
   double host_budget_;
   double modelled_budget_;
   util::Timer timer_;  // starts with the run loop

@@ -21,12 +21,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stop_token>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "bp/engine.h"
-#include "bp/runtime/stop.h"
 #include "graph/delta.h"
 #include "graph/factor_graph.h"
 #include "graph/reorder.h"
@@ -191,9 +191,9 @@ struct Request {
 
   Deadline deadline;
 
-  /// Client cancellation token (from bp::runtime::StopSource). Composed
-  /// with the deadline budgets; default tokens never fire.
-  bp::runtime::StopToken cancel;
+  /// Client cancellation token (from a std::stop_source). Composed with
+  /// the deadline budgets; default tokens never fire.
+  std::stop_token cancel;
 
   /// Opaque client label echoed back in the Response.
   std::string tag;
@@ -242,7 +242,7 @@ struct Request {
     deadline = d;
     return *this;
   }
-  Request& with_cancel(bp::runtime::StopToken token) noexcept {
+  Request& with_cancel(std::stop_token token) noexcept {
     cancel = std::move(token);
     return *this;
   }

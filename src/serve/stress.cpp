@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <future>
+#include <stop_token>
 #include <thread>
 
-#include "bp/runtime/stop.h"
 #include "graph/ldpc.h"
 #include "io/mtx_belief.h"
 #include "util/error.h"
@@ -113,7 +113,7 @@ StressReport run_stress(Server& server, const StressConfig& config) {
   const obs::MetricsSnapshot before = server.metrics().snapshot();
 
   // One pre-fired token shared by every cancel_every-th request.
-  bp::runtime::StopSource cancelled_source;
+  std::stop_source cancelled_source;
   cancelled_source.request_stop();
 
   const util::Timer wall;
@@ -155,7 +155,7 @@ StressReport run_stress(Server& server, const StressConfig& config) {
         }
         if (config.cancel_every > 0 &&
             i % config.cancel_every == config.cancel_every - 1) {
-          req.with_cancel(cancelled_source.token());
+          req.with_cancel(cancelled_source.get_token());
         }
         if (config.churn_every > 0 &&
             i % config.churn_every == config.churn_every - 1) {

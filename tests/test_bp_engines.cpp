@@ -297,6 +297,90 @@ void expect_counters_equal_but_team_charges(const perf::Counters& a,
   }
 }
 
+/// Every Counters field.
+void expect_counters_equal(const perf::Counters& a, const perf::Counters& b,
+                           const std::string& what) {
+  expect_counters_equal_but_team_charges(a, b, what);
+  EXPECT_EQ(a.atomic_ops, b.atomic_ops) << what;
+  EXPECT_EQ(a.atomic_chain_ops, b.atomic_chain_ops) << what;
+  EXPECT_EQ(a.parallel_regions, b.parallel_regions) << what;
+}
+
+TEST(BpEngines, AccEdgeIsCudaEdgesDenseSweepWithTheOpenAccDifferences) {
+  // acc-edge runs CUDA Edge's dense body, queue or not; its kind picks the
+  // two OpenACC differences: the shared matrix in global memory and the
+  // 1e-6 floor of the runtime's reduction on each updated node's diff.
+  BeliefConfig cfg;
+  cfg.beliefs = 3;
+  cfg.seed = 7;
+  cfg.observed_fraction = 0.1;
+  cfg.shared_joint = false;
+  const auto per_edge = graph::uniform_random(200, 800, cfg);
+  cfg.shared_joint = true;
+  const auto shared = graph::uniform_random(200, 800, cfg);
+
+  BpOptions capped = default_opts();
+  capped.max_iterations = 6;
+  const auto run = [](EngineKind kind, const FactorGraph& g,
+                      BpOptions opts) {
+    return bp::make_default_engine(kind)->run(g, opts);
+  };
+
+  // Per-edge tables at a cap both engines reach: neither difference shows.
+  const auto cuda = run(EngineKind::kCudaEdge, per_edge, capped);
+  ASSERT_FALSE(cuda.stats.converged);
+  for (const bool wq : {false, true}) {
+    BpOptions opts = capped;
+    opts.work_queue = wq;
+    const auto acc = run(EngineKind::kAccEdge, per_edge, opts);
+    const std::string what = wq ? "queue on" : "queue off";
+    EXPECT_EQ(differing_nodes(acc, cuda), 0u) << what;
+    EXPECT_EQ(acc.stats.iterations, cuda.stats.iterations) << what;
+    EXPECT_EQ(acc.stats.elements_processed, cuda.stats.elements_processed)
+        << what;
+    EXPECT_GE(acc.stats.final_delta, cuda.stats.final_delta) << what;
+    expect_counters_equal(acc.stats.counters, cuda.stats.counters, what);
+  }
+
+  // The shared matrix: the same beliefs, but read from global memory — no
+  // constant-cache reads but one scattered read per message, and one more
+  // device allocation for the matrix.
+  const auto cuda_shared = run(EngineKind::kCudaEdge, shared, capped);
+  const auto acc_shared = run(EngineKind::kAccEdge, shared, capped);
+  EXPECT_EQ(differing_nodes(acc_shared, cuda_shared), 0u);
+  ASSERT_EQ(acc_shared.stats.iterations, cuda_shared.stats.iterations);
+  const perf::Counters& c = cuda_shared.stats.counters;
+  const perf::Counters& a = acc_shared.stats.counters;
+  EXPECT_GT(c.const_ops, 0u);
+  EXPECT_EQ(a.const_ops, 0u);
+  const std::uint64_t messages =
+      shared.num_edges() * acc_shared.stats.iterations;
+  EXPECT_EQ(a.rand_read_ops, c.rand_read_ops + messages);
+  EXPECT_EQ(a.rand_read_bytes,
+            c.rand_read_bytes +
+                messages * shared.joints().shared_matrix().payload_bytes());
+  EXPECT_EQ(a.device_allocs, c.device_allocs + 1);
+  EXPECT_EQ(a.device_alloc_bytes,
+            c.device_alloc_bytes + sizeof(graph::JointMatrix));
+
+  // The reduction floor: every updated node (unobserved, with parents)
+  // adds at least 1e-6 to the sum, which keeps acc-edge from the
+  // threshold CUDA Edge converges under (§2.4: OpenACC runs to the cap).
+  std::uint64_t updated = 0;
+  for (graph::NodeId v = 0; v < shared.num_nodes(); ++v) {
+    if (!shared.observed(v) && shared.in_csr().degree(v) > 0) ++updated;
+  }
+  const BpOptions opts = default_opts();
+  ASSERT_GT(1e-6 * static_cast<double>(updated), opts.convergence_threshold);
+  EXPECT_TRUE(run(EngineKind::kCudaEdge, shared, opts).stats.converged);
+  const auto floored = run(EngineKind::kAccEdge, shared, opts);
+  EXPECT_FALSE(floored.stats.converged);
+  EXPECT_EQ(floored.stats.iterations, opts.max_iterations);
+  // Less the rounding of the device's float sum.
+  EXPECT_GE(floored.stats.final_delta,
+            0.999 * 1e-6 * static_cast<double>(updated));
+}
+
 TEST(BpEngines, OmpNodeMatchesCNodeAtOneWorker) {
   // One node body runs both engines: at one worker omp-node is c-node plus
   // the team charges, bit for bit — cold, warm and seeded, and on both

@@ -12,6 +12,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <utility>
@@ -301,13 +302,13 @@ TEST(Spans, ServerRecordsAllFourTerminalStatuses) {
   EXPECT_GT(ok_resp.span_id, 0u);
 
   // cancelled (token fired before the worker dequeues it)
-  bp::runtime::StopSource source;
+  std::stop_source source;
   source.request_stop();
   const auto cancel_resp = server
                                .submit(serve::Request{}
                                            .with_files(nodes, edges)
                                            .with_options(opts)
-                                           .with_cancel(source.token())
+                                           .with_cancel(source.get_token())
                                            .with_tag("cancelled"))
                                .get();
   EXPECT_EQ(cancel_resp.status, util::StatusCode::kCancelled);

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <stop_token>
 #include <vector>
 
 #include "bp/engine.h"
@@ -284,10 +285,10 @@ TEST(BulkResidual, ConvergesWithAQueueBarBelowTheNoiseFloor) {
 
 TEST(BulkResidual, CancelledRunStopsUnconverged) {
   const auto g = small_grid(24, 53);
-  runtime::StopSource source;
+  std::stop_source source;
   source.request_stop();
   const auto r = run(EngineKind::kBulkResidual, g,
-                     engine_opts(2).with_stop(source.token()));
+                     engine_opts(2).with_stop(source.get_token()));
   EXPECT_FALSE(r.stats.converged);
   EXPECT_EQ(r.stats.stop_reason, runtime::StopReason::kCancelled);
   EXPECT_LT(r.stats.elements_processed, g.num_nodes());  // one round

@@ -11,6 +11,7 @@
 #include <future>
 #include <map>
 #include <sstream>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -319,7 +320,7 @@ TEST(RequestVocabulary, InvalidRequestResolvesWithoutRunning) {
 }
 
 TEST(RequestVocabulary, FluentBuildersMatchFieldAssignment) {
-  bp::runtime::StopSource source;
+  std::stop_source source;
   graph::GraphDelta delta;
   delta.observe(3, 1);
   const Request built =
@@ -332,7 +333,7 @@ TEST(RequestVocabulary, FluentBuildersMatchFieldAssignment) {
           .with_warm_start()
           .with_deadline(
               Deadline{}.with_host_seconds(0.5).with_modelled_seconds(2.0))
-          .with_cancel(source.token())
+          .with_cancel(source.get_token())
           .with_tag("built");
   EXPECT_EQ(built.graph.nodes_path, "n.mtx");
   EXPECT_EQ(built.graph.edges_path, "e.mtx");
@@ -349,7 +350,7 @@ TEST(RequestVocabulary, FluentBuildersMatchFieldAssignment) {
   EXPECT_DOUBLE_EQ(built.deadline.host_seconds, 0.5);
   EXPECT_DOUBLE_EQ(built.deadline.modelled_seconds, 2.0);
   EXPECT_FALSE(built.deadline.unlimited());
-  EXPECT_TRUE(built.cancel.valid());
+  EXPECT_TRUE(built.cancel.stop_possible());
   EXPECT_EQ(built.tag, "built");
   EXPECT_TRUE(built.validate().is_ok());
 }
@@ -402,7 +403,7 @@ TEST(Server, BackpressureRejectsBeyondCapacityAndShutdownDrains) {
 
 TEST(Server, PreCancelledRequestNeverRuns) {
   const auto shared = std::make_shared<const FactorGraph>(small_grid());
-  bp::runtime::StopSource source;
+  std::stop_source source;
   ASSERT_TRUE(source.request_stop());
 
   Server server(plain_server(1));
@@ -410,7 +411,7 @@ TEST(Server, PreCancelledRequestNeverRuns) {
   req.graph = GraphKey::preloaded(shared);
   req.options = test_options();
   req.engine = bp::EngineKind::kCpuNode;
-  req.cancel = source.token();
+  req.cancel = source.get_token();
   auto fut = server.submit(std::move(req));
   const Response resp = fut.get();
   EXPECT_EQ(resp.status, util::StatusCode::kCancelled);
@@ -752,7 +753,7 @@ TEST(ServerBatch, FusedBatchMatchesIndividualRunsBitwise) {
 
 TEST(ServerBatch, MemberTriageRejectsUnfusableAndCancelled) {
   const auto shared = std::make_shared<const FactorGraph>(small_grid());
-  bp::runtime::StopSource fired;
+  std::stop_source fired;
   ASSERT_TRUE(fired.request_stop());
 
   Server server(plain_server(1));
@@ -772,7 +773,7 @@ TEST(ServerBatch, MemberTriageRejectsUnfusableAndCancelled) {
                       .with_preloaded(shared)
                       .with_options(test_options())
                       .with_engine(bp::EngineKind::kCpuNode)
-                      .with_cancel(fired.token()));
+                      .with_cancel(fired.get_token()));
   batch.push_back(Request{}
                       .with_preloaded(shared)
                       .with_options(test_options().with_max_iterations(7))
@@ -804,8 +805,8 @@ TEST(ServerBatch, CancellationMidBatchKeepsAccountingIdentity) {
   // kCancelled at batch-execution time and the identity still balances.
   const auto small = std::make_shared<const FactorGraph>(small_grid());
   const auto big = std::make_shared<const FactorGraph>(small_random());
-  bp::runtime::StopSource long_stop;
-  bp::runtime::StopSource member_stop;
+  std::stop_source long_stop;
+  std::stop_source member_stop;
 
   Server server(plain_server(1));
   auto long_fut = server.submit(
@@ -816,7 +817,7 @@ TEST(ServerBatch, CancellationMidBatchKeepsAccountingIdentity) {
                             .with_convergence_threshold(1e-30f)
                             .with_queue_threshold(1e-32f))
           .with_engine(bp::EngineKind::kCpuNode)
-          .with_cancel(long_stop.token()));
+          .with_cancel(long_stop.get_token()));
 
   std::vector<Request> batch;
   for (int i = 0; i < 3; ++i) {
@@ -824,7 +825,7 @@ TEST(ServerBatch, CancellationMidBatchKeepsAccountingIdentity) {
                       .with_preloaded(small)
                       .with_options(test_options())
                       .with_engine(bp::EngineKind::kCpuNode);
-    if (i == 1) req.with_cancel(member_stop.token());
+    if (i == 1) req.with_cancel(member_stop.get_token());
     batch.push_back(std::move(req));
   }
   auto futures = server.submit_batch(std::move(batch));
