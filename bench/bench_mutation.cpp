@@ -29,8 +29,7 @@
 // `--smoke` (the CI configuration) shrinks the grid and sweeps, skips the
 // timing gates, and asserts structure instead: the frontier actually
 // engaged, the incremental run visited fewer elements than the rebuild,
-// compaction fired under pressure, and L-inf held. Same code paths, no
-// timing assumptions on shared runners.
+// and L-inf held. Same code paths, no timing assumptions on shared runners.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -110,7 +109,6 @@ struct Cell {
   float linf = 0.0f;               // max over batches
   std::uint64_t incremental_elements = 0;
   std::uint64_t rebuild_elements = 0;
-  std::uint64_t compactions = 0;
 };
 
 /// Runs one churn cell: `batches` delta batches at `frac` touched fraction
@@ -124,7 +122,7 @@ Cell run_cell(const graph::FactorGraph& base, bp::EngineKind kind,
   cell.touched_fraction = frac;
   cell.batches = batches;
 
-  auto dyn = graph::DynamicGraph::from_graph(base, graph::DynamicOptions{});
+  auto dyn = graph::DynamicGraph::from_graph(base);
   const auto engine = bp::make_default_engine(kind);
   auto prev = engine->run(*dyn.snapshot(), opts).beliefs;  // priming, untimed
 
@@ -132,8 +130,7 @@ Cell run_cell(const graph::FactorGraph& base, bp::EngineKind kind,
       1, static_cast<std::size_t>(frac * static_cast<double>(base.num_nodes())));
   cell.touched_per_batch = budget;
 
-  // Rewire edges retire two batches after they appear, so removal slots
-  // accumulate in the slack CSR.
+  // Rewire edges retire two batches after they appear.
   std::vector<std::pair<graph::NodeId, graph::NodeId>> rewires;
 
   for (int b = 0; b < batches; ++b) {
@@ -215,13 +212,10 @@ Cell run_cell(const graph::FactorGraph& base, bp::EngineKind kind,
   cell.frontier_fraction /= batches;
   cell.speedup =
       cell.incremental_s > 0.0 ? cell.rebuild_s / cell.incremental_s : 0.0;
-  cell.compactions = dyn.compactions();
   return cell;
 }
 
-void write_json(const std::vector<Cell>& cells, unsigned side,
-                std::uint64_t compactions, double dead_before_compact,
-                bool smoke) {
+void write_json(const std::vector<Cell>& cells, unsigned side, bool smoke) {
   std::ofstream out("BENCH_mutation.json");
   out << "{\n  \"bench\": \"mutation\",\n  \"smoke\": "
       << (smoke ? "true" : "false") << ",\n  \"grid_side\": " << side
@@ -239,8 +233,7 @@ void write_json(const std::vector<Cell>& cells, unsigned side,
         << c.rebuild_elements << "}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"compaction\": {\"compactions\": " << compactions
-      << ", \"dead_fraction_seen\": " << dead_before_compact << "}\n}\n";
+  out << "  ]\n}\n";
 }
 
 }  // namespace
@@ -279,29 +272,6 @@ int main(int argc, char** argv) {
   cells.push_back(run_cell(g, bp::EngineKind::kBulkResidual, 0.01,
                            smoke ? 2 : batches, opts, 99));
 
-  // Compaction under pressure: zero row slack and a low dead-fraction
-  // threshold force automatic compactions during a remove-heavy churn.
-  std::uint64_t compactions = 0;
-  double dead_seen = 0.0;
-  {
-    graph::BeliefConfig ccfg = cfg;
-    const graph::FactorGraph cg = graph::grid(16, 16, ccfg);
-    graph::DynamicOptions dopts;
-    dopts.row_slack = 0;
-    dopts.compact_dead_fraction = 0.05;
-    auto dyn = graph::DynamicGraph::from_graph(cg, dopts);
-    for (int b = 0; b < 96; ++b) {
-      graph::GraphDelta d;
-      const auto target = static_cast<graph::NodeId>(
-          mix64(777 + static_cast<std::uint64_t>(b)) % cg.num_nodes());
-      d.add_node(graph::BeliefVec::uniform(cg.arity(target)));
-      d.add_edge(graph::GraphDelta::new_node(0), target);
-      CREDO_CHECK_MSG(dyn.apply(d).is_ok(), "compaction churn rejected");
-      dead_seen = std::max(dead_seen, dyn.dead_fraction());
-    }
-    compactions = dyn.compactions();
-  }
-
   // -- Report -------------------------------------------------------------
   util::Table table({"engine", "touched", "inc s", "rebuild s", "frontier",
                      "L-inf", "speedup"});
@@ -314,7 +284,7 @@ int main(int argc, char** argv) {
   bench::emit(table, "mutation",
               "§5j — incremental re-convergence vs full rebuild over a "
               "churn stream (apply+snapshot+run vs rebuild+cold run)");
-  write_json(cells, side, compactions, dead_seen, smoke);
+  write_json(cells, side, smoke);
   std::cout << "(json: BENCH_mutation.json)\n";
 
   // Correctness gate in both modes: wherever the incremental path claims a
@@ -347,14 +317,9 @@ int main(int argc, char** argv) {
                 << small.rebuild_elements << " (expected < half)\n";
       return 1;
     }
-    if (compactions == 0) {
-      std::cout << "SMOKE FAIL: pressure loop never compacted\n";
-      return 1;
-    }
     std::cout << "smoke ok: frontier=" << bench::num(small.frontier_fraction, 4)
               << " inc_elems=" << small.incremental_elements << " rebuild_elems="
-              << small.rebuild_elements << " compactions=" << compactions
-              << "\n";
+              << small.rebuild_elements << "\n";
     return 0;
   }
 

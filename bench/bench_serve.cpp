@@ -204,13 +204,13 @@ int main(int argc, char** argv) {
       serve::Server primed(bench_server(1));
       const serve::Response seed = primed.submit(base_req()).get();
       CREDO_CHECK_MSG(seed.ok(), "priming run failed");
-      const serve::Response w = primed.submit(base_req().with_evidence(delta)).get();
+      const serve::Response w = primed.submit(base_req().with_delta(delta)).get();
       CREDO_CHECK_MSG(w.ok() && w.warm_start, "delta run must warm-start");
       primed.shutdown();
 
       serve::Server fresh(bench_server(1));
       const serve::Response c =
-          fresh.submit(base_req().with_evidence(delta)).get();
+          fresh.submit(base_req().with_delta(delta)).get();
       CREDO_CHECK_MSG(c.ok() && !c.warm_start, "fresh delta run must be cold");
       fresh.shutdown();
 
@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
       const serve::Response seed = primed.submit(large_req()).get();
       CREDO_CHECK_MSG(seed.ok(), "large priming run failed");
       const serve::Response w =
-          primed.submit(large_req().with_evidence(delta)).get();
+          primed.submit(large_req().with_delta(delta)).get();
       CREDO_CHECK_MSG(w.ok() && w.warm_start, "large delta must warm-start");
       primed.shutdown();
       row.warm_s = w.service_seconds;
@@ -274,7 +274,7 @@ int main(int argc, char** argv) {
 
       serve::Server fresh(bench_server(1));
       const serve::Response c =
-          fresh.submit(large_req().with_evidence(delta)).get();
+          fresh.submit(large_req().with_delta(delta)).get();
       CREDO_CHECK_MSG(c.ok() && !c.warm_start, "large fresh delta must be cold");
       fresh.shutdown();
       row.cold_s = c.service_seconds;

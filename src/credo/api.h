@@ -18,9 +18,12 @@
 #include "graph/reorder.h"
 #include "io/mtx_belief.h"
 
-// Dynamic graphs: the GraphDelta mutation vocabulary (evidence + topology)
-// and the DynamicGraph that applies it with incremental re-convergence
-// (DESIGN.md §5j).
+// Dynamic graphs (DESIGN.md §5j): the fluent GraphDelta batch (evidence +
+// topology ops), applied through graph::with_delta (evidence on any graph),
+// graph::DynamicGraph::apply (topology, each batch a new immutable
+// version) or serve Request::with_delta. Validation is Status-returning:
+// bad batches (edges to removed nodes, duplicate inserts, set_prior on an
+// observed node) are rejected, never asserted on.
 #include "graph/delta.h"
 #include "graph/dynamic.h"
 
@@ -40,15 +43,3 @@
 
 // The §3.7 engine dispatcher (train/load/choose).
 #include "credo/dispatcher.h"
-
-namespace credo {
-
-/// The fluent mutation-batch builder, promoted to the public surface:
-/// `credo::MutationBatch().add_edge(u, v, m).set_prior(w, p)` and apply it
-/// through graph::DynamicGraph::apply (topology) or serve
-/// Request::with_delta (evidence). Validation is Status-returning — bad
-/// batches (edges to removed nodes, duplicate inserts, observed-node
-/// potential edits) are rejected, never asserted on.
-using MutationBatch = graph::GraphDelta;
-
-}  // namespace credo

@@ -36,6 +36,14 @@ JointMatrix JointMatrix::diffusion(std::uint32_t n, float stay) {
   return j;
 }
 
+JointMatrix JointMatrix::transposed() const {
+  JointMatrix t(cols, rows);
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    for (std::uint32_t c = 0; c < cols; ++c) t.m[c][r] = m[r][c];
+  }
+  return t;
+}
+
 std::uint32_t compute_message(const BeliefVec& in, const JointMatrix& j,
                               BeliefVec& out) noexcept {
   out.size = j.cols;

@@ -133,6 +133,9 @@ struct JointMatrix {
   /// edge": diagonal weight `stay`, off-diagonal (1-stay)/(cols-1).
   static JointMatrix diffusion(std::uint32_t n, float stay);
 
+  /// The reverse direction of an undirected MRF edge: cols x rows.
+  [[nodiscard]] JointMatrix transposed() const;
+
   [[nodiscard]] std::uint64_t payload_bytes() const noexcept {
     return static_cast<std::uint64_t>(rows) * cols * sizeof(float);
   }

@@ -9,19 +9,6 @@
 #include "util/error.h"
 
 namespace credo::graph {
-namespace {
-
-JointMatrix transpose(const JointMatrix& m) {
-  JointMatrix t(m.cols, m.rows);
-  for (std::uint32_t r = 0; r < m.rows; ++r) {
-    for (std::uint32_t c = 0; c < m.cols; ++c) {
-      t.at(c, r) = m.at(r, c);
-    }
-  }
-  return t;
-}
-
-}  // namespace
 
 void GraphBuilder::use_shared_joint(const JointMatrix& m) {
   CREDO_CHECK_MSG(per_edge_.empty(),
@@ -128,7 +115,7 @@ EdgeId GraphBuilder::add_edge(NodeId src, NodeId dst) {
 EdgeId GraphBuilder::add_undirected(NodeId u, NodeId v,
                                     const JointMatrix& m) {
   const EdgeId first = add_edge(u, v, m);
-  add_edge(v, u, transpose(m));
+  add_edge(v, u, m.transposed());
   return first;
 }
 

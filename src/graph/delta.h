@@ -1,25 +1,24 @@
-// Unified graph-delta vocabulary (DESIGN.md §5j).
+// Graph-delta vocabulary (DESIGN.md §5j).
 //
-// PR 8's EvidenceDelta spoke only evidence: priors move, variables get
-// observed or released. Dynamic graphs add topology to the same
-// conversation — edges appear and vanish, nodes join and retire — and a
-// serve request should express both in ONE ordered op list with one
-// touched-set and one fingerprint, because both kinds of change perturb
-// the same frontier and feed the same warm-table keying. GraphDelta is
-// that vocabulary. Evidence-only deltas still apply ephemerally to any
-// FactorGraph (`with_delta`, the old `with_evidence` path); deltas that
-// carry topology ops must go through a graph::DynamicGraph, which owns the
-// slack-slotted CSRs that make structural mutation cheap. EvidenceDelta
-// remains as the internal evidence-application engine and is banned
-// outside graph/ (header-hygiene test).
+// A serve re-query changes evidence (priors move, variables get observed
+// or released) or topology (edges appear and vanish, nodes join and
+// retire), and both kinds of change perturb the same frontier and feed
+// the same warm-table keying. GraphDelta is ONE ordered op list for both,
+// with one touched-set and one fingerprint. Evidence-only deltas apply
+// ephemerally to any FactorGraph (`with_delta`); deltas that carry
+// topology ops go through a graph::DynamicGraph, which keeps the
+// retired-node flags and the version count. Both paths run the same
+// validator and the same applier (graph/delta.cpp), so their rules cannot
+// drift apart.
 //
 // All node ids are the caller's ORIGINAL ids (pre-reorder), like
-// EvidenceDelta and BpOptions::frontier_seed. Ops apply in insertion
-// order; a later op on the same node/edge wins.
+// BpOptions::frontier_seed. Ops apply in insertion order; a later op on
+// the same node/edge wins.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/belief.h"
@@ -47,7 +46,7 @@ class GraphDelta {
     return (v & kPendingBit) != 0;
   }
 
-  // --- Evidence ops (the EvidenceDelta vocabulary, verbatim) ---
+  // --- Evidence ops ---
 
   /// Replaces `node`'s prior (and current-belief starting point). The node
   /// must be unobserved at apply time and the arity must match.
@@ -110,14 +109,15 @@ class GraphDelta {
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
   /// Validates against a plain FactorGraph for *ephemeral* application:
-  /// evidence ops are checked like EvidenceDelta (ids in range, arity
-  /// match, observe states in range, no set_prior on an observed node);
-  /// any topology op fails with kInvalidArgument — structural mutation
-  /// needs a DynamicGraph, whose apply() runs its own richer validation.
+  /// evidence ops are checked by the same validator DynamicGraph::apply
+  /// runs (ids in range, arity match, observe states in range, no
+  /// set_prior on an observed node); any topology op fails with
+  /// kInvalidArgument — structural mutation needs a DynamicGraph.
   [[nodiscard]] util::Status validate(const FactorGraph& g) const noexcept;
 
  private:
-  friend class DynamicGraph;  // graph/dynamic.cpp — applies topology ops
+  friend class DeltaAccess;   // graph/delta.cpp — the applier's body
+  friend class DynamicGraph;  // graph/dynamic.cpp — checks and applies
   friend FactorGraph with_delta(const FactorGraph& g, const GraphDelta& d);
 
   static constexpr NodeId kPendingBit = 0x80000000u;
@@ -142,13 +142,34 @@ class GraphDelta {
     std::shared_ptr<const JointMatrix> joint;  // kAddEdge / kSetPotential
   };
 
+  /// The one validator: checks the whole batch against an evolving shadow
+  /// of `g` (observation flags, removals, edge liveness) before anything
+  /// changes, so a rejected batch leaves no trace. Ids are original ids,
+  /// mapped through g's permutation; `removed` flags retired nodes by
+  /// original id (empty: none). Topology ops are checked only on graphs
+  /// without a permutation (a DynamicGraph's current version).
+  [[nodiscard]] util::Status check(const FactorGraph& g,
+                                   std::span<const std::uint8_t> removed) const;
+
+  /// The one applier: the next version of `g` with this checked batch
+  /// applied. Evidence ops rewrite priors and flags through g's
+  /// permutation, sharing the structure; topology ops rebuild the edge
+  /// list in builder order, the joint store and both CSRs. Retired nodes
+  /// are flagged in `removed` (grown with added nodes) when non-null;
+  /// `touched` receives every perturbed node (DynamicGraph::last_touched).
+  [[nodiscard]] FactorGraph applied(const FactorGraph& g,
+                                    std::vector<std::uint8_t>* removed,
+                                    std::vector<NodeId>* touched) const;
+
   std::vector<Op> ops_;
 };
 
 /// A copy of `g` with an *evidence-only* `d` applied: priors and
-/// observation flags updated, everything structural shared/unchanged.
-/// Throws util::InvalidArgument when d.validate(g) fails — including when
-/// `d` carries topology ops, which cannot apply ephemerally.
+/// observation flags updated, everything structural shared/unchanged —
+/// same edges, CSRs, joint tables, family, names and recorded permutation
+/// (beliefs still come back in original ids). Throws util::InvalidArgument
+/// when d.validate(g) fails — including when `d` carries topology ops,
+/// which cannot apply ephemerally.
 [[nodiscard]] FactorGraph with_delta(const FactorGraph& g,
                                      const GraphDelta& d);
 

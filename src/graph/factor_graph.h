@@ -190,7 +190,7 @@ class FactorGraph {
 
   /// The joint store as a shareable handle (graph copies and the evidence
   /// overlay share one immutable table payload — ~4 KiB per edge for
-  /// per-edge tabular stores; see graph/evidence.h).
+  /// per-edge tabular stores; see graph/delta.h).
   [[nodiscard]] const std::shared_ptr<const JointStore>& joints_ptr()
       const noexcept {
     return joints_;
@@ -238,9 +238,8 @@ class FactorGraph {
 
  private:
   friend class GraphBuilder;
-  friend class ReorderAccess;   // graph/reorder.cpp
-  friend class EvidenceAccess;  // graph/evidence.cpp
-  friend class DynamicAccess;   // graph/dynamic.cpp
+  friend class ReorderAccess;  // graph/reorder.cpp
+  friend class DeltaAccess;    // graph/delta.cpp
 
   std::vector<BeliefVec> priors_;
   std::vector<std::uint8_t> observed_;

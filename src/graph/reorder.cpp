@@ -239,12 +239,12 @@ Permutation random_order(NodeId num_nodes, std::uint64_t seed) {
 /// Private-member access for the locality pass (FactorGraph friend).
 class ReorderAccess {
  public:
-  /// Rebuilds `g` with node ids mapped through `perm`. Edge sort order:
-  /// (target, source) under a reorder mode — consecutive combines then hit
-  /// warm accumulator lines — and the parser's by-source order for kNone
-  /// (so relabeled() outputs are indistinguishable from a fresh parse).
+  /// Rebuilds `g` with node ids mapped through `perm` and the edge list
+  /// stably sorted by `less` over the mapped endpoints; the CSRs and the
+  /// joint store follow the edges. Records no permutation.
+  template <typename Less>
   static FactorGraph apply(const FactorGraph& g, const Permutation& perm,
-                           ReorderMode mode, bool record) {
+                           Less less) {
     const NodeId n = g.num_nodes();
     CREDO_CHECK_MSG(perm.size() == n, "permutation size mismatch");
 
@@ -253,8 +253,8 @@ class ReorderAccess {
     out.observed_ = perm.apply(g.observed_);
     if (!g.names_.empty()) out.names_ = perm.apply(g.names_);
 
-    // Remap endpoints, then sort edges (stably, keyed as above) carrying
-    // the original edge ids along for the joint-store permutation.
+    // Remap endpoints, then sort edges (stably) carrying the original edge
+    // ids along for the joint-store permutation.
     const auto m = static_cast<EdgeId>(g.edges_.size());
     std::vector<DirectedEdge> mapped(m);
     for (EdgeId e = 0; e < m; ++e) {
@@ -262,18 +262,9 @@ class ReorderAccess {
     }
     std::vector<EdgeId> order(m);
     for (EdgeId e = 0; e < m; ++e) order[e] = e;
-    if (mode == ReorderMode::kNone) {
-      std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-        return mapped[a].src < mapped[b].src;
-      });
-    } else {
-      std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-        if (mapped[a].dst != mapped[b].dst) {
-          return mapped[a].dst < mapped[b].dst;
-        }
-        return mapped[a].src < mapped[b].src;
-      });
-    }
+    std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
+      return less(mapped[a], mapped[b]);
+    });
     out.edges_.resize(m);
     for (EdgeId e = 0; e < m; ++e) out.edges_[e] = mapped[order[e]];
 
@@ -289,15 +280,30 @@ class ReorderAccess {
 
     out.in_csr_ = Csr::by_target(n, out.edges_);
     out.out_csr_ = Csr::by_source(n, out.edges_);
-
-    if (record) {
-      // Compose with any permutation g already carries so un-permutation
-      // always lands back in the caller's *original* ids.
-      out.reorder_ = mode;
-      out.perm_ = std::make_shared<const Permutation>(
-          g.perm_ ? Permutation::compose(*g.perm_, perm) : perm);
-    }
     return out;
+  }
+
+  /// The locality pass: edges sorted by (target, source) so consecutive
+  /// combines hit warm accumulator lines, and the permutation recorded —
+  /// composed with any `g` already carries, so un-permutation always lands
+  /// back in the caller's *original* ids.
+  static FactorGraph reorder(const FactorGraph& g, const Permutation& perm,
+                             ReorderMode mode) {
+    FactorGraph out = apply(g, perm, [](DirectedEdge a, DirectedEdge b) {
+      return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
+    });
+    out.reorder_ = mode;
+    out.perm_ = std::make_shared<const Permutation>(
+        g.perm_ ? Permutation::compose(*g.perm_, perm) : perm);
+    return out;
+  }
+
+  /// `g`'s recorded permutation folded out: original ids, edges in
+  /// (source, target) order.
+  static FactorGraph original(const FactorGraph& g) {
+    return apply(g, g.perm_->inverse(), [](DirectedEdge a, DirectedEdge b) {
+      return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+    });
   }
 };
 
@@ -312,14 +318,21 @@ FactorGraph reordered(const FactorGraph& g, ReorderMode mode) {
         "graph reordering applies only to the tabular family");
   }
   const Permutation perm = compute_order(mode, g.num_nodes(), g.edges());
-  return ReorderAccess::apply(g, perm, mode, /*record=*/true);
+  return ReorderAccess::reorder(g, perm, mode);
 }
 
 FactorGraph relabeled(const FactorGraph& g, const Permutation& perm) {
   CREDO_CHECK_MSG(g.permutation() == nullptr,
                   "relabeled() expects a graph without a recorded "
                   "permutation (relabel before reordering)");
-  return ReorderAccess::apply(g, perm, ReorderMode::kNone, /*record=*/false);
+  // The parser's by-source order: indistinguishable from a fresh parse.
+  return ReorderAccess::apply(g, perm, [](DirectedEdge a, DirectedEdge b) {
+    return a.src < b.src;
+  });
+}
+
+FactorGraph original_order(const FactorGraph& g) {
+  return g.permutation() == nullptr ? g : ReorderAccess::original(g);
 }
 
 double mean_edge_span(const FactorGraph& g) noexcept {

@@ -126,6 +126,12 @@ class Permutation {
 [[nodiscard]] FactorGraph relabeled(const FactorGraph& g,
                                     const Permutation& perm);
 
+/// `g` in the caller's original ids: any recorded permutation folded out,
+/// edges in (source, target) order, no permutation recorded — the form a
+/// graph::DynamicGraph mutates. A graph without a permutation comes back
+/// unchanged.
+[[nodiscard]] FactorGraph original_order(const FactorGraph& g);
+
 /// Locality summary of an ordering: average |src - dst| over directed
 /// edges (the quantity BFS/RCM shrink) — reported by `credo info` and the
 /// reorder bench.

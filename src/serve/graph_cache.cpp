@@ -79,10 +79,9 @@ GraphCache::Fetched GraphCache::fetch(const std::string& nodes_path,
 
   // Miss: parse outside the lock so loads of distinct graphs overlap.
   auto loaded = std::make_shared<CachedGraph>();
-  loaded->graph = graph::reordered(io::read_mtx_belief(nodes_path,
-                                                       edges_path),
-                                   mode);
-  loaded->metadata = graph::compute_metadata(loaded->graph);
+  loaded->graph = std::make_shared<const graph::FactorGraph>(
+      graph::reordered(io::read_mtx_belief(nodes_path, edges_path), mode));
+  loaded->metadata = graph::compute_metadata(*loaded->graph);
   loaded->content_hash = h;
   loaded->reorder = mode;
   loaded->key = key;

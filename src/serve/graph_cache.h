@@ -43,7 +43,9 @@ namespace credo::serve {
 /// way. `key` is the entry's full cache key (paths + content hash +
 /// reorder mode) — the stable address warm state is filed under.
 struct CachedGraph {
-  graph::FactorGraph graph;
+  /// Shared with the DynamicGraph that produced it, for mutated versions:
+  /// publishing a version copies no graph.
+  std::shared_ptr<const graph::FactorGraph> graph;
   graph::GraphMetadata metadata;
   std::uint64_t content_hash = 0;
   graph::ReorderMode reorder = graph::ReorderMode::kNone;

@@ -52,16 +52,6 @@ struct GraphKey {
   std::shared_ptr<const graph::FactorGraph> graph;
   graph::ReorderMode reorder = graph::ReorderMode::kNone;
 
-  /// Topology version of the named graph: 0 addresses the file contents
-  /// as parsed; nonzero addresses the server-side DynamicGraph state after
-  /// that many accepted mutation batches. The version is part of the
-  /// serving identity — it folds into label() and therefore into every
-  /// warm-table fingerprint, so converged beliefs retained against one
-  /// topology can never be overlaid onto a mutated one (the content hash
-  /// alone only covers the on-disk bytes, which in-place mutation never
-  /// changes).
-  std::uint64_t version = 0;
-
   [[nodiscard]] bool inline_graph() const noexcept {
     return graph != nullptr;
   }
@@ -92,10 +82,6 @@ struct GraphKey {
     reorder = mode;
     return *this;
   }
-  GraphKey& with_version(std::uint64_t v) noexcept {
-    version = v;
-    return *this;
-  }
 
   /// Enforces the two-form invariant: either both file paths (and no
   /// inline graph), or an inline graph (and no paths). Mixed or empty
@@ -121,20 +107,13 @@ struct GraphKey {
     return util::Status::ok();
   }
 
-  /// Span/debug label: "nodes|edges[|mode][#vN]" or "inline". The "#vN"
-  /// suffix appears once the graph has been mutated server-side; warm
-  /// fingerprints derive from this label, so each topology version gets
-  /// its own warm-table namespace.
+  /// Span/debug label: "nodes|edges[|mode]" or "inline".
   [[nodiscard]] std::string label() const {
     if (inline_graph()) return "inline";
     std::string s = nodes_path + '|' + edges_path;
     if (reorder != graph::ReorderMode::kNone) {
       s += '|';
       s += graph::reorder_mode_name(reorder);
-    }
-    if (version != 0) {
-      s += "#v";
-      s += std::to_string(version);
     }
     return s;
   }
@@ -228,11 +207,6 @@ struct Request {
   Request& with_delta(graph::GraphDelta d) {
     delta = std::move(d);
     return *this;
-  }
-  /// Thin alias over with_delta, kept so evidence-only call sites read as
-  /// what they are; the unified GraphDelta carries both vocabularies.
-  Request& with_evidence(graph::GraphDelta d) {
-    return with_delta(std::move(d));
   }
   Request& with_warm_start(bool v = true) noexcept {
     warm_start = v;

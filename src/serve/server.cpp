@@ -380,9 +380,9 @@ util::Status Server::apply_mutation(
     bp::EngineKind kind, std::shared_ptr<const CachedGraph>& current_out,
     std::vector<graph::NodeId>& touched_out) {
   // Get or create the dynamic entry. Construction happens outside dyn_mu_
-  // (folding a large graph into slotted CSRs is not map-lock work); if two
-  // first mutations race, the emplace loser's entry is dropped and both
-  // apply against the winner's.
+  // (folding a reordered graph back to original ids is not map-lock work);
+  // if two first mutations race, the emplace loser's entry is dropped and
+  // both apply against the winner's.
   std::shared_ptr<DynamicEntry> entry;
   {
     std::lock_guard<std::mutex> lock(dyn_mu_);
@@ -390,10 +390,8 @@ util::Status Server::apply_mutation(
     if (it != dynamic_.end()) entry = it->second;
   }
   if (entry == nullptr) {
-    graph::DynamicOptions dopts;
-    dopts.reorder = parsed->reorder;
     auto fresh = std::make_shared<DynamicEntry>(
-        graph::DynamicGraph::from_graph(parsed->graph, dopts));
+        graph::DynamicGraph::from_graph(*parsed->graph));
     std::lock_guard<std::mutex> lock(dyn_mu_);
     entry = dynamic_.emplace(parsed->key, std::move(fresh)).first->second;
   }
@@ -406,10 +404,9 @@ util::Status Server::apply_mutation(
   }
   touched_out = entry->dyn.last_touched();
 
-  auto snap = entry->dyn.snapshot();
   auto next = std::make_shared<CachedGraph>();
-  next->graph = *snap;
-  next->metadata = graph::compute_metadata(next->graph);
+  next->graph = entry->dyn.snapshot();
+  next->metadata = graph::compute_metadata(*next->graph);
   next->content_hash = parsed->content_hash;
   next->reorder = parsed->reorder;
   next->version = entry->dyn.version();
@@ -502,7 +499,7 @@ Response Server::execute(Request& req,
       // re-parsed the original (unchanged) files.
       cached = dynamic_current(parsed->key);
       if (cached == nullptr) cached = parsed;
-      g = &cached->graph;
+      g = cached->graph.get();
       md = &cached->metadata;
       warm_key = cached->key;
       resp.graph_version = cached->version;
@@ -528,7 +525,7 @@ Response Server::execute(Request& req,
           !s.is_ok()) {
         throw util::InvalidArgument(s.message());
       }
-      g = &cached->graph;
+      g = cached->graph.get();
       md = &cached->metadata;
       warm_key = cached->key;
       resp.graph_version = cached->version;
@@ -757,7 +754,7 @@ void Server::execute_batch(Pending& pending) {
         if (auto dyn = dynamic_current(cached[i]->key); dyn != nullptr) {
           cached[i] = std::move(dyn);
         }
-        g = &cached[i]->graph;
+        g = cached[i]->graph.get();
       }
       if (g->permutation() != nullptr) {
         fail(i, util::StatusCode::kInvalidArgument,

@@ -1,115 +1,35 @@
-// Tests for the dynamic-graph subsystem (DESIGN.md §5j): the slack-slotted
-// MutableCsr, GraphDelta validation through DynamicGraph::apply, mutation
-// round trips back to the original topology, permutation validity across
-// compactions, frontier-seeded incremental re-convergence agreeing with a
-// full rebuild across the scheduling paradigms, and the serve layer's
-// version-bumped snapshots, warm migration, and mutate-while-query stress.
+// Tests for the dynamic-graph subsystem (DESIGN.md §5j): GraphDelta
+// validation through DynamicGraph::apply and with_delta (one validator),
+// each version equal to the GraphBuilder graph of the same insertions,
+// mutation round trips back to the original topology, a fresh permutation
+// per version under a reorder mode, frontier-seeded incremental
+// re-convergence agreeing with a full rebuild across the scheduling
+// paradigms, and the serve layer's version-bumped snapshots, warm
+// migration, and mutate-while-query stress.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <unistd.h>
 #include <utility>
 #include <vector>
 
 #include "bp/engine.h"
+#include "graph/builder.h"
 #include "graph/delta.h"
 #include "graph/dynamic.h"
 #include "graph/generators.h"
-#include "graph/mutable_csr.h"
+#include "graph/reorder.h"
 #include "io/mtx_belief.h"
 #include "serve/server.h"
 #include "serve/stress.h"
 
 namespace credo::graph {
 namespace {
-
-// ---------------------------------------------------------------------------
-// MutableCsr
-// ---------------------------------------------------------------------------
-
-std::vector<DirectedEdge> chain_edges(NodeId n) {
-  std::vector<DirectedEdge> edges;
-  for (NodeId v = 0; v + 1 < n; ++v) {
-    edges.push_back({v, static_cast<NodeId>(v + 1)});
-    edges.push_back({static_cast<NodeId>(v + 1), v});
-  }
-  return edges;
-}
-
-TEST(MutableCsr, BuildMatchesDenseCsrRowByRow) {
-  const auto edges = chain_edges(6);
-  const auto mcsr = MutableCsr::build(6, edges, /*by_source=*/true, 2);
-  const auto dense = Csr::by_source(6, edges);
-  ASSERT_EQ(mcsr.num_rows(), 6u);
-  EXPECT_EQ(mcsr.num_entries(), edges.size());
-  for (NodeId r = 0; r < 6; ++r) {
-    const auto row = mcsr.row(r);
-    const auto ref = dense.neighbors(r);
-    ASSERT_EQ(row.size(), ref.size()) << "row " << r;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      EXPECT_EQ(row[i].node, ref[i].node);
-      EXPECT_EQ(row[i].edge, ref[i].edge);
-    }
-  }
-  EXPECT_DOUBLE_EQ(mcsr.dead_fraction(), 0.0);
-}
-
-TEST(MutableCsr, InsertsUseSlackThenRelocate) {
-  const auto edges = chain_edges(4);
-  auto mcsr = MutableCsr::build(4, edges, /*by_source=*/true, 1);
-  const auto before = mcsr.arena_slots();
-  // Row 1 has degree 2 and slack 1: the first insert is in place...
-  mcsr.add(1, {3, 100});
-  EXPECT_EQ(mcsr.arena_slots(), before);
-  EXPECT_DOUBLE_EQ(mcsr.dead_fraction(), 0.0);
-  // ...the second relocates the row and abandons its old segment.
-  mcsr.add(1, {0, 101});
-  EXPECT_GT(mcsr.arena_slots(), before);
-  EXPECT_GT(mcsr.dead_fraction(), 0.0);
-  EXPECT_EQ(mcsr.degree(1), 4u);
-  // Insertion order survives the relocation.
-  const auto row = mcsr.row(1);
-  EXPECT_EQ(row[2].edge, 100u);
-  EXPECT_EQ(row[3].edge, 101u);
-}
-
-TEST(MutableCsr, RemoveSwapsWithLastAndCompactReclaims) {
-  const auto edges = chain_edges(4);
-  auto mcsr = MutableCsr::build(4, edges, /*by_source=*/true, 0);
-  // Row 1: entries for nodes 0 and 2.
-  ASSERT_EQ(mcsr.degree(1), 2u);
-  const EdgeId victim = mcsr.row(1)[0].edge;
-  EXPECT_TRUE(mcsr.remove(1, victim));
-  EXPECT_FALSE(mcsr.remove(1, victim)) << "double remove must report false";
-  EXPECT_EQ(mcsr.degree(1), 1u);
-  EXPECT_TRUE(mcsr.contains(1, 2));
-  EXPECT_FALSE(mcsr.contains(1, 0));
-
-  // Force relocations, then compact: dead space drops to zero and the
-  // snapshot walk sees exactly the live entries.
-  mcsr.add(0, {2, 50});
-  mcsr.add(0, {3, 51});
-  EXPECT_GT(mcsr.dead_fraction(), 0.0);
-  mcsr.compact(1);
-  EXPECT_DOUBLE_EQ(mcsr.dead_fraction(), 0.0);
-
-  std::vector<std::uint64_t> offsets;
-  std::vector<MutableCsr::Entry> entries;
-  mcsr.snapshot(offsets, entries);
-  ASSERT_EQ(offsets.size(), 5u);
-  EXPECT_EQ(entries.size(), mcsr.num_entries());
-  EXPECT_EQ(offsets[4], entries.size());
-  // Row 0 kept insertion order: original chain entry, then the two adds.
-  EXPECT_EQ(entries[offsets[0] + 1].edge, 50u);
-  EXPECT_EQ(entries[offsets[0] + 2].edge, 51u);
-}
 
 // ---------------------------------------------------------------------------
 // GraphDelta validation (through DynamicGraph::apply — atomicity included)
@@ -133,7 +53,7 @@ bp::BpOptions test_options() {
 
 TEST(GraphDelta, RejectsInvalidBatchesAtomically) {
   const auto g = test_grid();
-  auto dyn = DynamicGraph::from_graph(g, DynamicOptions{});
+  auto dyn = DynamicGraph::from_graph(g);
   const std::uint64_t v0 = dyn.version();
   const auto m = JointMatrix::diffusion(2, 0.8f);
 
@@ -162,7 +82,7 @@ TEST(GraphDelta, RejectsInvalidBatchesAtomically) {
   rejected(GraphDelta{}.add_edge(0, 9, JointMatrix::diffusion(3, 0.8f)));
 
   // Evidence discipline: set_prior on an observed node is rejected (the
-  // same rule the ephemeral EvidenceDelta path enforces).
+  // same rule with_delta enforces).
   NodeId obs_node = 0;
   while (!g.observed(obs_node)) ++obs_node;
   rejected(GraphDelta{}.set_prior(obs_node, BeliefVec::uniform(2)));
@@ -222,13 +142,60 @@ TEST(GraphDelta, WithDeltaAppliesEvidenceAndRejectsTopology) {
   EXPECT_NE(a.fingerprint(), c.fingerprint());
 }
 
+TEST(GraphDelta, OneValidatorServesWithDeltaAndDynamicApply) {
+  // with_delta on a BFS-reordered graph and DynamicGraph::apply run one
+  // validator: every evidence violation fails both with the same message,
+  // checked in original ids through the reordered graph's permutation.
+  const auto g = test_grid();
+  const FactorGraph ordered = reordered(g, ReorderMode::kBfs);
+  ASSERT_NE(ordered.permutation(), nullptr);
+  auto dyn = DynamicGraph::from_graph(g);
+  NodeId pinned = 0;
+  while (!g.observed(pinned)) ++pinned;
+  NodeId loose = 0;
+  while (g.observed(loose)) ++loose;
+
+  const std::vector<GraphDelta> violations = {
+      GraphDelta{}.observe(g.num_nodes(), 0),
+      GraphDelta{}.set_prior(loose, BeliefVec::uniform(3)),
+      GraphDelta{}.set_prior(pinned, BeliefVec::uniform(2)),
+      GraphDelta{}.observe(loose, 1).set_prior(loose, BeliefVec::uniform(2)),
+      GraphDelta{}.observe(loose, 2),
+  };
+  for (const GraphDelta& d : violations) {
+    const util::Status s = dyn.apply(d);
+    ASSERT_FALSE(s.is_ok());
+    EXPECT_EQ(d.validate(ordered).message(), s.message());
+    try {
+      (void)with_delta(ordered, d);
+      ADD_FAILURE() << "with_delta accepted: " << s.message();
+    } catch (const util::InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), s.message());
+    }
+  }
+  EXPECT_EQ(dyn.version(), 0u);
+
+  // A valid batch lands on the same nodes through either path.
+  const GraphDelta ok = GraphDelta{}.observe(loose, 1).unobserve(pinned);
+  ASSERT_TRUE(dyn.apply(ok).is_ok());
+  const FactorGraph evidenced = with_delta(ordered, ok);
+  const Permutation& perm = *evidenced.permutation();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const NodeId w = perm.to_new(v);
+    ASSERT_EQ(evidenced.observed(w), dyn.observed(v)) << "node " << v;
+    for (std::uint32_t k = 0; k < g.arity(v); ++k) {
+      ASSERT_EQ(evidenced.prior(w)[k], dyn.snapshot()->prior(v)[k]);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Mutation round trips and snapshots
 // ---------------------------------------------------------------------------
 
 TEST(DynamicGraph, InsertThenRemoveRoundTripsToIsomorphicGraph) {
   const auto g = test_grid();
-  auto dyn = DynamicGraph::from_graph(g, DynamicOptions{});
+  auto dyn = DynamicGraph::from_graph(g);
   const auto opts = test_options();
   const auto engine = bp::make_default_engine(bp::EngineKind::kCpuNode);
   const auto reference = engine->run(g, opts);
@@ -286,17 +253,187 @@ TEST(DynamicGraph, InsertThenRemoveRoundTripsToIsomorphicGraph) {
   }
 }
 
+JointMatrix asymmetric(float a, float b) {
+  JointMatrix m(2, 2);
+  m.at(0, 0) = a;
+  m.at(0, 1) = 1.0f - a;
+  m.at(1, 0) = b;
+  m.at(1, 1) = 1.0f - b;
+  return m;
+}
+
+void expect_same_graph(const FactorGraph& got, const FactorGraph& want) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  ASSERT_EQ(got.num_edges(), want.num_edges());
+  for (NodeId v = 0; v < want.num_nodes(); ++v) {
+    ASSERT_EQ(got.observed(v), want.observed(v)) << "node " << v;
+    ASSERT_EQ(got.arity(v), want.arity(v)) << "node " << v;
+    for (std::uint32_t k = 0; k < want.arity(v); ++k) {
+      ASSERT_EQ(got.prior(v)[k], want.prior(v)[k]) << "node " << v;
+    }
+  }
+  for (EdgeId e = 0; e < want.num_edges(); ++e) {
+    ASSERT_EQ(got.edge(e).src, want.edge(e).src) << "edge " << e;
+    ASSERT_EQ(got.edge(e).dst, want.edge(e).dst) << "edge " << e;
+    const JointMatrix& a = got.joints().at(e);
+    const JointMatrix& b = want.joints().at(e);
+    ASSERT_EQ(a.rows, b.rows);
+    ASSERT_EQ(a.cols, b.cols);
+    for (std::uint32_t i = 0; i < b.rows; ++i) {
+      for (std::uint32_t j = 0; j < b.cols; ++j) {
+        ASSERT_EQ(a.at(i, j), b.at(i, j)) << "edge " << e;
+      }
+    }
+  }
+}
+
+TEST(DynamicGraph, SnapshotEqualsTheBuilderGraphOfTheSameInsertions) {
+  // Each version is the graph GraphBuilder makes of the same nodes and
+  // edge-insertion sequence: surviving edges keep their row order, new
+  // edges follow, removals drop out, set_potential rewrites in place.
+  const auto g = test_grid(6);
+  auto dyn = DynamicGraph::from_graph(g);
+  auto ordered = DynamicGraph::from_graph(reordered(g, ReorderMode::kRcm));
+
+  struct Insertion {
+    DirectedEdge e;
+    JointMatrix m;
+  };
+  std::vector<Insertion> edges;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    edges.push_back({g.edge(e), g.joints().at(e)});
+  }
+  std::vector<BeliefVec> priors = g.initial_beliefs();
+  std::vector<bool> pinned(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) pinned[v] = g.observed(v);
+  const auto add = [&](NodeId u, NodeId v, const JointMatrix& m) {
+    edges.push_back({{u, v}, m});
+    edges.push_back({{v, u}, m.transposed()});
+  };
+  const auto drop = [&](auto dead) {
+    std::erase_if(edges, [&](const Insertion& x) { return dead(x.e); });
+  };
+  // Under a reorder mode each version is reordered afresh: exactly the
+  // locality pass applied to the unordered twin's version.
+  const auto apply = [&](const GraphDelta& d) {
+    ASSERT_TRUE(dyn.apply(d).is_ok());
+    ASSERT_TRUE(ordered.apply(d).is_ok());
+    const auto got = ordered.snapshot();
+    const FactorGraph fresh = reordered(*dyn.snapshot(), ReorderMode::kRcm);
+    expect_same_graph(*got, fresh);
+    ASSERT_NE(got->permutation(), nullptr);
+    ASSERT_EQ(got->permutation()->size(), fresh.permutation()->size());
+    for (NodeId v = 0; v < fresh.num_nodes(); ++v) {
+      ASSERT_EQ(got->permutation()->to_new(v), fresh.permutation()->to_new(v));
+    }
+  };
+
+  std::vector<NodeId> loose;
+  for (NodeId v = 21; loose.size() < 2; ++v) {
+    if (!g.observed(v)) loose.push_back(v);
+  }
+  const NodeId grown = g.num_nodes();
+  const auto ma = asymmetric(0.7f, 0.2f);
+  const auto mb = asymmetric(0.6f, 0.1f);
+  const auto mc = asymmetric(0.9f, 0.4f);
+  const auto md = asymmetric(0.55f, 0.35f);
+
+  // Batch 1: grow a node, wire it and a new chord, observe a node.
+  apply(GraphDelta{}
+            .add_node(BeliefVec::uniform(2))
+            .add_edge(GraphDelta::new_node(0), 7, ma)
+            .add_edge(3, 20, mb)
+            .observe(loose[0], 1));
+  priors.push_back(BeliefVec::uniform(2));
+  pinned.push_back(false);
+  add(grown, 7, ma);
+  add(3, 20, mb);
+  priors[loose[0]] = BeliefVec::observed(2, 1);
+  pinned[loose[0]] = true;
+
+  // Batch 2: drop an original edge, rewrite two potentials, nudge a prior.
+  BeliefVec nudge = BeliefVec::uniform(2);
+  nudge[0] = 0.8f;
+  nudge[1] = 0.2f;
+  apply(GraphDelta{}
+            .remove_edge(0, 1)
+            .set_potential(6, 7, mc)
+            .set_potential(grown, 7, md)
+            .set_prior(loose[1], nudge));
+  drop([](DirectedEdge e) {
+    return (e.src == 0 && e.dst == 1) || (e.src == 1 && e.dst == 0);
+  });
+  for (Insertion& x : edges) {
+    if (x.e.src == 6 && x.e.dst == 7) x.m = mc;
+    if (x.e.src == 7 && x.e.dst == 6) x.m = mc.transposed();
+    if (x.e.src == grown && x.e.dst == 7) x.m = md;
+    if (x.e.src == 7 && x.e.dst == grown) x.m = md.transposed();
+  }
+  priors[loose[1]] = nudge;
+
+  // Batch 3: retire a node, re-add the dropped edge (it now follows its
+  // rows' other edges), grow a node wired to the first grown one, and
+  // release the observation.
+  apply(GraphDelta{}
+            .remove_node(14)
+            .add_edge(0, 1, ma)
+            .add_node(BeliefVec::uniform(2))
+            .add_edge(GraphDelta::new_node(0), grown, mb)
+            .unobserve(loose[0]));
+  drop([](DirectedEdge e) { return e.src == 14 || e.dst == 14; });
+  priors[14] = BeliefVec::observed(2, 0);
+  pinned[14] = true;
+  add(0, 1, ma);
+  priors.push_back(BeliefVec::uniform(2));
+  pinned.push_back(false);
+  add(grown + 1, grown, mb);
+  priors[loose[0]] = BeliefVec::uniform(2);
+  pinned[loose[0]] = false;
+
+  GraphBuilder b;
+  for (NodeId v = 0; v < priors.size(); ++v) {
+    b.add_node(priors[v]);
+    if (pinned[v]) {
+      b.observe(v, priors[v][0] == 1.0f ? 0 : 1);
+    }
+  }
+  for (const Insertion& x : edges) b.add_edge(x.e.src, x.e.dst, x.m);
+  const FactorGraph want = b.finalize();
+  expect_same_graph(*dyn.snapshot(), want);
+}
+
+TEST(DynamicGraph, RemoveNodeDropsEdgesAddedEarlierInTheSameBatch) {
+  const auto g = test_grid();
+  auto dyn = DynamicGraph::from_graph(g);
+  const auto m = JointMatrix::diffusion(2, 0.8f);
+  const NodeId u = 0, v = 20;
+  ASSERT_FALSE(dyn.has_edge(u, v));
+
+  // The validator's shadow agrees: the edge is gone once v is.
+  EXPECT_FALSE(
+      dyn.apply(GraphDelta{}.add_edge(u, v, m).remove_node(v).remove_edge(u, v))
+          .is_ok());
+
+  ASSERT_TRUE(dyn.apply(GraphDelta{}.add_edge(u, v, m).remove_node(v)).is_ok());
+  EXPECT_TRUE(dyn.removed(v));
+  EXPECT_FALSE(dyn.has_edge(u, v));
+  const auto snap = dyn.snapshot();
+  EXPECT_EQ(snap->in_csr().degree(v), 0u);
+  EXPECT_EQ(snap->out_csr().degree(v), 0u);
+  EXPECT_EQ(snap->num_edges(), g.num_edges() - 2 * g.out_csr().degree(v));
+  const auto& touched = dyn.last_touched();
+  EXPECT_TRUE(std::find(touched.begin(), touched.end(), u) != touched.end());
+}
+
 TEST(DynamicGraph, PermutationStaysValidAcrossCompactions) {
-  // Under a reorder mode the snapshot carries the cached permutation; after
-  // mutations and a forced compaction (which recomputes it) the engine
-  // must still un-permute to correct original-id beliefs. Reference: the
-  // same mutation stream on an unordered twin, 1e-5 tolerance (the
-  // test_reorder precedent for cross-ordering float drift).
+  // Under a reorder mode the snapshot carries a permutation recomputed for
+  // the mutated topology; the engine must still un-permute to correct
+  // original-id beliefs. Reference: the same mutation stream on an
+  // unordered twin, 1e-5 tolerance (the test_reorder precedent for
+  // cross-ordering float drift).
   const auto g = test_grid(10);
-  DynamicOptions ordered;
-  ordered.reorder = ReorderMode::kRcm;
-  auto dyn = DynamicGraph::from_graph(g, ordered);
-  auto twin = DynamicGraph::from_graph(g, DynamicOptions{});
+  auto dyn = DynamicGraph::from_graph(reordered(g, ReorderMode::kRcm));
+  auto twin = DynamicGraph::from_graph(g);
 
   const auto m = JointMatrix::diffusion(2, 0.8f);
   for (int b = 0; b < 6; ++b) {
@@ -310,10 +447,6 @@ TEST(DynamicGraph, PermutationStaysValidAcrossCompactions) {
     ASSERT_TRUE(dyn.apply(d).is_ok());
     ASSERT_TRUE(twin.apply(d).is_ok());
   }
-  dyn.compact();
-  EXPECT_GE(dyn.compactions(), 1u);
-  EXPECT_DOUBLE_EQ(dyn.dead_fraction(), 0.0);
-
   const auto snap = dyn.snapshot();
   ASSERT_NE(snap->permutation(), nullptr);
   EXPECT_EQ(snap->reorder_mode(), ReorderMode::kRcm);
@@ -340,25 +473,22 @@ TEST(DynamicGraph, PermutationStaysValidAcrossCompactions) {
 }
 
 TEST(DynamicGraph, SnapshotRightAfterNodeGrowthUnderReorder) {
-  // A node-adding delta under a reorder mode, snapshot taken straight away
-  // (no compaction in between): the cached permutation must cover the new
-  // node, and the engine must un-permute to the unordered twin's beliefs.
+  // A node-adding delta under a reorder mode, snapshot taken straight away:
+  // the permutation must cover the new node, and the engine must
+  // un-permute to the unordered twin's beliefs.
   BeliefConfig cfg;
   cfg.beliefs = 2;
   cfg.seed = 11;
   cfg.observed_fraction = 0.1;
   const auto g = grid(10, 10, cfg);
   ASSERT_TRUE(g.joints().is_shared());
-  DynamicOptions ordered;
-  ordered.reorder = ReorderMode::kBfs;
-  auto dyn = DynamicGraph::from_graph(g, ordered);
-  auto twin = DynamicGraph::from_graph(g, DynamicOptions{});
+  auto dyn = DynamicGraph::from_graph(reordered(g, ReorderMode::kBfs));
+  auto twin = DynamicGraph::from_graph(g);
 
   GraphDelta d;
   d.add_node(BeliefVec::uniform(2)).add_edge(GraphDelta::new_node(0), 37);
   ASSERT_TRUE(dyn.apply(d).is_ok());
   ASSERT_TRUE(twin.apply(d).is_ok());
-  EXPECT_EQ(dyn.compactions(), 0u);
 
   std::shared_ptr<const FactorGraph> snap;
   ASSERT_NO_THROW(snap = dyn.snapshot());
@@ -379,26 +509,6 @@ TEST(DynamicGraph, SnapshotRightAfterNodeGrowthUnderReorder) {
           << "node " << v << " state " << s;
     }
   }
-}
-
-TEST(DynamicGraph, DeadFractionTriggersAutomaticCompaction) {
-  // Tiny slack plus repeated inserts on the same rows forces relocations
-  // past the dead-fraction threshold; apply() must compact on its own.
-  const auto g = test_grid(4);
-  DynamicOptions opts;
-  opts.row_slack = 0;
-  opts.compact_dead_fraction = 0.1;
-  auto dyn = DynamicGraph::from_graph(g, opts);
-  const auto m = JointMatrix::diffusion(2, 0.8f);
-  for (int b = 0; b < 12; ++b) {
-    GraphDelta d;
-    d.add_node(BeliefVec::uniform(2));
-    d.add_edge(GraphDelta::new_node(0),
-               static_cast<NodeId>(b % g.num_nodes()), m);
-    ASSERT_TRUE(dyn.apply(d).is_ok());
-    ASSERT_LE(dyn.dead_fraction(), opts.compact_dead_fraction);
-  }
-  EXPECT_GE(dyn.compactions(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -426,7 +536,7 @@ TEST(DynamicGraph, ChurnAgreesWithRebuildAcrossEngines) {
     SCOPED_TRACE(std::string(bp::engine_slug(kind)));
     const auto g = grid(16, 16, churn_cfg);
     ASSERT_TRUE(bp::engine_supports_frontier_seed(kind, g.family()));
-    auto dyn = DynamicGraph::from_graph(g, DynamicOptions{});
+    auto dyn = DynamicGraph::from_graph(g);
     const auto engine = bp::make_default_engine(kind);
 
     auto prev = engine->run(*dyn.snapshot(), opts).beliefs;
@@ -475,7 +585,7 @@ TEST(DynamicGraph, SharedJointGraphsGrowThroughMatrixFreeEdges) {
   cfg.observed_fraction = 0.1;
   const auto shared_g = grid(6, 6, cfg);
   ASSERT_TRUE(shared_g.joints().is_shared());
-  auto dyn = DynamicGraph::from_graph(shared_g, DynamicOptions{});
+  auto dyn = DynamicGraph::from_graph(shared_g);
 
   GraphDelta with_matrix;
   with_matrix.add_edge(0, 7, JointMatrix::diffusion(2, 0.8f));
@@ -497,7 +607,7 @@ TEST(DynamicGraph, SharedJointGraphsGrowThroughMatrixFreeEdges) {
   EXPECT_TRUE(r.stats.converged);
 
   // Per-edge graphs reject the matrix-free form instead.
-  auto per_edge = DynamicGraph::from_graph(test_grid(6), DynamicOptions{});
+  auto per_edge = DynamicGraph::from_graph(test_grid(6));
   GraphDelta no_matrix;
   no_matrix.add_edge(0, 7);
   EXPECT_FALSE(per_edge.apply(no_matrix).is_ok());
@@ -520,32 +630,6 @@ TEST(BpOptions, FrontierDampingAppliesOnlyWhileSeeded) {
     for (std::uint32_t s = 0; s < g.arity(v); ++s) {
       ASSERT_EQ(plain.beliefs[v][s], with_knob.beliefs[v][s]);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Header hygiene: EvidenceDelta is internal to graph/ now
-// ---------------------------------------------------------------------------
-
-TEST(HeaderHygiene, EvidenceDeltaStaysInsideGraphModule) {
-  // Satellite of the §5j redesign: GraphDelta is the one delta vocabulary;
-  // EvidenceDelta survives only as graph/'s internal evidence-application
-  // engine. Any spelling of it outside src/graph reintroduces the split
-  // API this PR removed.
-  namespace fs = std::filesystem;
-  const fs::path src = fs::path(CREDO_SOURCE_DIR) / "src";
-  ASSERT_TRUE(fs::exists(src));
-  for (const auto& entry : fs::recursive_directory_iterator(src)) {
-    if (!entry.is_regular_file()) continue;
-    const auto ext = entry.path().extension().string();
-    if (ext != ".h" && ext != ".cpp") continue;
-    const auto rel = fs::relative(entry.path(), src).string();
-    if (rel.rfind("graph/", 0) == 0) continue;
-    std::ifstream in(entry.path());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(ss.str().find("EvidenceDelta"), std::string::npos)
-        << "EvidenceDelta referenced outside src/graph: " << rel;
   }
 }
 
@@ -633,9 +717,8 @@ TEST(ServerMutation, TopologyDeltaBumpsVersionAndSupersedesParsedGraph) {
 }
 
 TEST(ServerMutation, NodeGrowthOnAReorderedKeySucceeds) {
-  // A node-adding mutation on a reordered graph key: the mutated snapshot
-  // is taken before any compaction, so the cached permutation must already
-  // cover the new node.
+  // A node-adding mutation on a reordered graph key: the mutated
+  // snapshot's permutation must cover the new node.
   const auto [nodes, edges] = write_graph(serve_grid(), "mutate_reordered");
   Server server(plain_server(1));
   const auto request = [&] {

@@ -104,7 +104,7 @@ TEST(GraphCache, MissThenHitReusesOneEntry) {
   const auto first = cache.fetch(nodes, edges);
   EXPECT_FALSE(first.hit);
   ASSERT_NE(first.entry, nullptr);
-  EXPECT_EQ(first.entry->graph.num_nodes(), g.num_nodes());
+  EXPECT_EQ(first.entry->graph->num_nodes(), g.num_nodes());
   EXPECT_EQ(first.entry->metadata.num_nodes, g.num_nodes());
 
   const auto second = cache.fetch(nodes, edges);
@@ -129,12 +129,12 @@ TEST(GraphCache, EvictsLeastRecentlyUsedAndKeepsHandlesAlive) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 
   // The evicted entry stays valid for in-flight users.
-  EXPECT_GT(a.entry->graph.num_nodes(), 0u);
+  EXPECT_GT(a.entry->graph->num_nodes(), 0u);
 
   // a is gone from the cache: fetching it again is a miss (and evicts b).
   EXPECT_FALSE(cache.fetch(pa.first, pa.second).hit);
   EXPECT_FALSE(cache.fetch(pb.first, pb.second).hit);
-  EXPECT_GT(b.entry->graph.num_nodes(), 0u);
+  EXPECT_GT(b.entry->graph->num_nodes(), 0u);
 }
 
 TEST(GraphCache, ChangedFileContentsMissAndReparse) {
@@ -151,7 +151,7 @@ TEST(GraphCache, ChangedFileContentsMissAndReparse) {
   const auto after = cache.fetch(nodes, edges);
   EXPECT_FALSE(after.hit);  // content hash changed -> new key
   EXPECT_NE(before.entry->content_hash, after.entry->content_hash);
-  EXPECT_EQ(after.entry->graph.num_nodes(), g2.num_nodes());
+  EXPECT_EQ(after.entry->graph->num_nodes(), g2.num_nodes());
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
@@ -171,7 +171,7 @@ TEST(GraphCache, WarmStateSurvivesGraphEviction) {
   EXPECT_FALSE(key.empty());
 
   const auto beliefs = std::make_shared<const std::vector<graph::BeliefVec>>(
-      a.entry->graph.num_nodes(), graph::BeliefVec::uniform(2));
+      a.entry->graph->num_nodes(), graph::BeliefVec::uniform(2));
   cache.warm_store(key, 42, beliefs);
   EXPECT_EQ(cache.warm_size(), 1u);
   EXPECT_EQ(cache.warm_lookup(key, 42).get(), beliefs.get());
@@ -329,7 +329,7 @@ TEST(RequestVocabulary, FluentBuildersMatchFieldAssignment) {
                           .with_reorder(graph::ReorderMode::kBfs))
           .with_options(test_options())
           .with_engine(bp::EngineKind::kResidual)
-          .with_evidence(delta)
+          .with_delta(delta)
           .with_warm_start()
           .with_deadline(
               Deadline{}.with_host_seconds(0.5).with_modelled_seconds(2.0))
@@ -636,7 +636,7 @@ TEST_P(WarmStartEquivalence, RepeatAndDeltaRequestsMatchColdRuns) {
       graph::with_delta(g, delta), opts);
 
   Request incremental_req = base;
-  incremental_req.with_evidence(delta);
+  incremental_req.with_delta(delta);
   const Response incremental = submit(incremental_req);
   ASSERT_TRUE(incremental.ok()) << incremental.error;
   EXPECT_TRUE(incremental.warm_start);
@@ -688,7 +688,7 @@ TEST(Server, DeltaWithoutWarmStateFallsBackColdAndStaysExact) {
                                .with_files(nodes, edges)
                                .with_options(opts)
                                .with_engine(bp::EngineKind::kCpuNode)
-                               .with_evidence(delta));
+                               .with_delta(delta));
   const Response resp = fut.get();
   ASSERT_TRUE(resp.ok()) << resp.error;
   EXPECT_FALSE(resp.warm_start);
@@ -768,7 +768,7 @@ TEST(ServerBatch, MemberTriageRejectsUnfusableAndCancelled) {
                       .with_preloaded(shared)
                       .with_options(test_options())
                       .with_engine(bp::EngineKind::kCpuNode)
-                      .with_evidence(delta));
+                      .with_delta(delta));
   batch.push_back(Request{}
                       .with_preloaded(shared)
                       .with_options(test_options())

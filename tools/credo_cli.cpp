@@ -439,9 +439,7 @@ int cmd_mutate(const Args& args) {
   const auto engine = bp::make_default_engine(kind);
   const bool seeded = bp::engine_supports_frontier_seed(kind, g.family());
 
-  graph::DynamicOptions dopts;
-  dopts.reorder = g.reorder_mode();
-  auto dyn = graph::DynamicGraph::from_graph(g, dopts);
+  auto dyn = graph::DynamicGraph::from_graph(g);
 
   auto base = engine->run(*dyn.snapshot(), opts);
   std::vector<graph::BeliefVec> prev = base.beliefs;
@@ -529,12 +527,8 @@ int cmd_mutate(const Args& args) {
       linf = std::max(linf, std::abs(prev[i][s] - cold.beliefs[i][s]));
     }
   }
-  std::printf("final:    %u nodes, %llu edges, %llu compactions, dead "
-              "fraction %.3f\n",
-              dyn.num_nodes(),
-              static_cast<unsigned long long>(dyn.num_edges()),
-              static_cast<unsigned long long>(dyn.compactions()),
-              dyn.dead_fraction());
+  std::printf("final:    %u nodes, %llu edges\n", dyn.num_nodes(),
+              static_cast<unsigned long long>(dyn.num_edges()));
   std::printf("L-inf vs rebuild: %.3g (threshold %.3g)\n",
               static_cast<double>(linf),
               static_cast<double>(opts.convergence_threshold));
