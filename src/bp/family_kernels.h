@@ -234,6 +234,10 @@ class LdpcKernel {
   std::vector<std::uint8_t> syn_;    // per check, indexed by (c - vars_)
   std::vector<graph::EdgeId> reverse_;  // reverse_[e] pairs v→c with c→v
   std::vector<float> msg_;           // one message per directed edge
+  // Sum-product: tanh(Q/2) of each check input, written and read only by
+  // the check at the edge's destination within one update. A node updates
+  // at most once per sweep or round, so no two workers share a slot.
+  std::vector<float> tanh_;
   std::vector<float> next_;          // Jacobi back buffer
   std::vector<std::atomic<std::uint32_t>> stamp_;  // keep-rule dedup
   std::vector<std::uint8_t> bits_;   // hard-decision scratch

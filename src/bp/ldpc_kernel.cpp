@@ -13,9 +13,9 @@
 // as converged on satisfaction; finish() always establishes the final
 // state's parity so BpStats::syndrome_satisfied reports decode success
 // either way.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "bp/family_kernels.h"
@@ -74,21 +74,21 @@ LdpcKernel::LdpcKernel(const graph::FactorGraph& g, const BpOptions& opts,
   for (NodeId c = vars_; c < n; ++c) {
     syn_[c - vars_] = g.prior(c).v[1] > 0.5f ? 1 : 0;
   }
+  // reverse_[e] pairs s→d with the first d→s entry of s's in-row. Rows
+  // list edges in id order, so that is the lowest-id reverse edge.
   const auto& edges = g.edges();
-  std::unordered_map<std::uint64_t, EdgeId> index;
-  index.reserve(edges.size());
-  for (EdgeId e = 0; e < edges.size(); ++e) {
-    index.emplace((static_cast<std::uint64_t>(edges[e].src) << 32) |
-                      edges[e].dst,
-                  e);
-  }
   reverse_.resize(edges.size());
   msg_.resize(edges.size());
   for (EdgeId e = 0; e < edges.size(); ++e) {
-    reverse_[e] = index.at(
-        (static_cast<std::uint64_t>(edges[e].dst) << 32) | edges[e].src);
-    msg_[e] = edges[e].src < vars_ ? llr_[edges[e].src] : 0.0f;
+    const auto [src, dst] = edges[e];
+    const auto row = g.in_csr().neighbors(src);
+    const auto it = std::find_if(
+        row.begin(), row.end(), [&](const auto& in) { return in.node == dst; });
+    CREDO_CHECK_MSG(it != row.end(), "LDPC edge without its reverse");
+    reverse_[e] = it->edge;
+    msg_[e] = src < vars_ ? llr_[src] : 0.0f;
   }
+  if (!min_sum_) tanh_.resize(edges.size());
   if (opts.work_queue) {
     stamp_ = std::vector<std::atomic<std::uint32_t>>(n);
   }
@@ -138,10 +138,11 @@ float LdpcKernel::update_node(const float* in_msg, float* out_msg, NodeId v,
   }
 
   // Check. Sum-product: tanh-domain exclusion product with the zero-count
-  // trick (one pass collects the full product and counts near-zero inputs;
-  // each output divides the product by its own input, or degenerates when
-  // erasures are present). Min-sum: sign product plus the two smallest
-  // magnitudes. Returns the summed tanh-domain message delta.
+  // trick (one pass collects the full product, counts near-zero inputs and
+  // keeps each input's tanh in tanh_; each output divides the product by
+  // its own input's tanh, or degenerates when erasures are present).
+  // Min-sum: sign product plus the two smallest magnitudes. Returns the
+  // summed tanh-domain message delta.
   const float sign = syn_[v - vars_] ? -1.0f : 1.0f;
   meter.seq_read(1);
   float delta = 0.0f;
@@ -152,6 +153,7 @@ float LdpcKernel::update_node(const float* in_msg, float* out_msg, NodeId v,
     for (const auto& entry : in) {
       meter.seq_read(sizeof(entry));
       const float t = std::tanh(0.5f * in_msg[entry.edge]);
+      tanh_[entry.edge] = t;
       meter.rand_read(4);
       if (std::fabs(t) < kTanhEps) {
         ++zeros;
@@ -166,7 +168,7 @@ float LdpcKernel::update_node(const float* in_msg, float* out_msg, NodeId v,
       const EdgeId rev = reverse_[entry.edge];
       float t_excl;
       if (zeros == 0) {
-        t_excl = prod / std::tanh(0.5f * in_msg[rev]);
+        t_excl = prod / tanh_[rev];
       } else if (zeros == 1 && rev == zero_edge) {
         t_excl = prod;  // the lone erasure is exactly the excluded input
       } else {

@@ -1,7 +1,6 @@
 #include "graph/builder.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -126,12 +125,31 @@ EdgeId GraphBuilder::add_undirected(NodeId u, NodeId v) {
 }
 
 FactorGraph GraphBuilder::finalize() {
+  // Edges are stored sorted by source node, in insertion order within a
+  // source: the edge engines then stream the source beliefs sequentially
+  // (coalesced on the GPU), which is the access pattern the paper's Edge
+  // paradigm relies on. One stable counting pass, O(n + m).
+  const auto n = static_cast<NodeId>(priors_.size());
+  const auto m = static_cast<EdgeId>(edges_.size());
+  std::vector<EdgeId> order(m);  // order[k]: insertion index of edge k
+  {
+    std::vector<EdgeId> next(static_cast<std::size_t>(n) + 1, 0);
+    for (const auto& e : edges_) ++next[e.src + 1];
+    for (NodeId v = 0; v < n; ++v) next[v + 1] += next[v];
+    for (EdgeId i = 0; i < m; ++i) order[next[edges_[i].src]++] = i;
+  }
+  std::vector<DirectedEdge> sorted(m);
+  for (EdgeId k = 0; k < m; ++k) sorted[k] = edges_[order[k]];
+  Csr out = Csr::by_source(n, sorted);
+
   if (is_ldpc(family_)) {
     // Structural invariants the closed-form kernels rely on: the id-range
     // variable/check split, binary nodes, a bipartite variable<->check edge
     // set, and a reverse edge for every directed edge (the decoders store
     // one message per direction and exclude the reverse when updating).
-    if (ldpc_variables_ == 0 || ldpc_variables_ >= priors_.size()) {
+    // Checked before anything leaves the builder, so a rejected finalize()
+    // leaves it as it was.
+    if (ldpc_variables_ == 0 || ldpc_variables_ >= n) {
       throw util::InvalidArgument(
           "LDPC graph needs variables in [1, num_nodes): call "
           "set_ldpc_variables");
@@ -141,19 +159,18 @@ FactorGraph GraphBuilder::finalize() {
         throw util::InvalidArgument("LDPC nodes must be binary (arity 2)");
       }
     }
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(edges_.size() * 2);
     for (const auto& e : edges_) {
-      const bool src_var = e.src < ldpc_variables_;
-      const bool dst_var = e.dst < ldpc_variables_;
-      if (src_var == dst_var) {
+      if ((e.src < ldpc_variables_) == (e.dst < ldpc_variables_)) {
         throw util::InvalidArgument(
             "LDPC edges must connect a variable and a check node");
       }
-      seen.insert((static_cast<std::uint64_t>(e.src) << 32) | e.dst);
     }
-    for (const auto& e : edges_) {
-      if (!seen.count((static_cast<std::uint64_t>(e.dst) << 32) | e.src)) {
+    // The reverse of s→d is among d's out-edges.
+    for (const auto& e : sorted) {
+      const auto row = out.neighbors(e.dst);
+      if (std::none_of(row.begin(), row.end(), [&](const Csr::Entry& r) {
+            return r.node == e.src;
+          })) {
         throw util::InvalidArgument(
             "LDPC edges must come in directed pairs (Tanner-graph messages "
             "flow both ways)");
@@ -166,34 +183,20 @@ FactorGraph GraphBuilder::finalize() {
   g.priors_ = std::move(priors_);
   g.observed_ = std::move(observed_);
   if (any_names_) g.names_ = std::move(names_);
-  // Edges are stored sorted by source node: the edge engines then stream
-  // the source beliefs sequentially (coalesced on the GPU), which is the
-  // access pattern the paper's Edge paradigm relies on.
-  std::vector<EdgeId> order(edges_.size());
-  for (EdgeId i = 0; i < edges_.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [this](EdgeId a, EdgeId b) {
-                     return edges_[a].src < edges_[b].src;
-                   });
-  g.edges_.resize(edges_.size());
-  for (EdgeId i = 0; i < edges_.size(); ++i) g.edges_[i] = edges_[order[i]];
-  edges_.clear();
+  g.edges_ = std::move(sorted);
   if (family_ != FactorFamily::kTabular) {
     g.joints_ = std::make_shared<JointStore>(JointStore::closed_form());
   } else if (shared_.has_value()) {
     g.joints_ = std::make_shared<JointStore>(JointStore::shared(*shared_));
   } else {
-    std::vector<JointMatrix> permuted(g.edges_.size());
-    for (EdgeId i = 0; i < g.edges_.size(); ++i) {
-      permuted[i] = per_edge_[order[i]];
-    }
-    per_edge_.clear();
+    std::vector<JointMatrix> permuted(m);
+    for (EdgeId k = 0; k < m; ++k) permuted[k] = per_edge_[order[k]];
     g.joints_ = std::make_shared<JointStore>(
         JointStore::per_edge_from(std::move(permuted)));
   }
-  g.in_csr_ = Csr::by_target(g.num_nodes(), g.edges_);
-  g.out_csr_ = Csr::by_source(g.num_nodes(), g.edges_);
-  *this = GraphBuilder();
+  *this = GraphBuilder();  // frees the insertion-order lists first
+  g.in_csr_ = Csr::by_target(n, g.edges_);
+  g.out_csr_ = std::move(out);
   return g;
 }
 

@@ -73,9 +73,11 @@ class GraphBuilder {
     return edges_.size();
   }
 
-  /// Validates and freezes the graph. The builder is left empty.
-  /// Throws InvalidArgument on arity mismatches between node beliefs and
-  /// edge matrices.
+  /// Validates and freezes the graph. The builder is left empty. Edges are
+  /// ordered by source node, in insertion order within a source. Throws
+  /// InvalidArgument when an LDPC graph breaks the Tanner-graph invariants
+  /// (binary nodes, variable<->check edges, both directions of each); a
+  /// rejected call leaves the builder as it was.
   FactorGraph finalize();
 
   /// finalize() followed by the locality pass (graph/reorder.h): the result

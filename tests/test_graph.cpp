@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iterator>
 #include <set>
 #include <span>
+#include <utility>
 
 #include "graph/belief.h"
 #include "graph/belief_store.h"
@@ -200,6 +202,42 @@ TEST(Builder, PerEdgeMatricesFollowTheSort) {
     EXPECT_FLOAT_EQ(g.joints().at(e).at(0, 1),
                     static_cast<float>(g.edge(e).dst));
   }
+}
+
+TEST(Builder, FinalizeKeepsInsertionOrderWithinEachSource) {
+  // Sources interleaved, node 2 without out-edges; each matrix carries its
+  // edge's insertion index. finalize() orders edges by source, keeps
+  // insertion order within each source, and moves each matrix with its
+  // edge.
+  GraphBuilder b;
+  for (int i = 0; i < 5; ++i) b.add_node(BeliefVec::uniform(2));
+  const std::pair<NodeId, NodeId> pairs[] = {{3, 0}, {1, 4}, {3, 2},
+                                             {0, 1}, {1, 0}, {4, 3},
+                                             {3, 1}, {0, 4}, {1, 2}};
+  for (std::size_t i = 0; i < std::size(pairs); ++i) {
+    JointMatrix j(2, 2);
+    j.at(0, 0) = static_cast<float>(i);
+    j.at(0, 1) = j.at(1, 0) = j.at(1, 1) = 1;
+    b.add_edge(pairs[i].first, pairs[i].second, j);
+  }
+  const auto g = b.finalize();
+  ASSERT_EQ(g.num_edges(), std::size(pairs));
+  std::set<std::size_t> tags;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto tag = static_cast<std::size_t>(g.joints().at(e).at(0, 0));
+    ASSERT_LT(tag, std::size(pairs));
+    tags.insert(tag);
+    EXPECT_EQ(g.edge(e).src, pairs[tag].first) << "edge " << e;
+    EXPECT_EQ(g.edge(e).dst, pairs[tag].second) << "edge " << e;
+    if (e == 0) continue;
+    const auto prev_tag =
+        static_cast<std::size_t>(g.joints().at(e - 1).at(0, 0));
+    EXPECT_LE(g.edge(e - 1).src, g.edge(e).src) << "edge " << e;
+    if (g.edge(e - 1).src == g.edge(e).src) {
+      EXPECT_LT(prev_tag, tag) << "edge " << e;
+    }
+  }
+  EXPECT_EQ(tags.size(), std::size(pairs));
 }
 
 TEST(Builder, SharedJointModeRejectsPerEdgeMatrix) {

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <set>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "graph/ldpc.h"
 #include "graph/reorder.h"
 #include "util/error.h"
+#include "util/prng.h"
 
 namespace credo {
 namespace {
@@ -139,6 +143,48 @@ TEST(LdpcGraph, BuilderRejectsTabularMixing) {
                std::logic_error);
 }
 
+/// The message of the InvalidArgument `b.finalize()` throws, or "" if it
+/// finalizes.
+std::string finalize_error(graph::GraphBuilder& b) {
+  try {
+    (void)b.finalize();
+  } catch (const util::InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(LdpcGraph, BuilderRejectsUnpairedAndSameSideEdges) {
+  // Two variables (0, 1) and two checks (2, 3).
+  const auto tanner_builder = [] {
+    graph::GraphBuilder b;
+    b.use_family(FactorFamily::kLdpcMinSum);
+    for (int i = 0; i < 4; ++i) b.add_node(graph::BeliefVec::uniform(2));
+    b.set_ldpc_variables(2);
+    return b;
+  };
+
+  graph::GraphBuilder unpaired = tanner_builder();
+  unpaired.add_undirected(0, 2);
+  unpaired.add_edge(1, 3);  // no 3→1
+  EXPECT_NE(finalize_error(unpaired).find("directed pairs"),
+            std::string::npos);
+  // The rejected finalize() left the builder as it was: adding the
+  // missing reverse completes the same graph.
+  unpaired.add_edge(3, 1);
+  const FactorGraph g = unpaired.finalize();
+  EXPECT_EQ(g.num_nodes(), 4u);
+  EXPECT_EQ(g.num_edges(), 4u);
+  EXPECT_EQ(g.ldpc_variables(), 2u);
+  EXPECT_EQ(g.family(), FactorFamily::kLdpcMinSum);
+
+  graph::GraphBuilder same_side = tanner_builder();
+  same_side.add_undirected(0, 2);
+  same_side.add_undirected(0, 1);  // variable–variable
+  EXPECT_NE(finalize_error(same_side).find("variable and a check node"),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Decode correctness
 // ---------------------------------------------------------------------------
@@ -245,40 +291,132 @@ TEST(LdpcDecode, CorrectsSpreadWeightTwoPatterns) {
   }
 }
 
+/// Whether two runs return the same beliefs, bit for bit.
+bool same_beliefs(const BpResult& a, const BpResult& b) {
+  if (a.beliefs.size() != b.beliefs.size()) return false;
+  for (std::size_t v = 0; v < a.beliefs.size(); ++v) {
+    if (a.beliefs[v].size != b.beliefs[v].size) return false;
+    for (std::uint32_t s = 0; s < a.beliefs[v].size; ++s) {
+      if (std::bit_cast<std::uint32_t>(a.beliefs[v].v[s]) !=
+          std::bit_cast<std::uint32_t>(b.beliefs[v].v[s])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 TEST(LdpcDecode, ParallelNodeEnginesAreIndependentOfThreadCount) {
   // Min-sum decodes depend on update order: about one in a thousand random
   // orders leaves these weight-2 patterns oscillating. The parallel node
   // engines run variables and checks as separate phases, so thread timing
   // cannot pick the order: omp-node's dense sweep equals c-node's, and
-  // bulk-residual equals its one-worker run, bit for bit.
+  // bulk-residual equals its one-worker run, bit for bit. Sum-product
+  // also covers the check update's per-edge tanh scratch.
   const Code code = graph::ldpc::random_regular(48, 3, 6, 17);
-  const auto same = [](const BpResult& a, const BpResult& b) {
-    if (a.beliefs.size() != b.beliefs.size()) return false;
-    for (std::size_t v = 0; v < a.beliefs.size(); ++v) {
-      for (std::uint32_t s = 0; s < a.beliefs[v].size; ++s) {
-        if (a.beliefs[v].v[s] != b.beliefs[v].v[s]) return false;
+  for (const auto family :
+       {FactorFamily::kLdpcSumProduct, FactorFamily::kLdpcMinSum}) {
+    for (const std::uint32_t b : {0u, 20u}) {
+      std::vector<std::uint8_t> error(code.bits, 0);
+      error[b] = 1;
+      error[b + 24] = 1;
+      const FactorGraph g = graph::ldpc::build_graph(
+          code, graph::ldpc::syndrome(code, error), 0.05f, family);
+      BpOptions one = decode_opts();
+      one.threads = 1;
+      const BpResult sweep = decode(g, EngineKind::kCpuNode, one);
+      const BpResult bulk = decode(g, EngineKind::kBulkResidual, one);
+      for (const unsigned threads : {2u, 4u, 8u}) {
+        BpOptions opts = decode_opts();
+        opts.threads = threads;
+        EXPECT_TRUE(
+            same_beliefs(sweep, decode(g, EngineKind::kOmpNode, opts)))
+            << graph::family_name(family) << " omp-node bit " << b
+            << " threads " << threads;
+        EXPECT_TRUE(
+            same_beliefs(bulk, decode(g, EngineKind::kBulkResidual, opts)))
+            << graph::family_name(family) << " bulk-residual bit " << b
+            << " threads " << threads;
       }
     }
-    return true;
-  };
-  for (const std::uint32_t b : {0u, 20u}) {
+  }
+}
+
+/// `code`'s Tanner graph as build_graph lays it out, but with per-bit
+/// channel priors, built through GraphBuilder with its edges added either
+/// in build_graph's order or scrambled: every check→variable edge first,
+/// in reverse order, then the variable→check edges in a seeded shuffle.
+FactorGraph tanner_graph(const Code& code,
+                         const std::vector<graph::BeliefVec>& channel,
+                         const std::vector<std::uint8_t>& syn,
+                         FactorFamily family, bool scrambled) {
+  graph::GraphBuilder b;
+  b.use_family(family);
+  for (const auto& prior : channel) b.add_node(prior);
+  for (std::uint32_t c = 0; c < code.checks; ++c) {
+    const float parity[2] = {syn[c] ? 0.0f : 1.0f, syn[c] ? 1.0f : 0.0f};
+    b.add_node(graph::BeliefVec(std::span<const float>(parity, 2)));
+  }
+  b.set_ldpc_variables(code.bits);
+  std::vector<graph::DirectedEdge> to_checks;
+  std::vector<graph::DirectedEdge> to_bits;
+  for (std::uint32_t c = 0; c < code.checks; ++c) {
+    for (const std::uint32_t v : code.check_bits(c)) {
+      to_checks.push_back({v, code.bits + c});
+      to_bits.push_back({code.bits + c, v});
+    }
+  }
+  if (!scrambled) {
+    for (std::size_t i = 0; i < to_checks.size(); ++i) {
+      b.add_edge(to_checks[i].src, to_checks[i].dst);
+      b.add_edge(to_bits[i].src, to_bits[i].dst);
+    }
+    return b.finalize();
+  }
+  for (auto it = to_bits.rbegin(); it != to_bits.rend(); ++it) {
+    b.add_edge(it->src, it->dst);
+  }
+  util::Prng rng(31);
+  std::shuffle(to_checks.begin(), to_checks.end(), rng);
+  for (const auto& e : to_checks) b.add_edge(e.src, e.dst);
+  return b.finalize();
+}
+
+TEST(LdpcDecode, EdgeInsertionOrderDoesNotChangeDecodes) {
+  // Insertion order changes edge ids and the order within each source's
+  // row, so a decode that paired edges by position rather than by
+  // endpoints would differ. Soft per-bit priors make the check inputs
+  // unequal: under build_graph's uniform prior they are all equal on the
+  // first sweep, and a wrong pairing would go unseen.
+  const Code code = graph::ldpc::random_regular(48, 3, 6, 17);
+  util::Prng rng(7);
+  std::vector<float> p_error(code.bits);
+  for (float& p : p_error) p = 0.02f + 0.30f * rng.uniform01f();
+  for (std::uint32_t bit = 0; bit < code.bits; ++bit) {
     std::vector<std::uint8_t> error(code.bits, 0);
-    error[b] = 1;
-    error[b + 24] = 1;
-    const FactorGraph g = graph::ldpc::build_graph(
-        code, graph::ldpc::syndrome(code, error), 0.05f,
-        FactorFamily::kLdpcMinSum);
-    BpOptions one = decode_opts();
-    one.threads = 1;
-    const BpResult sweep = decode(g, EngineKind::kCpuNode, one);
-    const BpResult bulk = decode(g, EngineKind::kBulkResidual, one);
-    for (const unsigned threads : {2u, 4u, 8u}) {
-      BpOptions opts = decode_opts();
-      opts.threads = threads;
-      EXPECT_TRUE(same(sweep, decode(g, EngineKind::kOmpNode, opts)))
-          << "omp-node bit " << b << " threads " << threads;
-      EXPECT_TRUE(same(bulk, decode(g, EngineKind::kBulkResidual, opts)))
-          << "bulk-residual bit " << b << " threads " << threads;
+    error[bit] = 1;
+    const auto syn = graph::ldpc::syndrome(code, error);
+    std::vector<graph::BeliefVec> channel;
+    for (std::uint32_t v = 0; v < code.bits; ++v) {
+      const float p = error[v] ? 1.0f - p_error[v] : p_error[v];
+      const float lanes[2] = {1.0f - p, p};
+      channel.emplace_back(std::span<const float>(lanes, 2));
+    }
+    for (const auto family :
+         {FactorFamily::kLdpcSumProduct, FactorFamily::kLdpcMinSum}) {
+      const FactorGraph built = tanner_graph(code, channel, syn, family, false);
+      const FactorGraph scrambled =
+          tanner_graph(code, channel, syn, family, true);
+      for (const auto kind : kDecodeEngines) {
+        const BpResult a = decode(built, kind, decode_opts());
+        const BpResult b = decode(scrambled, kind, decode_opts());
+        EXPECT_TRUE(same_beliefs(a, b))
+            << graph::family_name(family) << " on " << bp::engine_slug(kind)
+            << " bit " << bit;
+        EXPECT_EQ(a.stats.iterations, b.stats.iterations)
+            << graph::family_name(family) << " on " << bp::engine_slug(kind)
+            << " bit " << bit;
+      }
     }
   }
 }
