@@ -94,11 +94,12 @@ void node_sweep(const FactorGraph& g, const BpOptions& opts,
   };
   std::vector<Lane> lanes(backend.workers());
 
-  // A dense sweep on more than one worker runs the kernel's phases
-  // (family_kernels.h) as separate regions, so its result does not
-  // depend on thread timing; tabular graphs have a single phase.
-  const std::uint64_t split =
-      !sched.queued() && backend.workers() > 1 ? kernel.phase_split() : 0;
+  // More than one worker runs the kernel's phases (family_kernels.h) as
+  // separate regions, dense or queued, so no node reads a message another
+  // worker is writing and the result does not depend on thread timing.
+  // Tabular graphs have a single phase.
+  const NodeId split = kernel.phase_split();
+  const bool phased = backend.workers() > 1 && split < g.num_nodes();
 
   runtime::run_loop(
       opts, stats, ctl, sched,
@@ -128,11 +129,15 @@ void node_sweep(const FactorGraph& g, const BpOptions& opts,
             }
           }
         };
-        if (split == 0 || split >= count) {
+        // A queued round is partitioned at the split first, variables
+        // first, as unmetered host bookkeeping like the frontier's advance.
+        std::uint64_t mid = count;
+        if (phased) mid = sched.queued() ? sched.partition(split) : split;
+        if (mid == 0 || mid >= count) {
           out.delta = backend.reduce_range(0, count, body);
         } else {
-          out.delta = backend.reduce_range(0, split, body) +
-                      backend.reduce_range(split, count, body);
+          out.delta = backend.reduce_range(0, mid, body) +
+                      backend.reduce_range(mid, count, body);
         }
         for (Lane& lane : lanes) {
           out.processed += lane.updated;

@@ -164,8 +164,8 @@ class LdpcKernel {
 
   /// Gauss-Seidel in place: reads current messages, rewrites v's outgoing
   /// ones. Workers write disjoint edges (each directed edge has one
-  /// source); torn reads of a neighbor's in-flight message are the chaotic
-  /// relaxation the tabular §2.4 engines already make.
+  /// source), and parallel engines never run a variable and a check in one
+  /// region (phase_split), so no update reads a message in flight.
   float update(graph::NodeId v, perf::Meter& meter) {
     return update_node(msg_.data(), msg_.data(), v, meter);
   }
@@ -196,12 +196,12 @@ class LdpcKernel {
   bool syndrome_met(perf::Meter& meter);
 
   /// Parallel engines update nodes [0, phase_split()) — the variables —
-  /// before the checks. The Tanner graph is bipartite, so no node of one
-  /// phase reads another's writes and a parallel pass gives the same
-  /// result under any thread timing. It matters: min-sum decodes depend on
-  /// update order — about one in a thousand random orders leaves a
-  /// weight-2 error of a 48-bit (3,6) code in an oscillation that never
-  /// meets the syndrome.
+  /// before the checks, in dense sweeps and queued rounds alike. The
+  /// Tanner graph is bipartite, so no node of one phase reads another's
+  /// writes and a parallel pass gives the same result under any thread
+  /// timing. It matters: min-sum decodes depend on update order — about
+  /// one in a thousand random orders leaves a weight-2 error of a 48-bit
+  /// (3,6) code in an oscillation that never meets the syndrome.
   [[nodiscard]] graph::NodeId phase_split() const noexcept { return vars_; }
 
   /// Jacobi double buffer for the edge paradigm: every message of sweep

@@ -142,7 +142,8 @@ float LdpcKernel::update_node(const float* in_msg, float* out_msg, NodeId v,
   // keeps each input's tanh in tanh_; each output divides the product by
   // its own input's tanh, or degenerates when erasures are present).
   // Min-sum: sign product plus the two smallest magnitudes. Returns the
-  // summed tanh-domain message delta.
+  // summed tanh-domain message delta against the last sweep's outputs
+  // (in_msg: under the Jacobi double buffer out_msg holds older ones).
   const float sign = syn_[v - vars_] ? -1.0f : 1.0f;
   meter.seq_read(1);
   float delta = 0.0f;
@@ -177,7 +178,7 @@ float LdpcKernel::update_node(const float* in_msg, float* out_msg, NodeId v,
       if (t_excl > kTanhClamp) t_excl = kTanhClamp;
       if (t_excl < -kTanhClamp) t_excl = -kTanhClamp;
       const float r_new = 2.0f * std::atanh(t_excl);
-      delta += std::fabs(t_excl - std::tanh(0.5f * out_msg[entry.edge]));
+      delta += std::fabs(t_excl - std::tanh(0.5f * in_msg[entry.edge]));
       out_msg[entry.edge] = r_new;
       meter.rand_read(4 + sizeof(EdgeId));
       meter.rand_write(4);
@@ -210,7 +211,7 @@ float LdpcKernel::update_node(const float* in_msg, float* out_msg, NodeId v,
       if (in_msg[rev] < 0.0f) s = -s;  // remove the excluded input's sign
       const float r_new = s * (rev == arg ? m2 : m1);
       delta += std::fabs(std::tanh(0.5f * r_new) -
-                         std::tanh(0.5f * out_msg[entry.edge]));
+                         std::tanh(0.5f * in_msg[entry.edge]));
       out_msg[entry.edge] = r_new;
       meter.rand_read(4 + sizeof(EdgeId));
       meter.rand_write(4);

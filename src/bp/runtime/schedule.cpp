@@ -43,6 +43,13 @@ bool NodeFrontier::advance(std::uint32_t /*iter*/) {
   return !queue_.empty();
 }
 
+std::uint64_t NodeFrontier::partition(graph::NodeId split) {
+  const auto mid = std::stable_partition(
+      queue_.begin(), queue_.end(),
+      [split](graph::NodeId v) { return v < split; });
+  return static_cast<std::uint64_t>(mid - queue_.begin());
+}
+
 EdgeFrontier::EdgeFrontier(const graph::FactorGraph& g) {
   const auto& edges = g.edges();
   queue_.reserve(edges.size());

@@ -115,6 +115,10 @@ class NodeFrontier {
   /// remaining elements individually converged).
   bool advance(std::uint32_t iter);
 
+  /// Queue mode: moves this round's nodes below `split` ahead of the rest,
+  /// keeping the order within each side, and returns how many there are.
+  std::uint64_t partition(graph::NodeId split);
+
  private:
   struct alignas(64) Fragment {
     std::vector<graph::NodeId> nodes;

@@ -31,7 +31,7 @@
 #include "bp/engine.h"
 #include "bp/options.h"
 
-// Serving: Server/Session, Request/Response, GraphCache, stress replay.
+// Serving: Server, Request/Response, GraphCache, stress replay.
 #include "serve/graph_cache.h"
 #include "serve/request.h"
 #include "serve/server.h"

@@ -1,7 +1,6 @@
 #include "graph/delta.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <type_traits>
@@ -121,41 +120,6 @@ std::vector<NodeId> GraphDelta::touched() const {
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
   return nodes;
-}
-
-std::uint64_t GraphDelta::fingerprint() const noexcept {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto mix_float = [&mix](float f) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &f, sizeof(bits));
-    mix(bits);
-  };
-  for (const Op& op : ops_) {
-    mix(static_cast<std::uint64_t>(op.kind));
-    mix(op.a);
-    mix(op.b);
-    if (op.kind == OpKind::kObserve) mix(op.state);
-    if (op.kind == OpKind::kSetPrior || op.kind == OpKind::kAddNode) {
-      mix(op.prior.size);
-      for (std::uint32_t i = 0; i < op.prior.size; ++i) mix_float(op.prior.v[i]);
-    }
-    if (op.joint != nullptr) {
-      mix(op.joint->rows);
-      mix(op.joint->cols);
-      for (std::uint32_t i = 0; i < op.joint->rows; ++i) {
-        for (std::uint32_t j = 0; j < op.joint->cols; ++j) {
-          mix_float(op.joint->at(i, j));
-        }
-      }
-    }
-  }
-  return h;
 }
 
 namespace {

@@ -2,11 +2,10 @@
 //
 // A serve re-query changes evidence (priors move, variables get observed
 // or released) or topology (edges appear and vanish, nodes join and
-// retire), and both kinds of change perturb the same frontier and feed
-// the same warm-table keying. GraphDelta is ONE ordered op list for both,
-// with one touched-set and one fingerprint. Evidence-only deltas apply
-// ephemerally to any FactorGraph (`with_delta`); deltas that carry
-// topology ops go through a graph::DynamicGraph, which keeps the
+// retire), and both kinds of change perturb the same frontier. GraphDelta
+// is ONE ordered op list for both, with one touched-set. Evidence-only
+// deltas apply ephemerally to any FactorGraph (`with_delta`); deltas that
+// carry topology ops go through a graph::DynamicGraph, which keeps the
 // retired-node flags and the version count. Both paths run the same
 // validator and the same applier (graph/delta.cpp), so their rules cannot
 // drift apart.
@@ -103,10 +102,6 @@ class GraphDelta {
   /// DynamicGraph reports them in last_touched() after resolution). This
   /// seeds the incremental re-convergence frontier.
   [[nodiscard]] std::vector<NodeId> touched() const;
-
-  /// FNV-1a content hash over the op list (kinds, ids, states, prior and
-  /// matrix bits). Part of the warm-state fingerprint in the serve layer.
-  [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
   /// Validates against a plain FactorGraph for *ephemeral* application:
   /// evidence ops are checked by the same validator DynamicGraph::apply

@@ -51,9 +51,9 @@ struct LineReader {
       if (t.empty()) continue;
       if (t[0] == '%') {
         if (keep_extensions &&
-            (util::starts_with(t, kSharedJoint) ||
-             util::starts_with(t, kFamilyHeader) ||
-             util::starts_with(t, kLdpcVarsHeader))) {
+            (t.starts_with(kSharedJoint) ||
+             t.starts_with(kFamilyHeader) ||
+             t.starts_with(kLdpcVarsHeader))) {
           return t;
         }
         continue;
@@ -114,7 +114,7 @@ graph::FactorGraph read_mtx_belief_streams(std::istream& nodes,
       ++stats->lines;
       stats->bytes += first.size() + 1;
     }
-    if (!util::starts_with(util::trim(first), kNodeBanner)) {
+    if (!util::trim(first).starts_with(kNodeBanner)) {
       nr.fail("missing node banner '" + std::string(kNodeBanner) + "'");
     }
   }
@@ -179,7 +179,7 @@ graph::FactorGraph read_mtx_belief_streams(std::istream& nodes,
       ++stats->lines;
       stats->bytes += first.size() + 1;
     }
-    if (!util::starts_with(util::trim(first), kEdgeBanner)) {
+    if (!util::trim(first).starts_with(kEdgeBanner)) {
       er.fail("missing edge banner '" + std::string(kEdgeBanner) + "'");
     }
   }
@@ -188,8 +188,8 @@ graph::FactorGraph read_mtx_belief_streams(std::istream& nodes,
   std::uint64_t ldpc_vars = 0;
   bool have_ldpc_vars = false;
   auto l = er.next(/*keep_extensions=*/true);
-  while (l && util::starts_with(*l, "%%")) {
-    if (util::starts_with(*l, kSharedJoint)) {
+  while (l && l->starts_with("%%")) {
+    if (l->starts_with(kSharedJoint)) {
       FieldCursor c(l->substr(kSharedJoint.size()));
       const auto k = c.next_u64();
       if (!k || *k < 1 || *k > kMaxStates) {
@@ -201,13 +201,13 @@ graph::FactorGraph read_mtx_belief_streams(std::istream& nodes,
       if (!c.done()) er.fail("trailing fields after shared joint matrix");
       b.use_shared_joint(m);
       shared = true;
-    } else if (util::starts_with(*l, kLdpcVarsHeader)) {
+    } else if (l->starts_with(kLdpcVarsHeader)) {
       FieldCursor c(l->substr(kLdpcVarsHeader.size()));
       const auto v = c.next_u64();
       if (!v || !c.done()) er.fail("malformed %%ldpc-variables line");
       ldpc_vars = *v;
       have_ldpc_vars = true;
-    } else if (util::starts_with(*l, kFamilyHeader)) {
+    } else if (l->starts_with(kFamilyHeader)) {
       FieldCursor c(l->substr(kFamilyHeader.size()));
       const auto name = c.next();
       if (!name || !c.done()) er.fail("malformed %%family line");

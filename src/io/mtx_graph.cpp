@@ -26,7 +26,7 @@ graph::FactorGraph read_mtx_graph_stream(std::istream& in,
   if (!std::getline(in, line)) throw ParseError(name, 1, "empty file");
   ++lineno;
   const auto banner = util::trim(line);
-  if (!util::starts_with(banner, "%%MatrixMarket")) {
+  if (!banner.starts_with("%%MatrixMarket")) {
     throw ParseError(name, lineno, "missing %%MatrixMarket banner");
   }
   const auto fields = util::split(banner);

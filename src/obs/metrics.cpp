@@ -124,12 +124,7 @@ void Histogram::observe(double v) noexcept {
       static_cast<std::size_t>(it - bounds_.begin());  // +Inf = size()
   Shard& shard = shards_[detail::shard_index()];
   shard.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-  // fetch_add on atomic<double> needs C++20 library support; a CAS loop is
-  // portable and shard-local, so contention stays within one thread's cell.
-  double sum = shard.sum.load(std::memory_order_relaxed);
-  while (!shard.sum.compare_exchange_weak(sum, sum + v,
-                                          std::memory_order_relaxed)) {
-  }
+  shard.sum.fetch_add(v, std::memory_order_relaxed);
   double mx = shard.max.load(std::memory_order_relaxed);
   while (v > mx && !shard.max.compare_exchange_weak(
                        mx, v, std::memory_order_relaxed)) {

@@ -84,12 +84,7 @@ class Gauge {
 
   void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
   void add(double v) noexcept {
-    // CAS loop rather than fetch_add(double) so pre-C++20 atomics on odd
-    // toolchains are not required.
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + v,
-                                         std::memory_order_relaxed)) {
-    }
+    value_.fetch_add(v, std::memory_order_relaxed);
   }
   [[nodiscard]] double value() const noexcept {
     return value_.load(std::memory_order_relaxed);

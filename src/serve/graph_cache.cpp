@@ -28,6 +28,11 @@ std::uint64_t hash_file(const std::string& path) {
   return h;
 }
 
+/// The warm table's key: one state per (graph version, engine).
+std::string warm_key(const std::string& graph_key, bp::EngineKind engine) {
+  return graph_key + '#' + std::string(bp::engine_slug(engine));
+}
+
 }  // namespace
 
 GraphCache::GraphCache(std::size_t capacity,
@@ -108,8 +113,8 @@ GraphCache::Fetched GraphCache::fetch(const std::string& nodes_path,
 }
 
 std::shared_ptr<const std::vector<graph::BeliefVec>> GraphCache::warm_lookup(
-    const std::string& graph_key, std::uint64_t fingerprint) {
-  const std::string key = graph_key + '#' + std::to_string(fingerprint);
+    const std::string& graph_key, bp::EngineKind engine) {
+  const std::string key = warm_key(graph_key, engine);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = warm_index_.find(key);
   if (it == warm_index_.end()) {
@@ -123,10 +128,10 @@ std::shared_ptr<const std::vector<graph::BeliefVec>> GraphCache::warm_lookup(
 }
 
 void GraphCache::warm_store(
-    const std::string& graph_key, std::uint64_t fingerprint,
+    const std::string& graph_key, bp::EngineKind engine,
     std::shared_ptr<const std::vector<graph::BeliefVec>> beliefs) {
   if (beliefs == nullptr) return;
-  const std::string key = graph_key + '#' + std::to_string(fingerprint);
+  const std::string key = warm_key(graph_key, engine);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = warm_index_.find(key);
   if (it != warm_index_.end()) {
@@ -135,14 +140,32 @@ void GraphCache::warm_store(
   } else {
     warm_lru_.push_front(WarmEntry{key, std::move(beliefs)});
     warm_index_[key] = warm_lru_.begin();
-    // Twice the graph capacity: warm states are per (graph, engine,
-    // evidence), so a graph commonly owns more than one.
+    // Twice the graph capacity: warm states are per (graph version,
+    // engine), so a graph commonly owns more than one.
     while (warm_lru_.size() > 2 * capacity_) {
       warm_index_.erase(warm_lru_.back().key);
       warm_lru_.pop_back();
     }
   }
   warm_bytes_update_locked();
+}
+
+std::shared_ptr<const std::vector<graph::BeliefVec>> GraphCache::warm_take(
+    const std::string& graph_key, bp::EngineKind engine) {
+  const std::string key = warm_key(graph_key, engine);
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = warm_index_.find(key);
+  if (it == warm_index_.end()) {
+    ++stats_.warm_misses;
+    return nullptr;
+  }
+  auto beliefs = std::move(it->second->beliefs);
+  warm_lru_.erase(it->second);
+  warm_index_.erase(it);
+  ++stats_.warm_hits;
+  warm_hits_.inc();
+  warm_bytes_update_locked();
+  return beliefs;
 }
 
 void GraphCache::warm_bytes_update_locked() {

@@ -10,9 +10,9 @@
 // eviction never invalidates an in-flight run.
 //
 // Alongside the parsed graphs the cache keeps a *warm-state* side table
-// (DESIGN.md §5h): converged belief vectors retained per (graph key,
-// fingerprint) so a repeat request can start from the previous fixed
-// point instead of the priors. The side table is independent of the
+// (DESIGN.md §5h): one converged belief vector per (graph version key,
+// engine) so a repeat request can start from the previous fixed point
+// instead of the priors. The side table is independent of the
 // graph LRU — evicting a parsed graph does NOT drop its warm beliefs, so
 // a re-parse after eviction still warm-starts. Warm hits and resident
 // bytes are exported as credo_cache_warm_hits_total / credo_cache_warm_bytes.
@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bp/engine.h"
 #include "graph/belief.h"
 #include "graph/factor_graph.h"
 #include "graph/metadata.h"
@@ -98,22 +99,26 @@ class GraphCache {
       const std::string& nodes_path, const std::string& edges_path,
       graph::ReorderMode mode = graph::ReorderMode::kNone);
 
-  /// Retained converged beliefs for (graph key, fingerprint), or null.
-  /// The fingerprint is the caller's business — the server folds the
-  /// engine slug and the evidence content hash into it — the cache only
-  /// requires that equal fingerprints mean interchangeable warm states.
-  /// A hit bumps the entry in the warm LRU and counts in warm_hits /
-  /// credo_cache_warm_hits_total; a miss counts in warm_misses.
+  /// Retained converged beliefs of `engine` on the graph version
+  /// `graph_key` (a CachedGraph::key), or null. A hit bumps the entry in
+  /// the warm LRU and counts in warm_hits / credo_cache_warm_hits_total; a
+  /// miss counts in warm_misses.
   [[nodiscard]] std::shared_ptr<const std::vector<graph::BeliefVec>>
-  warm_lookup(const std::string& graph_key, std::uint64_t fingerprint);
+  warm_lookup(const std::string& graph_key, bp::EngineKind engine);
 
-  /// Retains `beliefs` (original node ids) for (graph key, fingerprint),
+  /// Retains `beliefs` (original node ids) for (graph key, engine),
   /// replacing any previous state under the same pair. The warm table is
   /// its own LRU with 2x the graph capacity, deliberately NOT tied to
   /// graph entries: a graph eviction must not cost the warm state, or a
   /// re-parse after cache pressure would also pay a cold re-converge.
-  void warm_store(const std::string& graph_key, std::uint64_t fingerprint,
+  void warm_store(const std::string& graph_key, bp::EngineKind engine,
                   std::shared_ptr<const std::vector<graph::BeliefVec>> beliefs);
+
+  /// warm_lookup that also drops the entry: a mutation moves its version's
+  /// state to the next version, since no request resolves a superseded
+  /// version again.
+  [[nodiscard]] std::shared_ptr<const std::vector<graph::BeliefVec>>
+  warm_take(const std::string& graph_key, bp::EngineKind engine);
 
   [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] std::size_t size() const;

@@ -43,9 +43,9 @@ namespace credo::serve {
 /// files under kNone and a locality mode are two distinct cached entries
 /// with different memory layouts, so they must never compare equal.
 /// Response beliefs are always in the file's original node ids regardless
-/// of mode. For inline graphs the reorder happens per request (nothing
-/// caches the pass), so preloaded callers should reorder once themselves
-/// and leave the mode at kNone.
+/// of mode. An inline graph takes no mode: nothing would cache the pass,
+/// so preloaded callers reorder once themselves (graph::reordered) and
+/// leave the mode at kNone.
 struct GraphKey {
   std::string nodes_path;
   std::string edges_path;
@@ -84,14 +84,19 @@ struct GraphKey {
   }
 
   /// Enforces the two-form invariant: either both file paths (and no
-  /// inline graph), or an inline graph (and no paths). Mixed or empty
-  /// forms are invalid-argument, never silently resolved.
+  /// inline graph), or an inline graph (and no paths, no reorder mode).
+  /// Mixed or empty forms are invalid-argument, never silently resolved.
   [[nodiscard]] util::Status validate() const {
     const bool has_paths = !nodes_path.empty() || !edges_path.empty();
     if (inline_graph() && has_paths) {
       return util::Status::invalid_argument(
           "GraphKey: an inline graph and file paths are mutually "
           "exclusive — use exactly one form");
+    }
+    if (inline_graph() && reorder != graph::ReorderMode::kNone) {
+      return util::Status::invalid_argument(
+          "GraphKey: an inline graph takes no reorder mode — reorder it "
+          "once (graph::reordered) before preloading");
     }
     if (!inline_graph()) {
       if (nodes_path.empty() && edges_path.empty()) {
@@ -139,7 +144,7 @@ struct Deadline {
   }
 };
 
-/// One unit of work submitted to a Server / Session.
+/// One unit of work submitted to a Server.
 struct Request {
   GraphKey graph;
   bp::BpOptions options;
@@ -160,12 +165,14 @@ struct Request {
   std::optional<graph::GraphDelta> delta;
 
   /// Opt into belief warm-starting: when the server holds converged
-  /// beliefs for this (graph, engine) from an earlier request, start from
-  /// them instead of the priors, and retain this run's converged beliefs
-  /// for the next request. A request with `delta` set implies the same
-  /// retention; warm-starting is never load-bearing for correctness — a
-  /// cache miss or an unsupported engine falls back to a cold run and the
-  /// Response says so (`warm_start` stays false).
+  /// beliefs for this (graph version, engine) from an earlier request,
+  /// start from them instead of the priors, and retain this run's
+  /// converged beliefs for the next request. A request with `delta` set
+  /// always starts from that state; an evidence delta retains nothing,
+  /// since its fixed point is not the version's. Warm-starting is never
+  /// load-bearing for correctness — a cache miss or an unsupported engine
+  /// falls back to a cold run and the Response says so (`warm_start`
+  /// stays false).
   bool warm_start = false;
 
   Deadline deadline;

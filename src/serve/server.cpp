@@ -23,28 +23,6 @@ constexpr const char* kRequestsTotalHelp =
     "Requests finished, by terminal status (submitted == sum over statuses "
     "after drain)";
 
-/// Warm-state fingerprint: engine slug + delta content hash, FNV-1a.
-/// Options are deliberately NOT folded in — warm beliefs are a starting
-/// point, never load-bearing, so a request with different thresholds can
-/// still reuse them and simply re-converges under its own options. The
-/// topology version is NOT here either: it lives in the graph key's
-/// "#vN" suffix, so each version owns a whole fingerprint namespace.
-std::uint64_t warm_fingerprint(bp::EngineKind kind,
-                               std::uint64_t delta_fp) noexcept {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix_byte = [&h](std::uint8_t b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  };
-  for (const char c : bp::engine_slug(kind)) {
-    mix_byte(static_cast<std::uint8_t>(c));
-  }
-  for (int i = 0; i < 8; ++i) {
-    mix_byte(static_cast<std::uint8_t>((delta_fp >> (8 * i)) & 0xffu));
-  }
-  return h;
-}
-
 /// The BpOptions knobs that must agree for two requests to share one
 /// fused engine run. Scheduling/pool knobs follow the batch head.
 bool fusable_options(const bp::BpOptions& a, const bp::BpOptions& b) noexcept {
@@ -68,6 +46,19 @@ bp::BpResult run_engine(const bp::Engine& engine, const graph::FactorGraph& g,
   }
   std::lock_guard<std::mutex> pool_lock(pool_mu);
   return engine.run(g, bp::BpOptions(opts).with_shared_pool(&pool));
+}
+
+/// A response that carries only a terminal status and its reason.
+Response status_response(util::StatusCode status, std::string reason) {
+  Response r;
+  r.status = status;
+  r.error = std::move(reason);
+  return r;
+}
+
+double seconds_between(std::chrono::steady_clock::time_point from,
+                       std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
 }
 
 }  // namespace
@@ -122,79 +113,28 @@ Server::Server(ServerOptions options)
 
 Server::~Server() { shutdown(); }
 
-Response Server::finish_unrun(const Request& req, util::StatusCode status,
-                              std::string reason) {
-  Response r;
-  r.status = status;
-  r.error = std::move(reason);
-  r.tag = req.tag;
-  if (options_.spans != nullptr) {
-    obs::Span span;
-    span.id = obs::next_span_id();
-    r.span_id = span.id;
-    span.tag = req.tag;
-    span.graph = req.graph.label();
-    span.status = util::status_code_name(status);
-    span.error = r.error;
-    options_.spans->record(std::move(span));
-  }
-  return r;
-}
-
 std::future<Response> Server::submit(Request req) {
-  std::promise<Response> promise;
-  std::future<Response> fut = promise.get_future();
-
-  // Validation failures resolve immediately with the shared status
-  // vocabulary — they never consume queue capacity or a worker.
-  if (const util::Status valid = req.validate(); !valid.is_ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.submitted;
-    }
-    m_submitted_.inc();
-    count(valid.code());
-    promise.set_value(finish_unrun(req, valid.code(), valid.message()));
-    return fut;
-  }
-
-  std::string reject_reason;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.submitted;
-    if (stopping_) {
-      reject_reason = "server stopped";
-    } else if (queue_.size() >= options_.queue_capacity) {
-      reject_reason = "admission queue full (capacity " +
-                      std::to_string(options_.queue_capacity) + ")";
-    } else {
-      Pending p;
-      p.requests.push_back(std::move(req));
-      p.promises.push_back(std::move(promise));
-      p.resolved.push_back(0);
-      p.enqueued = std::chrono::steady_clock::now();
-      queue_.push_back(std::move(p));
-      m_queue_depth_.set(static_cast<double>(queue_.size()));
-    }
-  }
-  m_submitted_.inc();
-  if (!reject_reason.empty()) {
-    count(util::StatusCode::kRejected);
-    promise.set_value(finish_unrun(req, util::StatusCode::kRejected,
-                                   std::move(reject_reason)));
-    return fut;
-  }
-  cv_.notify_one();
-  return fut;
+  std::vector<Request> one;
+  one.push_back(std::move(req));
+  return std::move(admit(std::move(one), false).front());
 }
 
 std::vector<std::future<Response>> Server::submit_batch(
     std::vector<Request> requests) {
-  const std::size_t n = requests.size();
-  std::vector<std::promise<Response>> promises(n);
+  return admit(std::move(requests), true);
+}
+
+std::vector<std::future<Response>> Server::admit(
+    std::vector<Request> requests, bool batch) {
+  Pending p;
+  p.batch = batch;
+  p.requests = std::move(requests);
+  const std::size_t n = p.requests.size();
+  p.promises.resize(n);
+  p.resolved.assign(n, 0);
   std::vector<std::future<Response>> futures;
   futures.reserve(n);
-  for (auto& p : promises) futures.push_back(p.get_future());
+  for (auto& promise : p.promises) futures.push_back(promise.get_future());
   if (n == 0) return futures;
 
   // Every member counts in the accounting identity individually, exactly
@@ -203,59 +143,72 @@ std::vector<std::future<Response>> Server::submit_batch(
     std::lock_guard<std::mutex> lock(mu_);
     stats_.submitted += n;
   }
-  for (std::size_t i = 0; i < n; ++i) m_submitted_.inc();
+  m_submitted_.inc(n);
 
-  // Per-member validation resolves failed members now; the survivors stay
+  // Validation failures resolve now with the shared status vocabulary —
+  // they never consume queue capacity or a worker. The survivors stay
   // index-aligned (resolved[] marks the finished slots for the worker).
-  std::vector<char> resolved(n, 0);
   std::size_t live = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (const util::Status valid = requests[i].validate(); !valid.is_ok()) {
-      count(valid.code());
-      promises[i].set_value(
-          finish_unrun(requests[i], valid.code(), valid.message()));
-      resolved[i] = 1;
+    if (const util::Status valid = p.requests[i].validate(); !valid.is_ok()) {
+      finish(p, i, status_response(valid.code(), valid.message()));
     } else {
       ++live;
     }
   }
+  if (live == 0) return futures;
 
-  // One admission decision for the whole batch: it occupies one slot.
+  // One admission decision per slot: a batch occupies one.
   std::string reject_reason;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       reject_reason = "server stopped";
-    } else if (live > 0 && queue_.size() >= options_.queue_capacity) {
+    } else if (queue_.size() >= options_.queue_capacity) {
       reject_reason = "admission queue full (capacity " +
                       std::to_string(options_.queue_capacity) + ")";
-    } else if (live > 0) {
-      Pending p;
-      p.requests = std::move(requests);
-      p.promises = std::move(promises);
-      p.resolved = resolved;
+    } else {
       p.enqueued = std::chrono::steady_clock::now();
-      p.batch = true;
       queue_.push_back(std::move(p));
       m_queue_depth_.set(static_cast<double>(queue_.size()));
     }
   }
-  if (!reject_reason.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (resolved[i]) continue;
-      count(util::StatusCode::kRejected);
-      promises[i].set_value(finish_unrun(
-          requests[i], util::StatusCode::kRejected, reject_reason));
-    }
+  if (reject_reason.empty()) {
+    cv_.notify_one();
     return futures;
   }
-  if (live > 0) cv_.notify_one();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!p.resolved[i]) {
+      finish(p, i, status_response(util::StatusCode::kRejected, reject_reason));
+    }
+  }
   return futures;
 }
 
-Session Server::session() {
-  static std::atomic<unsigned> next_id{0};
-  return Session(*this, next_id.fetch_add(1, std::memory_order_relaxed));
+void Server::finish(Pending& pending, std::size_t i, Response resp,
+                    obs::Span span) {
+  const Request& req = pending.requests[i];
+  resp.tag = req.tag;
+  if (pending.dequeued) {
+    resp.queue_seconds = seconds_between(pending.enqueued, *pending.dequeued);
+    resp.service_seconds = seconds_between(*pending.dequeued,
+                                           std::chrono::steady_clock::now());
+    m_queue_seconds_.observe(resp.queue_seconds);
+    m_run_seconds_.observe(resp.service_seconds);
+  }
+  if (options_.spans != nullptr) {
+    span.id = obs::next_span_id();
+    resp.span_id = span.id;
+    span.tag = req.tag;
+    span.graph = req.graph.label();
+    span.queue_s = resp.queue_seconds;
+    span.status = util::status_code_name(resp.status);
+    span.error = resp.error;
+    options_.spans->record(std::move(span));
+  }
+  count(resp.status);
+  pending.resolved[i] = 1;
+  pending.promises[i].set_value(std::move(resp));
 }
 
 void Server::shutdown() {
@@ -273,11 +226,10 @@ void Server::shutdown() {
   }
   for (auto& pending : orphaned) {
     for (std::size_t i = 0; i < pending.requests.size(); ++i) {
-      if (pending.resolved[i]) continue;
-      count(util::StatusCode::kRejected);
-      pending.promises[i].set_value(finish_unrun(
-          pending.requests[i], util::StatusCode::kRejected,
-          "server stopped"));
+      if (!pending.resolved[i]) {
+        finish(pending, i, status_response(util::StatusCode::kRejected,
+                                           "server stopped"));
+      }
     }
   }
   cv_.notify_all();
@@ -322,13 +274,12 @@ void Server::worker_loop() {
       queue_.pop_front();
       m_queue_depth_.set(static_cast<double>(queue_.size()));
     }
+    pending.dequeued = std::chrono::steady_clock::now();
     if (pending.batch) {
       execute_batch(pending);
-      continue;
+    } else {
+      execute(pending);
     }
-    Response resp = execute(pending.requests[0], pending.enqueued);
-    count(resp.status);
-    pending.promises[0].set_value(std::move(resp));
   }
 }
 
@@ -362,6 +313,25 @@ bp::EngineKind Server::choose_engine(const graph::FactorGraph& g,
   return dispatcher_->choose(graph::compute_metadata(g));
 }
 
+Server::Resolved Server::resolve(const GraphKey& key) {
+  Resolved r;
+  if (key.inline_graph()) {
+    r.graph = key.graph.get();
+    return r;
+  }
+  auto fetched = cache_.fetch(key.nodes_path, key.edges_path, key.reorder);
+  r.parsed = std::move(fetched.entry);
+  r.cache_hit = fetched.hit;
+  // A mutated graph's dynamic snapshot supersedes the parsed bytes: once
+  // topology changed server-side, every request naming these files sees
+  // the current version, even after an LRU eviction re-parsed the
+  // original (unchanged) files.
+  r.current = dynamic_current(r.parsed->key);
+  if (r.current == nullptr) r.current = r.parsed;
+  r.graph = r.current->graph.get();
+  return r;
+}
+
 std::shared_ptr<const CachedGraph> Server::dynamic_current(
     const std::string& base_key) {
   std::shared_ptr<DynamicEntry> entry;
@@ -375,10 +345,10 @@ std::shared_ptr<const CachedGraph> Server::dynamic_current(
   return entry->current;
 }
 
-util::Status Server::apply_mutation(
-    const Request& req, const std::shared_ptr<const CachedGraph>& parsed,
-    bp::EngineKind kind, std::shared_ptr<const CachedGraph>& current_out,
-    std::vector<graph::NodeId>& touched_out) {
+util::Status Server::apply_mutation(const graph::GraphDelta& delta,
+                                    bp::EngineKind kind, Resolved& resolved,
+                                    std::vector<graph::NodeId>& touched) {
+  const CachedGraph& parsed = *resolved.parsed;
   // Get or create the dynamic entry. Construction happens outside dyn_mu_
   // (folding a reordered graph back to original ids is not map-lock work);
   // if two first mutations race, the emplace loser's entry is dropped and
@@ -386,129 +356,79 @@ util::Status Server::apply_mutation(
   std::shared_ptr<DynamicEntry> entry;
   {
     std::lock_guard<std::mutex> lock(dyn_mu_);
-    const auto it = dynamic_.find(parsed->key);
+    const auto it = dynamic_.find(parsed.key);
     if (it != dynamic_.end()) entry = it->second;
   }
   if (entry == nullptr) {
     auto fresh = std::make_shared<DynamicEntry>(
-        graph::DynamicGraph::from_graph(*parsed->graph));
+        graph::DynamicGraph::from_graph(*parsed.graph));
     std::lock_guard<std::mutex> lock(dyn_mu_);
-    entry = dynamic_.emplace(parsed->key, std::move(fresh)).first->second;
+    entry = dynamic_.emplace(parsed.key, std::move(fresh)).first->second;
   }
 
   std::lock_guard<std::mutex> lock(entry->mu);
   const std::string old_key =
-      entry->current != nullptr ? entry->current->key : parsed->key;
-  if (const util::Status s = entry->dyn.apply(*req.delta); !s.is_ok()) {
+      entry->current != nullptr ? entry->current->key : parsed.key;
+  if (const util::Status s = entry->dyn.apply(delta); !s.is_ok()) {
     return s;
   }
-  touched_out = entry->dyn.last_touched();
+  touched = entry->dyn.last_touched();
 
   auto next = std::make_shared<CachedGraph>();
   next->graph = entry->dyn.snapshot();
   next->metadata = graph::compute_metadata(*next->graph);
-  next->content_hash = parsed->content_hash;
-  next->reorder = parsed->reorder;
+  next->content_hash = parsed.content_hash;
+  next->reorder = parsed.reorder;
   next->version = entry->dyn.version();
-  next->key = parsed->key + "#v" + std::to_string(next->version);
+  next->key = parsed.key + "#v" + std::to_string(next->version);
 
-  // Migrate the engine's base warm state across the version bump: the old
-  // fixed point with the touched region (and any new nodes) reset to
-  // priors is a nearly-converged starting point for the new topology.
-  // Entries left under the old key age out of the warm LRU — they can
-  // never be overlaid onto the new topology because the fingerprint
-  // namespace moved with the versioned key.
-  const std::uint64_t base_fp = warm_fingerprint(kind, 0);
-  if (auto old_warm = cache_.warm_lookup(old_key, base_fp);
-      old_warm != nullptr) {
+  // Move the engine's warm state across the version bump: the old fixed
+  // point with the touched region (and any new nodes) reset to priors is
+  // a nearly-converged starting point for the new topology, and nothing
+  // resolves the superseded version again, so its entry goes.
+  if (auto old_warm = cache_.warm_take(old_key, kind); old_warm != nullptr) {
     cache_.warm_store(
-        next->key, base_fp,
+        next->key, kind,
         std::make_shared<const std::vector<graph::BeliefVec>>(
             entry->dyn.patch_beliefs(*old_warm)));
   }
   entry->current = next;
-  current_out = std::move(next);
+  resolved.current = std::move(next);
+  resolved.graph = resolved.current->graph.get();
   return util::Status::ok();
 }
 
-Response Server::execute(Request& req,
-                         std::chrono::steady_clock::time_point enqueued) {
+void Server::execute(Pending& pending) {
+  Request& req = pending.requests[0];
   Response resp;
-  resp.tag = req.tag;
-  resp.queue_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    enqueued)
-          .count();
-  m_queue_seconds_.observe(resp.queue_seconds);
-  const util::Timer service_timer;
-
   obs::Span span;
-  if (options_.spans != nullptr) {
-    span.id = obs::next_span_id();
-    resp.span_id = span.id;
-  }
-  span.tag = req.tag;
-  span.graph = req.graph.label();
-  span.queue_s = resp.queue_seconds;
-
-  // A request cancelled while queued never starts.
   if (req.cancel.stop_requested()) {
+    // A request cancelled while queued never starts.
     resp.status = util::StatusCode::kCancelled;
-    resp.service_seconds = service_timer.seconds();
-    m_run_seconds_.observe(resp.service_seconds);
-    if (options_.spans != nullptr) {
-      span.status = util::status_code_name(resp.status);
-      options_.spans->record(std::move(span));
-    }
-    return resp;
+    finish(pending, 0, std::move(resp), std::move(span));
+    return;
   }
 
   try {
-    // Resolve the graph key: cache for file keys, as-is for preloaded
-    // graphs (reordered per-request when the key carries a mode — no
-    // cache to amortize the pass, so preloaded callers are better off
-    // reordering once upfront).
-    const util::Timer parse_timer;
-    std::shared_ptr<const CachedGraph> cached;
-    std::shared_ptr<const CachedGraph> parsed;
-    graph::FactorGraph reordered_inline;
-    const graph::FactorGraph* g = nullptr;
-    const graph::GraphMetadata* md = nullptr;
-    std::string warm_key;  // empty = inline graph, no warm retention
     const bool has_delta = req.delta && !req.delta->empty();
     const bool mutates = has_delta && req.delta->has_topology();
-    if (req.graph.inline_graph()) {
-      if (mutates) {
-        throw util::InvalidArgument(
-            "topology mutations need a file-backed graph — inline graphs "
-            "have no server-side dynamic state to mutate");
-      }
-      g = req.graph.graph.get();
-      if (req.graph.reorder != graph::ReorderMode::kNone) {
-        reordered_inline = graph::reordered(*g, req.graph.reorder);
-        g = &reordered_inline;
-      }
-    } else {
-      auto fetched = cache_.fetch(req.graph.nodes_path, req.graph.edges_path,
-                                  req.graph.reorder);
-      parsed = std::move(fetched.entry);
-      resp.cache_hit = fetched.hit;
-      // A mutated graph's dynamic snapshot supersedes the parsed bytes:
-      // once topology changed server-side, every request naming these
-      // files sees the current version, even after an LRU eviction
-      // re-parsed the original (unchanged) files.
-      cached = dynamic_current(parsed->key);
-      if (cached == nullptr) cached = parsed;
-      g = cached->graph.get();
-      md = &cached->metadata;
-      warm_key = cached->key;
-      resp.graph_version = cached->version;
+    if (mutates && req.graph.inline_graph()) {
+      throw util::InvalidArgument(
+          "topology mutations need a file-backed graph — inline graphs "
+          "have no server-side dynamic state to mutate");
     }
+    const util::Timer parse_timer;
+    Resolved resolved = resolve(req.graph);
     span.parse_s = parse_timer.seconds();
+    resp.cache_hit = resolved.cache_hit;
     span.cache_hit = resp.cache_hit;
 
     const bp::EngineKind kind =
-        req.engine ? *req.engine : choose_engine(*g, md);
+        req.engine ? *req.engine
+                   : choose_engine(*resolved.graph,
+                                   resolved.current != nullptr
+                                       ? &resolved.current->metadata
+                                       : nullptr);
     resp.engine = kind;
     span.engine = std::string(resp.engine_name());
 
@@ -517,29 +437,31 @@ Response Server::execute(Request& req,
     // ops rewrite priors/observations on a cheap structural copy visible
     // to this request alone — the edge lists, CSRs and joint tables stay
     // shared either way.
+    const graph::FactorGraph* g = resolved.graph;
     graph::FactorGraph evidenced;
     std::vector<graph::NodeId> seed_nodes;
     if (mutates) {
       if (const util::Status s =
-              apply_mutation(req, parsed, kind, cached, seed_nodes);
+              apply_mutation(*req.delta, kind, resolved, seed_nodes);
           !s.is_ok()) {
         throw util::InvalidArgument(s.message());
       }
-      g = cached->graph.get();
-      md = &cached->metadata;
-      warm_key = cached->key;
-      resp.graph_version = cached->version;
+      g = resolved.graph;
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.mutations;
       }
       m_mutations_.inc();
-      m_delta_size_.observe(static_cast<double>(req.delta->size()));
     } else if (has_delta) {
       evidenced = graph::with_delta(*g, *req.delta);
       g = &evidenced;
       seed_nodes = req.delta->touched();
+    }
+    if (has_delta) {
       m_delta_size_.observe(static_cast<double>(req.delta->size()));
+    }
+    if (resolved.current != nullptr) {
+      resp.graph_version = resolved.current->version;
     }
 
     bp::BpOptions opts = req.options;
@@ -551,39 +473,28 @@ Response Server::execute(Request& req,
       opts.with_modelled_deadline(req.deadline.modelled_seconds);
     }
 
-    // Warm start (DESIGN.md §5h/§5j). Retained beliefs are filed under
-    // (graph cache key, engine slug + delta hash). An evidence-delta
-    // request first tries its exact fingerprint (repeat of the same
-    // re-query), then the base state it perturbs; a topology mutation
-    // looks up the base state apply_mutation just migrated to the new
-    // versioned key — its converged result IS the new version's base, so
-    // exact == base there. On a warm hit with a delta, the engine is
-    // additionally seeded from the touched region so only the perturbed
+    // Warm start (DESIGN.md §5h/§5j). The cache retains one converged
+    // state per (graph version, engine): the version's CachedGraph::key
+    // carries its "#vN", and a mutation migrated the state to the new
+    // version above. An evidence delta starts from that state and is
+    // additionally seeded from its touched nodes, so only the perturbed
     // neighbourhood re-converges. Any miss, or an engine without warm
     // support, falls back to a cold full run — warm state is an
     // accelerator, never a correctness dependency.
-    const bool wants_warm = req.warm_start || has_delta;
-    const std::uint64_t base_fp = warm_fingerprint(kind, 0);
-    const std::uint64_t exact_fp =
-        mutates ? base_fp
-                : warm_fingerprint(kind,
-                                   has_delta ? req.delta->fingerprint() : 0);
-    std::shared_ptr<const std::vector<graph::BeliefVec>> warm;
-    if (wants_warm && !warm_key.empty() &&
-        bp::engine_supports_warm_start(kind, g->family())) {
-      warm = cache_.warm_lookup(warm_key, exact_fp);
-      if (warm == nullptr && has_delta && exact_fp != base_fp) {
-        warm = cache_.warm_lookup(warm_key, base_fp);
-      }
-    }
-    if (warm != nullptr && warm->size() == g->num_nodes()) {
-      opts.with_init_beliefs(warm);
-      resp.warm_start = true;
-      if (has_delta && !seed_nodes.empty() &&
-          bp::engine_supports_frontier_seed(kind, g->family())) {
-        opts.with_frontier_seed(
-            std::make_shared<const std::vector<graph::NodeId>>(
-                std::move(seed_nodes)));
+    const bool wants_warm =
+        (req.warm_start || has_delta) && resolved.current != nullptr &&
+        bp::engine_supports_warm_start(kind, g->family());
+    if (wants_warm) {
+      auto warm = cache_.warm_lookup(resolved.current->key, kind);
+      if (warm != nullptr && warm->size() == g->num_nodes()) {
+        opts.with_init_beliefs(std::move(warm));
+        resp.warm_start = true;
+        if (has_delta && !seed_nodes.empty() &&
+            bp::engine_supports_frontier_seed(kind, g->family())) {
+          opts.with_frontier_seed(
+              std::make_shared<const std::vector<graph::NodeId>>(
+                  std::move(seed_nodes)));
+        }
       }
     }
 
@@ -612,18 +523,17 @@ Response Server::execute(Request& req,
         break;
     }
 
-    // Retain converged beliefs for the next warm request. Stored under
-    // the exact fingerprint: a no-delta run files the base state delta
-    // requests later perturb; a delta run files the state its own exact
-    // re-query would reuse. Non-converged or non-ok runs retain nothing —
-    // a partial fixed point would poison later warm starts.
-    if (wants_warm && !warm_key.empty() &&
-        resp.status == util::StatusCode::kOk && result.stats.converged &&
-        bp::engine_supports_warm_start(kind, g->family())) {
-      cache_.warm_store(
-          warm_key, exact_fp,
-          std::make_shared<const std::vector<graph::BeliefVec>>(
-              result.beliefs));
+    // Retain converged beliefs as the version's state for the next warm
+    // request. An evidence delta's fixed point belongs to its own evidence,
+    // not to the version, so it stores nothing. Non-converged or non-ok
+    // runs retain nothing — a partial fixed point would poison later warm
+    // starts.
+    const bool evidence_only = has_delta && !mutates;
+    if (wants_warm && !evidence_only &&
+        resp.status == util::StatusCode::kOk && result.stats.converged) {
+      cache_.warm_store(resolved.current->key, kind,
+                        std::make_shared<const std::vector<graph::BeliefVec>>(
+                            result.beliefs));
     }
     resp.result = std::move(result);
   } catch (const std::exception& e) {
@@ -632,57 +542,15 @@ Response Server::execute(Request& req,
     const util::Status st = util::status_from_exception(e);
     resp.status = st.code();
     resp.error = st.message();
-    span.error = resp.error;
   }
-  resp.service_seconds = service_timer.seconds();
-  m_run_seconds_.observe(resp.service_seconds);
-  if (options_.spans != nullptr) {
-    span.status = util::status_code_name(resp.status);
-    options_.spans->record(std::move(span));
-  }
-  return resp;
+  finish(pending, 0, std::move(resp), std::move(span));
 }
 
 void Server::execute_batch(Pending& pending) {
   const std::size_t n = pending.requests.size();
-  const double queue_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    pending.enqueued)
-          .count();
-  const util::Timer service_timer;
-
-  // finish() is the single exit for every member: it stamps the shared
-  // batch timings, records the member's span, counts its terminal status
-  // and resolves its promise — so the accounting identity holds however
-  // far into the fused flow the member got.
-  const auto finish = [&](std::size_t i, Response resp) {
-    resp.tag = pending.requests[i].tag;
-    resp.queue_seconds = queue_seconds;
-    resp.service_seconds = service_timer.seconds();
-    m_queue_seconds_.observe(resp.queue_seconds);
-    m_run_seconds_.observe(resp.service_seconds);
-    if (options_.spans != nullptr) {
-      obs::Span span;
-      span.id = obs::next_span_id();
-      resp.span_id = span.id;
-      span.tag = resp.tag;
-      span.graph = pending.requests[i].graph.label();
-      span.queue_s = resp.queue_seconds;
-      span.engine = std::string(resp.engine_name());
-      span.status = util::status_code_name(resp.status);
-      span.error = resp.error;
-      options_.spans->record(std::move(span));
-    }
-    count(resp.status);
-    pending.resolved[i] = 1;
-    pending.promises[i].set_value(std::move(resp));
-  };
   const auto fail = [&](std::size_t i, util::StatusCode code,
                         std::string reason) {
-    Response resp;
-    resp.status = code;
-    resp.error = std::move(reason);
-    finish(i, std::move(resp));
+    finish(pending, i, status_response(code, std::move(reason)));
   };
 
   // Pre-run member triage: already-fired cancel tokens, then fusability
@@ -731,31 +599,17 @@ void Server::execute_batch(Pending& pending) {
   }
   if (live.empty()) return;
 
-  // Resolve every live member's graph. cached[] keeps shared_ptrs alive
-  // across the fused run; a member whose load fails drops out alone.
-  std::vector<std::shared_ptr<const CachedGraph>> cached(n);
+  // Resolve every live member's graph. graphs[] keeps the cache entries
+  // alive across the fused run; a member whose load fails drops out alone.
+  std::vector<Resolved> graphs(n);
   std::vector<const graph::FactorGraph*> parts;
   std::vector<std::size_t> fused_members;
   parts.reserve(live.size());
   fused_members.reserve(live.size());
   for (const std::size_t i : live) {
-    Request& req = pending.requests[i];
     try {
-      const graph::FactorGraph* g = nullptr;
-      if (req.graph.inline_graph()) {
-        g = req.graph.graph.get();
-      } else {
-        auto fetched = cache_.fetch(req.graph.nodes_path,
-                                    req.graph.edges_path,
-                                    graph::ReorderMode::kNone);
-        cached[i] = std::move(fetched.entry);
-        // A mutated graph's latest snapshot supersedes the parsed bytes
-        // for batch members too.
-        if (auto dyn = dynamic_current(cached[i]->key); dyn != nullptr) {
-          cached[i] = std::move(dyn);
-        }
-        g = cached[i]->graph.get();
-      }
+      graphs[i] = resolve(pending.requests[i].graph);
+      const graph::FactorGraph* g = graphs[i].graph;
       if (g->permutation() != nullptr) {
         fail(i, util::StatusCode::kInvalidArgument,
              "batch members must not carry a reorder permutation");
@@ -796,12 +650,12 @@ void Server::execute_batch(Pending& pending) {
       const std::size_t i = fused_members[k];
       Response resp;
       resp.engine = kind;
-      resp.cache_hit = cached[i] != nullptr;
-      if (pending.requests[i].cancel.stop_requested()) {
-        resp.status = util::StatusCode::kCancelled;
-      } else {
-        resp.status = util::StatusCode::kOk;
-      }
+      resp.cache_hit = graphs[i].cache_hit;
+      resp.graph_version =
+          graphs[i].current != nullptr ? graphs[i].current->version : 0;
+      resp.status = pending.requests[i].cancel.stop_requested()
+                        ? util::StatusCode::kCancelled
+                        : util::StatusCode::kOk;
       // Per-member view of the fused run: shared iteration/convergence
       // stats, own beliefs (original part-local ids), own parity check.
       resp.result.stats = result.stats;
@@ -810,7 +664,9 @@ void Server::execute_batch(Pending& pending) {
         resp.result.stats.syndrome_satisfied =
             fused.part_syndrome_satisfied(result.beliefs, k);
       }
-      finish(i, std::move(resp));
+      obs::Span span;
+      span.engine = std::string(resp.engine_name());
+      finish(pending, i, std::move(resp), std::move(span));
     }
   } catch (const std::exception& e) {
     const util::Status st = util::status_from_exception(e);

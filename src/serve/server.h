@@ -4,10 +4,12 @@
 // and exposes a future-based submit API with bounded-queue admission
 // control, per-request deadlines and cooperative cancellation.
 //
-// Lifecycle: construct, submit() from any thread, shutdown() (or destruct)
-// to stop admission, drain and join. Every submitted request is accounted
-// for exactly once: completed + rejected + cancelled + deadline_expired +
-// failed == submitted once the server has drained.
+// Lifecycle: construct, submit() or submit_batch() from any thread,
+// shutdown() (or destruct) to stop admission, drain and join. Every
+// submitted request is accounted for exactly once: completed + rejected +
+// cancelled + deadline_expired + failed == submitted once the server has
+// drained. Single requests and batches share one path: one admission, one
+// graph resolver and one finish, which resolves every request.
 //
 // Observability (DESIGN.md §5e): every request increments
 // credo_requests_submitted_total and exactly one
@@ -24,13 +26,13 @@
 // engine serialize on it; everything else runs fully concurrently.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -46,8 +48,6 @@
 #include "serve/request.h"
 
 namespace credo::serve {
-
-class Session;
 
 struct ServerOptions {
   /// Request worker threads. 0 is allowed: nothing drains until shutdown
@@ -136,10 +136,6 @@ class Server {
   [[nodiscard]] std::vector<std::future<Response>> submit_batch(
       std::vector<Request> requests);
 
-  /// Opens a lightweight client handle with its own submission counter.
-  /// Sessions borrow the server; the server must outlive them.
-  [[nodiscard]] Session session();
-
   /// Stops admission, drains the queue (workers finish queued requests;
   /// with zero workers the queue is rejected) and joins. Idempotent;
   /// called by the destructor.
@@ -158,18 +154,27 @@ class Server {
   }
 
  private:
-  friend class Session;
-
   /// One admission-queue slot: a single request or a whole batch. Member
   /// promises are index-aligned with `requests`; `resolved[i]` marks
-  /// members already finished at submit time (validation failures), which
-  /// the worker must skip.
+  /// members already finished (validation failures at submit time), which
+  /// the worker must skip. `dequeued` is set when a worker takes the slot.
   struct Pending {
     std::vector<Request> requests;
     std::vector<std::promise<Response>> promises;
     std::vector<char> resolved;
     std::chrono::steady_clock::time_point enqueued;
+    std::optional<std::chrono::steady_clock::time_point> dequeued;
     bool batch = false;
+  };
+
+  /// A request's graph as resolve() found it. A file key has its parsed
+  /// cache entry and that entry's current version (the latest mutation
+  /// snapshot, or the entry itself); an inline key has only its graph.
+  struct Resolved {
+    std::shared_ptr<const CachedGraph> parsed;
+    std::shared_ptr<const CachedGraph> current;
+    const graph::FactorGraph* graph = nullptr;
+    bool cache_hit = false;
   };
 
   /// Persistent mutable state for one file-backed graph that has received
@@ -187,32 +192,45 @@ class Server {
     std::shared_ptr<const CachedGraph> current;
   };
 
+  /// The one admission path of submit() and submit_batch(): counts every
+  /// member, resolves the invalid ones, then enqueues the rest as one slot
+  /// or rejects them with a reason.
+  [[nodiscard]] std::vector<std::future<Response>> admit(
+      std::vector<Request> requests, bool batch);
+
+  /// The one exit of every request: stamps the tag, the queue and service
+  /// times (observed in the histograms only once a worker dequeued it),
+  /// records its one span, counts its terminal status and resolves its
+  /// promise.
+  void finish(Pending& pending, std::size_t i, Response resp,
+              obs::Span span = {});
+
   void worker_loop();
-  [[nodiscard]] Response execute(
-      Request& req, std::chrono::steady_clock::time_point enqueued);
-  /// Applies a topology-carrying delta to the named graph's DynamicEntry
-  /// (creating it from `parsed` on first mutation), publishes the new
-  /// snapshot, and migrates the engine's base warm state with only the
-  /// touched region reset. Returns the new snapshot and the frontier seed
-  /// via out-params; a failed validation returns the error status and
-  /// mutates nothing.
-  [[nodiscard]] util::Status apply_mutation(
-      const Request& req, const std::shared_ptr<const CachedGraph>& parsed,
-      bp::EngineKind kind, std::shared_ptr<const CachedGraph>& current_out,
-      std::vector<graph::NodeId>& touched_out);
+  void execute(Pending& pending);
+  void execute_batch(Pending& pending);
+
+  /// The graph a key names: the cache entry for a file pair, superseded by
+  /// its dynamic entry's current version once mutated, or the inline
+  /// graph. Throws like GraphCache::fetch.
+  [[nodiscard]] Resolved resolve(const GraphKey& key);
   /// The current dynamic snapshot for a parsed entry's key, or null when
   /// the graph was never mutated.
   [[nodiscard]] std::shared_ptr<const CachedGraph> dynamic_current(
       const std::string& base_key);
-  void execute_batch(Pending& pending);
+
+  /// Applies a topology-carrying delta to the graph's DynamicEntry
+  /// (creating it from the parsed entry on first mutation), publishes the
+  /// new snapshot as `resolved.current`, and moves the engine's warm state
+  /// to it with only the touched region reset. `touched` receives the
+  /// frontier seed. A failed validation returns the error status and
+  /// mutates nothing.
+  [[nodiscard]] util::Status apply_mutation(const graph::GraphDelta& delta,
+                                            bp::EngineKind kind,
+                                            Resolved& resolved,
+                                            std::vector<graph::NodeId>& touched);
   [[nodiscard]] bp::EngineKind choose_engine(
       const graph::FactorGraph& g, const graph::GraphMetadata* md);
   void count(util::StatusCode s);
-
-  /// Builds (and spans/counts) a response for a request that never ran:
-  /// rejections and validation failures.
-  [[nodiscard]] Response finish_unrun(const Request& req, util::StatusCode status,
-                                      std::string reason);
 
   ServerOptions options_;
   obs::MetricsRegistry& metrics_;
@@ -248,40 +266,6 @@ class Server {
   // own mutex.
   std::mutex dyn_mu_;
   std::unordered_map<std::string, std::shared_ptr<DynamicEntry>> dynamic_;
-};
-
-/// A client handle onto a Server: same submit semantics, plus a per-session
-/// counter so callers can reason about their own traffic. Copyable; copies
-/// share the counter.
-class Session {
- public:
-  [[nodiscard]] std::future<Response> submit(Request req) {
-    count_->fetch_add(1, std::memory_order_relaxed);
-    return server_->submit(std::move(req));
-  }
-
-  [[nodiscard]] std::vector<std::future<Response>> submit_batch(
-      std::vector<Request> requests) {
-    count_->fetch_add(requests.size(), std::memory_order_relaxed);
-    return server_->submit_batch(std::move(requests));
-  }
-
-  [[nodiscard]] std::uint64_t submitted() const noexcept {
-    return count_->load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] unsigned id() const noexcept { return id_; }
-
- private:
-  friend class Server;
-  Session(Server& server, unsigned id)
-      : server_(&server),
-        id_(id),
-        count_(std::make_shared<std::atomic<std::uint64_t>>(0)) {}
-
-  Server* server_;
-  unsigned id_;
-  std::shared_ptr<std::atomic<std::uint64_t>> count_;
 };
 
 }  // namespace credo::serve

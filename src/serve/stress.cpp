@@ -121,7 +121,6 @@ StressReport run_stress(Server& server, const StressConfig& config) {
   clients.reserve(sessions);
   for (unsigned s = 0; s < sessions; ++s) {
     clients.emplace_back([&, s] {
-      Session session = server.session();
       std::vector<std::future<Response>> futures;
       const std::size_t batch = config.batch;
       std::vector<Request> group;  // pending members when batching
@@ -135,11 +134,11 @@ StressReport run_stress(Server& server, const StressConfig& config) {
           for (Request& r : group) r.with_engine(kind);
         }
         ++batch_index;
-        auto fs = session.submit_batch(std::move(group));
+        auto fs = server.submit_batch(std::move(group));
         for (auto& f : fs) futures.push_back(std::move(f));
         group.clear();
       };
-      // Session s takes requests s, s+sessions, s+2*sessions, ...
+      // Client s takes requests s, s+sessions, s+2*sessions, ...
       for (std::size_t i = s; i < config.requests; i += sessions) {
         const auto& gp = config.graphs[i % config.graphs.size()];
         Request req = Request{}
@@ -190,7 +189,7 @@ StressReport run_stress(Server& server, const StressConfig& config) {
           if (!config.mix.empty()) {
             req.with_engine(config.mix[i % config.mix.size()]);
           }
-          futures.push_back(session.submit(std::move(req)));
+          futures.push_back(server.submit(std::move(req)));
         }
       }
       flush();

@@ -35,10 +35,6 @@ std::vector<std::string_view> split(std::string_view s, char delim) {
   return out;
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) noexcept {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 bool iequals(std::string_view a, std::string_view b) noexcept {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {

@@ -17,10 +17,6 @@ namespace credo::util {
 [[nodiscard]] std::vector<std::string_view> split(std::string_view s,
                                                   char delim = ' ');
 
-/// True if `s` starts with `prefix`.
-[[nodiscard]] bool starts_with(std::string_view s,
-                               std::string_view prefix) noexcept;
-
 /// Case-insensitive ASCII equality.
 [[nodiscard]] bool iequals(std::string_view a, std::string_view b) noexcept;
 

@@ -131,15 +131,6 @@ TEST(GraphDelta, WithDeltaAppliesEvidenceAndRejectsTopology) {
   EXPECT_TRUE(topo.has_topology());
   EXPECT_FALSE(evidence.has_topology());
   EXPECT_THROW((void)with_delta(g, topo), util::InvalidArgument);
-
-  // Fingerprints key warm state: op content must matter, op count alone
-  // must not.
-  GraphDelta a, b, c;
-  a.observe(unobs, 1);
-  b.observe(unobs, 1);
-  c.observe(unobs, 0);
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
-  EXPECT_NE(a.fingerprint(), c.fingerprint());
 }
 
 TEST(GraphDelta, OneValidatorServesWithDeltaAndDynamicApply) {
@@ -782,6 +773,32 @@ TEST(ServerMutation, WarmStateMigratesAcrossTheVersionBump) {
   EXPECT_EQ(repeat.graph_version, 1u);
   EXPECT_TRUE(repeat.warm_start);
   EXPECT_EQ(repeat.result.beliefs.size(), mutated.result.beliefs.size());
+  server.shutdown();
+}
+
+TEST(ServerMutation, MutationMovesTheWarmStateToTheNewVersion) {
+  // Nothing resolves a superseded version again, so the mutation moves its
+  // warm state to the new version instead of leaving a stale copy behind.
+  const auto [nodes, edges] = write_graph(serve_grid(), "mutate_move");
+  Server server(plain_server(1));
+  const auto base = [&] {
+    return Request{}
+        .with_files(nodes, edges)
+        .with_options(serve_options())
+        .with_engine(bp::EngineKind::kCpuNode)
+        .with_warm_start();
+  };
+  ASSERT_TRUE(server.submit(base()).get().ok());
+  EXPECT_EQ(server.cache().warm_size(), 1u);
+
+  graph::GraphDelta grow;
+  grow.add_node(graph::BeliefVec::uniform(2))
+      .add_edge(graph::GraphDelta::new_node(0), 3,
+                graph::JointMatrix::diffusion(2, 0.8f));
+  const Response mutated = server.submit(base().with_delta(grow)).get();
+  ASSERT_TRUE(mutated.ok()) << mutated.error;
+  EXPECT_TRUE(mutated.warm_start);
+  EXPECT_EQ(server.cache().warm_size(), 1u);
   server.shutdown();
 }
 

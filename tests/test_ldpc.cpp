@@ -342,6 +342,77 @@ TEST(LdpcDecode, ParallelNodeEnginesAreIndependentOfThreadCount) {
   }
 }
 
+TEST(LdpcDecode, QueuedOmpNodeIsIndependentOfThreadCount) {
+  // A queued omp-node round runs its variables and then its checks as two
+  // regions, as a dense sweep does, so no worker reads a message another
+  // worker is writing and the decode does not depend on the team size.
+  for (const std::uint32_t bits : {48u, 96u, 2048u}) {
+    const Code code = graph::ldpc::random_regular(bits, 3, 6, 17);
+    for (const auto family :
+         {FactorFamily::kLdpcSumProduct, FactorFamily::kLdpcMinSum}) {
+      for (const std::uint32_t b : {0u, bits / 3}) {
+        std::vector<std::uint8_t> error(code.bits, 0);
+        error[b] = 1;
+        error[b + bits / 2] = 1;
+        const FactorGraph g = graph::ldpc::build_graph(
+            code, graph::ldpc::syndrome(code, error), 0.05f, family);
+        BpOptions opts = decode_opts();
+        opts.work_queue = true;
+        const BpResult two = decode(g, EngineKind::kOmpNode, opts);
+        for (const unsigned threads : {3u, 4u, 8u}) {
+          opts.threads = threads;
+          const BpResult r = decode(g, EngineKind::kOmpNode, opts);
+          SCOPED_TRACE(std::string(graph::family_name(family)) + " " +
+                       std::to_string(bits) + " bits, error bit " +
+                       std::to_string(b) + ", " + std::to_string(threads) +
+                       " threads");
+          EXPECT_TRUE(same_beliefs(two, r));
+          EXPECT_EQ(r.stats.iterations, two.stats.iterations);
+          EXPECT_EQ(r.stats.elements_processed, two.stats.elements_processed);
+        }
+      }
+    }
+  }
+}
+
+TEST(LdpcDecode, JacobiCheckDeltaIsAgainstTheLastSweep) {
+  // One check over two variables: the check's inputs never change after
+  // sweep 1, so its sweep-2 outputs equal its sweep-1 outputs and add
+  // nothing to the delta. c-edge's Jacobi sweep and c-node's in-place
+  // sweep compute the same messages here, so their sweep-2 deltas agree;
+  // a check measured against the back buffer (two sweeps old) would add
+  // its outputs' full size.
+  for (const auto family :
+       {FactorFamily::kLdpcSumProduct, FactorFamily::kLdpcMinSum}) {
+    graph::GraphBuilder b;
+    b.use_family(family);
+    const float p0[2] = {0.9f, 0.1f};
+    const float p1[2] = {0.3f, 0.7f};
+    const float parity[2] = {1.0f, 0.0f};
+    b.add_node(graph::BeliefVec(std::span<const float>(p0, 2)));
+    b.add_node(graph::BeliefVec(std::span<const float>(p1, 2)));
+    b.add_node(graph::BeliefVec(std::span<const float>(parity, 2)));
+    b.set_ldpc_variables(2);
+    for (const graph::NodeId v : {0u, 1u}) {
+      b.add_edge(v, 2);
+      b.add_edge(2, v);
+    }
+    const FactorGraph g = b.finalize();
+    const BpOptions opts = BpOptions{}
+                               .with_max_iterations(2)
+                               .with_convergence_threshold(1e-30f)
+                               .with_queue_threshold(1e-32f)
+                               .with_collect_trace(true);
+    const BpResult node = decode(g, EngineKind::kCpuNode, opts);
+    const BpResult edge = decode(g, EngineKind::kCpuEdge, opts);
+    ASSERT_EQ(node.stats.trace.size(), 2u);
+    ASSERT_EQ(edge.stats.trace.size(), 2u);
+    EXPECT_GT(node.stats.trace[1].delta, 0.0);
+    EXPECT_NEAR(edge.stats.trace[1].delta, node.stats.trace[1].delta, 1e-6)
+        << graph::family_name(family);
+  }
+}
+
 /// `code`'s Tanner graph as build_graph lays it out, but with per-bit
 /// channel priors, built through GraphBuilder with its edges added either
 /// in build_graph's order or scrambled: every check→variable edge first,

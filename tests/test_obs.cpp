@@ -290,68 +290,103 @@ TEST(Spans, ServerRecordsAllFourTerminalStatuses) {
   const auto opts =
       bp::BpOptions{}.with_max_iterations(30).with_convergence_threshold(
           1e-3f);
+  const auto request = [&](const char* tag) {
+    return serve::Request{}
+        .with_files(nodes, edges)
+        .with_options(opts)
+        .with_engine(bp::EngineKind::kCpuNode)
+        .with_tag(tag);
+  };
+  std::vector<serve::Response> responses;  // every request's, in order
 
   // ok
-  auto ok_fut = server.submit(serve::Request{}
-                                  .with_files(nodes, edges)
-                                  .with_options(opts)
-                                  .with_engine(bp::EngineKind::kCpuNode)
-                                  .with_tag("ok"));
-  const auto ok_resp = ok_fut.get();
+  const auto ok_resp = server.submit(request("ok")).get();
   ASSERT_TRUE(ok_resp.ok()) << ok_resp.error;
   EXPECT_GT(ok_resp.span_id, 0u);
+  responses.push_back(ok_resp);
 
   // cancelled (token fired before the worker dequeues it)
   std::stop_source source;
   source.request_stop();
-  const auto cancel_resp = server
-                               .submit(serve::Request{}
-                                           .with_files(nodes, edges)
-                                           .with_options(opts)
-                                           .with_cancel(source.get_token())
-                                           .with_tag("cancelled"))
-                               .get();
+  const auto cancel_resp =
+      server.submit(request("cancelled").with_cancel(source.get_token()))
+          .get();
   EXPECT_EQ(cancel_resp.status, util::StatusCode::kCancelled);
+  responses.push_back(cancel_resp);
 
   // deadline (modelled budget below one iteration, deterministic)
   const auto dl_resp =
       server
-          .submit(serve::Request{}
-                      .with_files(nodes, edges)
+          .submit(request("deadline")
                       .with_options(bp::BpOptions(opts)
                                         .with_convergence_threshold(1e-9f)
                                         .with_queue_threshold(1e-10f))
-                      .with_engine(bp::EngineKind::kCpuNode)
                       .with_deadline(
-                          serve::Deadline{}.with_modelled_seconds(1e-12))
-                      .with_tag("deadline"))
+                          serve::Deadline{}.with_modelled_seconds(1e-12)))
           .get();
   EXPECT_EQ(dl_resp.status, util::StatusCode::kDeadlineExceeded);
+  responses.push_back(dl_resp);
+
+  // Queue and run histograms observe dequeued requests only.
+  EXPECT_EQ(reg.snapshot().histogram("credo_request_run_seconds").count, 3u);
+
+  // validation failure (an inline graph named with file paths too):
+  // resolved at submit, never queued
+  serve::Request mixed = request("invalid").with_preloaded(
+      std::make_shared<const graph::FactorGraph>(
+          io::read_mtx_belief(nodes, edges)));
+  mixed.graph.nodes_path = nodes;
+  const auto invalid_resp = server.submit(std::move(mixed)).get();
+  EXPECT_EQ(invalid_resp.status, util::StatusCode::kInvalidArgument);
+  responses.push_back(invalid_resp);
+
+  // A batch of three: one runs, one is unfusable with the head (other
+  // options), one was cancelled before the worker took the batch.
+  std::vector<serve::Request> batch;
+  batch.push_back(request("batch-run"));
+  batch.push_back(request("batch-unfusable")
+                      .with_options(bp::BpOptions(opts).with_max_iterations(7)));
+  batch.push_back(request("batch-cancelled").with_cancel(source.get_token()));
+  auto batch_futures = server.submit_batch(std::move(batch));
+  ASSERT_EQ(batch_futures.size(), 3u);
+  for (auto& f : batch_futures) responses.push_back(f.get());
+  EXPECT_EQ(responses[4].status, util::StatusCode::kOk);
+  EXPECT_EQ(responses[5].status, util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(responses[6].status, util::StatusCode::kCancelled);
+  EXPECT_EQ(reg.snapshot().histogram("credo_request_run_seconds").count, 6u);
 
   // rejected (post-shutdown submit)
   server.shutdown();
-  const auto rej_resp = server
-                            .submit(serve::Request{}
-                                        .with_files(nodes, edges)
-                                        .with_options(opts)
-                                        .with_tag("rejected"))
-                            .get();
+  const auto rej_resp = server.submit(request("rejected")).get();
   EXPECT_EQ(rej_resp.status, util::StatusCode::kRejected);
   EXPECT_GT(rej_resp.span_id, 0u);
+  responses.push_back(rej_resp);
 
-  // One span per request; each terminal status appears exactly once.
+  // rejected at shutdown: a zero-worker server's queued orphan
+  serve::ServerOptions idle_options = so;
+  idle_options.workers = 0;
+  serve::Server idle(idle_options);
+  auto orphan = idle.submit(request("orphan"));
+  idle.shutdown();
+  const auto orphan_resp = orphan.get();
+  EXPECT_EQ(orphan_resp.status, util::StatusCode::kRejected);
+  EXPECT_EQ(orphan_resp.error, "server stopped");
+  responses.push_back(orphan_resp);
+
+  // One span per request, carrying its response's id, tag and status.
   const auto recorded = spans.snapshot();
-  ASSERT_EQ(recorded.size(), 4u);
-  std::map<std::string, const Span*> by_status;
-  for (const auto& s : recorded) by_status[s.status] = &s;
-  ASSERT_TRUE(by_status.count("ok"));
-  ASSERT_TRUE(by_status.count("cancelled"));
-  ASSERT_TRUE(by_status.count("deadline"));
-  ASSERT_TRUE(by_status.count("rejected"));
+  ASSERT_EQ(recorded.size(), responses.size());
+  std::map<std::uint64_t, const Span*> by_id;
+  for (const auto& s : recorded) by_id[s.id] = &s;
+  ASSERT_EQ(by_id.size(), recorded.size());
+  for (const auto& r : responses) {
+    SCOPED_TRACE(r.tag);
+    ASSERT_TRUE(by_id.count(r.span_id));
+    EXPECT_EQ(by_id[r.span_id]->tag, r.tag);
+    EXPECT_EQ(by_id[r.span_id]->status, util::status_code_name(r.status));
+  }
 
-  const Span& ok_span = *by_status["ok"];
-  EXPECT_EQ(ok_span.id, ok_resp.span_id);
-  EXPECT_EQ(ok_span.tag, "ok");
+  const Span& ok_span = *by_id[ok_resp.span_id];
   EXPECT_EQ(ok_span.graph, nodes + "|" + edges);
   // Spans record the same stable slug Response::engine_name() exposes.
   EXPECT_EQ(ok_span.engine, "c-node");
@@ -360,23 +395,29 @@ TEST(Spans, ServerRecordsAllFourTerminalStatuses) {
   EXPECT_GT(ok_span.iterations, 0u);
   EXPECT_GE(ok_span.total_wall_s(), ok_span.run_s);
 
-  const Span& dl_span = *by_status["deadline"];
-  EXPECT_GT(dl_span.iterations, 0u);  // ran, then the budget expired
-  EXPECT_EQ(by_status["cancelled"]->iterations, 0u);  // never ran
-  EXPECT_EQ(by_status["rejected"]->engine, "");       // never chosen
+  EXPECT_GT(by_id[dl_resp.span_id]->iterations, 0u);  // ran, then expired
+  EXPECT_EQ(by_id[cancel_resp.span_id]->iterations, 0u);  // never ran
+  EXPECT_EQ(by_id[responses[4].span_id]->engine, "c-node");  // fused run
+  // cancelled, invalid, batch-unfusable, batch-cancelled, rejected and
+  // orphan never chose an engine.
+  for (const std::size_t i : {1, 3, 5, 6, 7, 8}) {
+    EXPECT_EQ(by_id[responses[i].span_id]->engine, "") << responses[i].tag;
+  }
 
-  // The registry tells the same story: one finished request per status.
+  // The registry tells the same story: one count per request.
   const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.counter("credo_requests_submitted_total"), 4u);
-  EXPECT_EQ(snap.counter("credo_requests_total{status=\"ok\"}"), 1u);
-  EXPECT_EQ(snap.counter("credo_requests_total{status=\"cancelled\"}"), 1u);
+  EXPECT_EQ(snap.counter("credo_requests_submitted_total"), 9u);
+  EXPECT_EQ(snap.counter("credo_requests_total{status=\"ok\"}"), 2u);
+  EXPECT_EQ(snap.counter("credo_requests_total{status=\"cancelled\"}"), 2u);
   EXPECT_EQ(snap.counter("credo_requests_total{status=\"deadline\"}"), 1u);
-  EXPECT_EQ(snap.counter("credo_requests_total{status=\"rejected\"}"), 1u);
-  EXPECT_EQ(snap.histogram("credo_request_run_seconds").count, 3u);
-  // The ok request parsed (miss); the deadline request reused it (hit);
-  // the cancelled and rejected requests never touched the cache.
+  EXPECT_EQ(snap.counter("credo_requests_total{status=\"rejected\"}"), 2u);
+  EXPECT_EQ(snap.counter("credo_requests_total{status=\"error\"}"), 2u);
+  EXPECT_EQ(snap.histogram("credo_request_run_seconds").count, 6u);
+  EXPECT_EQ(snap.histogram("credo_request_queue_seconds").count, 6u);
+  // The ok request parsed (miss); the deadline request and the fused
+  // member reused it (hits); no other request touched the cache.
   EXPECT_EQ(snap.counter("credo_graph_cache_misses_total"), 1u);
-  EXPECT_EQ(snap.counter("credo_graph_cache_hits_total"), 1u);
+  EXPECT_EQ(snap.counter("credo_graph_cache_hits_total"), 2u);
 }
 
 // ---------------------------------------------------------------------------

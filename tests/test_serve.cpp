@@ -1,8 +1,9 @@
 // Tests for the serve layer (DESIGN.md §5c): GraphCache hit/miss/LRU and
 // content-hash keying, Server admission control and accounting, cooperative
 // cancellation and deadlines end to end, and the concurrency stress the
-// issue demands — many sessions against one server, beliefs bit-identical
-// to single-threaded runs, every request accounted for exactly once.
+// layer must survive — many concurrent clients against one server, beliefs
+// bit-identical to single-threaded runs, every request accounted for
+// exactly once.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -172,17 +173,20 @@ TEST(GraphCache, WarmStateSurvivesGraphEviction) {
 
   const auto beliefs = std::make_shared<const std::vector<graph::BeliefVec>>(
       a.entry->graph->num_nodes(), graph::BeliefVec::uniform(2));
-  cache.warm_store(key, 42, beliefs);
+  cache.warm_store(key, bp::EngineKind::kCpuNode, beliefs);
   EXPECT_EQ(cache.warm_size(), 1u);
-  EXPECT_EQ(cache.warm_lookup(key, 42).get(), beliefs.get());
-  EXPECT_EQ(cache.warm_lookup(key, 43), nullptr);  // fingerprint mismatch
+  EXPECT_EQ(cache.warm_lookup(key, bp::EngineKind::kCpuNode).get(),
+            beliefs.get());
+  // Another engine's state is another entry.
+  EXPECT_EQ(cache.warm_lookup(key, bp::EngineKind::kResidual), nullptr);
 
   // Evicting the parsed graph must NOT drop the warm beliefs: a re-parse
   // after cache pressure still warm-starts (the §5h retention satellite).
   (void)cache.fetch(pb.first, pb.second);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.warm_lookup(key, 42).get(), beliefs.get());
+  EXPECT_EQ(cache.warm_lookup(key, bp::EngineKind::kCpuNode).get(),
+            beliefs.get());
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.warm_hits, 2u);
@@ -299,6 +303,37 @@ TEST(RequestVocabulary, GraphKeyRejectsMixedAndPartialForms) {
 
   EXPECT_TRUE(GraphKey::files("a.mtx", "b.mtx").validate().is_ok());
   EXPECT_TRUE(GraphKey::preloaded(shared).validate().is_ok());
+}
+
+TEST(RequestVocabulary, GraphKeyRejectsAReorderedInlineGraph) {
+  // An inline graph is reordered once by its owner, never per request:
+  // the key rejects a mode instead of reordering on every run.
+  const auto shared = std::make_shared<const FactorGraph>(small_grid());
+  const auto status =
+      GraphKey::preloaded(shared).with_reorder(graph::ReorderMode::kBfs)
+          .validate();
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("reorder"), std::string::npos)
+      << status.message();
+  // The file form keeps its mode: the cache reorders once per entry.
+  EXPECT_TRUE(GraphKey::files("a.mtx", "b.mtx")
+                  .with_reorder(graph::ReorderMode::kBfs)
+                  .validate()
+                  .is_ok());
+
+  Server server(plain_server(1));
+  const Response resp =
+      server
+          .submit(Request{}
+                      .with_graph(GraphKey::preloaded(shared).with_reorder(
+                          graph::ReorderMode::kRcm))
+                      .with_options(test_options())
+                      .with_engine(bp::EngineKind::kCpuNode))
+          .get();
+  EXPECT_EQ(resp.status, util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(resp.result.stats.iterations, 0u);
+  server.shutdown();
+  EXPECT_EQ(server.stats().failed, 1u);
 }
 
 TEST(RequestVocabulary, InvalidRequestResolvesWithoutRunning) {
@@ -483,7 +518,6 @@ TEST(ServeStress, ConcurrentSessionsMatchSingleThreadedRuns) {
   std::vector<std::thread> clients;
   for (unsigned s = 0; s < kSessions; ++s) {
     clients.emplace_back([&, s] {
-      Session session = server.session();
       std::vector<std::future<Response>> futures;
       for (std::size_t i = 0; i < kPerSession; ++i) {
         const std::size_t seq = s * kPerSession + i;
@@ -493,9 +527,8 @@ TEST(ServeStress, ConcurrentSessionsMatchSingleThreadedRuns) {
         req.options = opts;
         req.engine = mix[seq % mix.size()];
         req.tag = std::to_string(seq);
-        futures.push_back(session.submit(std::move(req)));
+        futures.push_back(server.submit(std::move(req)));
       }
-      EXPECT_EQ(session.submitted(), kPerSession);
       for (auto& f : futures) responses[s].push_back(f.get());
     });
   }
@@ -695,6 +728,52 @@ TEST(Server, DeltaWithoutWarmStateFallsBackColdAndStaysExact) {
   EXPECT_DOUBLE_EQ(resp.frontier_fraction, 1.0);
   EXPECT_EQ(resp.result.stats.iterations, reference.stats.iterations);
   expect_beliefs_identical(g, resp.result.beliefs, reference.beliefs);
+  server.shutdown();
+}
+
+TEST(Server, DeltaRequestReadsTheVersionStateAndStoresNothing) {
+  // One warm state per (graph version, engine): an evidence delta starts
+  // from it but does not file its own fixed point, so the table does not
+  // grow per delta and a later warm repeat still starts from the state
+  // the last plain run left.
+  const auto [nodes, edges] = write_graph(small_random(), "delta_store");
+  const auto g = io::read_mtx_belief(nodes, edges);
+  const auto opts = test_options().with_max_iterations(100);
+  Server server(plain_server(1));
+  const Request base = Request{}
+                           .with_files(nodes, edges)
+                           .with_options(opts)
+                           .with_engine(bp::EngineKind::kCpuNode)
+                           .with_warm_start();
+
+  const Response cold = server.submit(base).get();
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  ASSERT_TRUE(cold.result.stats.converged);
+  EXPECT_EQ(server.cache().warm_size(), 1u);
+
+  graph::NodeId target = 0;
+  while (g.observed(target)) ++target;
+  graph::GraphDelta delta;
+  delta.observe(target, 1);
+  const Response incremental =
+      server.submit(Request(base).with_delta(delta)).get();
+  ASSERT_TRUE(incremental.ok()) << incremental.error;
+  EXPECT_TRUE(incremental.warm_start);
+  EXPECT_LT(incremental.frontier_fraction, 1.0);
+  EXPECT_EQ(server.cache().warm_size(), 1u);
+
+  // The repeat starts from the cold run's state, exactly as a direct run
+  // initialized with those beliefs does.
+  const Response repeat = server.submit(base).get();
+  ASSERT_TRUE(repeat.ok()) << repeat.error;
+  EXPECT_TRUE(repeat.warm_start);
+  const auto reference =
+      bp::make_default_engine(bp::EngineKind::kCpuNode)
+          ->run(g, bp::BpOptions(opts).with_init_beliefs(
+                       std::make_shared<const std::vector<graph::BeliefVec>>(
+                           cold.result.beliefs)));
+  EXPECT_EQ(repeat.result.stats.iterations, reference.stats.iterations);
+  expect_beliefs_identical(g, repeat.result.beliefs, reference.beliefs);
   server.shutdown();
 }
 
