@@ -3,21 +3,21 @@
 // A serve re-query changes evidence (priors move, variables get observed
 // or released) or topology (edges appear and vanish, nodes join and
 // retire), and both kinds of change perturb the same frontier. GraphDelta
-// is ONE ordered op list for both, with one touched-set. Evidence-only
-// deltas apply ephemerally to any FactorGraph (`with_delta`); deltas that
-// carry topology ops go through a graph::DynamicGraph, which keeps the
-// retired-node flags and the version count. Both paths run the same
-// validator and the same applier (graph/delta.cpp), so their rules cannot
-// drift apart.
+// is ONE ordered op list for both. Evidence-only deltas apply ephemerally
+// to any FactorGraph (`with_delta`); deltas that carry topology ops go
+// through a graph::DynamicGraph, which keeps the retired-node flags and
+// the version count. Both paths run one pass (graph/delta.cpp) that checks
+// each op against the version it is building and then applies it, so each
+// rule lives in one place.
 //
 // All node ids are the caller's ORIGINAL ids (pre-reorder), like
 // BpOptions::frontier_seed. Ops apply in insertion order; a later op on
-// the same node/edge wins.
+// the same node/edge wins, and each op is checked against the graph as
+// the earlier ops left it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "graph/belief.h"
@@ -96,24 +96,11 @@ class GraphDelta {
   /// cached/inline graphs without a dynamic entry.
   [[nodiscard]] bool has_topology() const noexcept;
 
-  /// Sorted, deduplicated list of every *existing* node the delta touches
-  /// (original ids) — endpoints of every op except add_node, with pending
-  /// new_node() placeholders excluded (they have no id until apply; the
-  /// DynamicGraph reports them in last_touched() after resolution). This
-  /// seeds the incremental re-convergence frontier.
-  [[nodiscard]] std::vector<NodeId> touched() const;
-
-  /// Validates against a plain FactorGraph for *ephemeral* application:
-  /// evidence ops are checked by the same validator DynamicGraph::apply
-  /// runs (ids in range, arity match, observe states in range, no
-  /// set_prior on an observed node); any topology op fails with
-  /// kInvalidArgument — structural mutation needs a DynamicGraph.
-  [[nodiscard]] util::Status validate(const FactorGraph& g) const noexcept;
-
  private:
-  friend class DeltaAccess;   // graph/delta.cpp — the applier's body
-  friend class DynamicGraph;  // graph/dynamic.cpp — checks and applies
-  friend FactorGraph with_delta(const FactorGraph& g, const GraphDelta& d);
+  friend class DeltaAccess;   // graph/delta.cpp — the pass's body
+  friend class DynamicGraph;  // graph/dynamic.cpp — publishes its versions
+  friend FactorGraph with_delta(const FactorGraph& g, const GraphDelta& d,
+                                std::vector<NodeId>* touched);
 
   static constexpr NodeId kPendingBit = 0x80000000u;
 
@@ -137,24 +124,20 @@ class GraphDelta {
     std::shared_ptr<const JointMatrix> joint;  // kAddEdge / kSetPotential
   };
 
-  /// The one validator: checks the whole batch against an evolving shadow
-  /// of `g` (observation flags, removals, edge liveness) before anything
-  /// changes, so a rejected batch leaves no trace. Ids are original ids,
-  /// mapped through g's permutation; `removed` flags retired nodes by
-  /// original id (empty: none). Topology ops are checked only on graphs
-  /// without a permutation (a DynamicGraph's current version).
-  [[nodiscard]] util::Status check(const FactorGraph& g,
-                                   std::span<const std::uint8_t> removed) const;
-
-  /// The one applier: the next version of `g` with this checked batch
-  /// applied. Evidence ops rewrite priors and flags through g's
-  /// permutation, sharing the structure; topology ops rebuild the edge
-  /// list in builder order, the joint store and both CSRs. Retired nodes
-  /// are flagged in `removed` (grown with added nodes) when non-null;
-  /// `touched` receives every perturbed node (DynamicGraph::last_touched).
-  [[nodiscard]] FactorGraph applied(const FactorGraph& g,
-                                    std::vector<std::uint8_t>* removed,
-                                    std::vector<NodeId>* touched) const;
+  /// The one pass: the next version of `g` with this batch applied, or
+  /// the first failing op's kInvalidArgument status. Each op is checked
+  /// against the version as the earlier ops left it, then applied. Ids are
+  /// original ids, mapped through g's permutation. Evidence ops rewrite
+  /// priors and flags and share the structure; topology ops rebuild the
+  /// edge list in builder order, the joint store and both CSRs, and need
+  /// `removed`: a DynamicGraph's retired flags by original id (its graphs
+  /// carry no permutation). Only when every op passed does the pass write
+  /// `removed` (grown with added nodes) and, when non-null, `touched`:
+  /// every perturbed node, sorted (delta endpoints, resolved new-node ids,
+  /// former neighbors of removed nodes).
+  [[nodiscard]] util::StatusOr<FactorGraph> applied(
+      const FactorGraph& g, std::vector<std::uint8_t>* removed,
+      std::vector<NodeId>* touched) const;
 
   std::vector<Op> ops_;
 };
@@ -162,10 +145,13 @@ class GraphDelta {
 /// A copy of `g` with an *evidence-only* `d` applied: priors and
 /// observation flags updated, everything structural shared/unchanged —
 /// same edges, CSRs, joint tables, family, names and recorded permutation
-/// (beliefs still come back in original ids). Throws util::InvalidArgument
-/// when d.validate(g) fails — including when `d` carries topology ops,
-/// which cannot apply ephemerally.
+/// (beliefs still come back in original ids). `touched`, when non-null,
+/// receives the nodes the delta names (original ids, sorted): the frontier
+/// seed of an incremental re-run. Throws util::InvalidArgument with the
+/// first failing op's message — or when `d` carries topology ops, which
+/// cannot apply ephemerally.
 [[nodiscard]] FactorGraph with_delta(const FactorGraph& g,
-                                     const GraphDelta& d);
+                                     const GraphDelta& d,
+                                     std::vector<NodeId>* touched = nullptr);
 
 }  // namespace credo::graph

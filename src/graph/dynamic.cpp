@@ -30,9 +30,9 @@ bool DynamicGraph::has_edge(NodeId u, NodeId v) const noexcept {
 }
 
 util::Status DynamicGraph::apply(const GraphDelta& d) {
-  if (auto s = d.check(*current_, removed_); !s.is_ok()) return s;
-  current_ = std::make_shared<const FactorGraph>(
-      d.applied(*current_, &removed_, &last_touched_));
+  auto next = d.applied(*current_, &removed_, &last_touched_);
+  if (!next.is_ok()) return next.status();
+  current_ = std::make_shared<const FactorGraph>(std::move(next).value());
   ++version_;
   snap_.reset();
   return util::Status::ok();

@@ -5,12 +5,13 @@
 // permutation and the serve cache all rely on it never changing under
 // them. A DynamicGraph is a sequence of immutable versions: it holds the
 // current FactorGraph in the caller's ORIGINAL id space plus the
-// retired-node flags, and apply() validates a GraphDelta batch (evidence
-// AND topology) and replaces the current graph with the next version,
-// through the same validator and applier graph::with_delta runs
-// (graph/delta.cpp). A topology batch rebuilds the edge list in builder
-// order, the joint store and both CSRs in O(n + m); an evidence batch
-// rewrites only the node arrays.
+// retired-node flags, and apply() runs a GraphDelta batch (evidence AND
+// topology) through the one pass graph::with_delta runs (graph/delta.cpp):
+// each op is checked against the next version as it is built, and the
+// version replaces the current graph only when every op passed. A
+// topology batch rebuilds the edge list in builder order, the joint store
+// and both CSRs in O(n + m); an evidence batch rewrites only the node
+// arrays.
 //
 // Under a reorder mode, snapshot() is graph::reordered(current, mode): a
 // fresh §5d permutation for every version, so a snapshot is exactly as
@@ -48,9 +49,10 @@ class DynamicGraph {
   /// structure encodes a code, not a mutable belief network.
   static DynamicGraph from_graph(const FactorGraph& g);
 
-  /// Validates and applies one delta batch atomically: on error nothing
-  /// changes; on success the current graph is replaced by the next
-  /// version, the version bumps, and last_touched() reflects the batch.
+  /// Applies one delta batch atomically: on the first failing op nothing
+  /// changes and its status comes back; on success the current graph is
+  /// replaced by the next version, the version bumps, and last_touched()
+  /// reflects the batch.
   [[nodiscard]] util::Status apply(const GraphDelta& delta);
 
   /// The immutable graph at the current version. Without a reorder mode it

@@ -87,8 +87,6 @@ GraphCache::Fetched GraphCache::fetch(const std::string& nodes_path,
   loaded->graph = std::make_shared<const graph::FactorGraph>(
       graph::reordered(io::read_mtx_belief(nodes_path, edges_path), mode));
   loaded->metadata = graph::compute_metadata(*loaded->graph);
-  loaded->content_hash = h;
-  loaded->reorder = mode;
   loaded->key = key;
 
   std::lock_guard<std::mutex> lock(mu_);

@@ -37,9 +37,9 @@
 
 namespace credo::serve {
 
-/// One parsed graph plus everything a request needs alongside it. When
-/// `reorder` is not kNone the graph went through the locality pass at load
-/// time (graph/reorder.h) and carries its permutation; engines un-permute
+/// One parsed graph plus everything a request needs alongside it. Under a
+/// reorder mode the graph went through the locality pass at load time
+/// (graph/reorder.h) and carries its permutation; engines un-permute
 /// result beliefs, so responses are in the file's original node ids either
 /// way. `key` is the entry's full cache key (paths + content hash +
 /// reorder mode) — the stable address warm state is filed under.
@@ -48,8 +48,6 @@ struct CachedGraph {
   /// publishing a version copies no graph.
   std::shared_ptr<const graph::FactorGraph> graph;
   graph::GraphMetadata metadata;
-  std::uint64_t content_hash = 0;
-  graph::ReorderMode reorder = graph::ReorderMode::kNone;
   std::string key;
 
   /// Topology version: 0 for entries parsed from disk; N for snapshots

@@ -142,6 +142,8 @@ struct Deadline {
   [[nodiscard]] bool unlimited() const noexcept {
     return host_seconds == 0.0 && modelled_seconds == 0.0;
   }
+
+  [[nodiscard]] bool operator==(const Deadline&) const noexcept = default;
 };
 
 /// One unit of work submitted to a Server.

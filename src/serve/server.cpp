@@ -33,6 +33,15 @@ bool fusable_options(const bp::BpOptions& a, const bp::BpOptions& b) noexcept {
          a.damping == b.damping && a.syndrome_stop == b.syndrome_stop;
 }
 
+/// `opts` with a request's deadline budgets armed (0 = unlimited).
+bp::BpOptions budgeted(bp::BpOptions opts, const Deadline& d) {
+  if (d.host_seconds > 0.0) opts.with_host_deadline(d.host_seconds);
+  if (d.modelled_seconds > 0.0) {
+    opts.with_modelled_deadline(d.modelled_seconds);
+  }
+  return opts;
+}
+
 /// Runs `engine` on `g`, on the server's shared pool when the engine
 /// dispatches fork/join regions. Exactly the engines on the CPU-parallel
 /// profile do (omp-node, omp-edge, bulk-residual): each requires that
@@ -377,8 +386,6 @@ util::Status Server::apply_mutation(const graph::GraphDelta& delta,
   auto next = std::make_shared<CachedGraph>();
   next->graph = entry->dyn.snapshot();
   next->metadata = graph::compute_metadata(*next->graph);
-  next->content_hash = parsed.content_hash;
-  next->reorder = parsed.reorder;
   next->version = entry->dyn.version();
   next->key = parsed.key + "#v" + std::to_string(next->version);
 
@@ -453,9 +460,8 @@ void Server::execute(Pending& pending) {
       }
       m_mutations_.inc();
     } else if (has_delta) {
-      evidenced = graph::with_delta(*g, *req.delta);
+      evidenced = graph::with_delta(*g, *req.delta, &seed_nodes);
       g = &evidenced;
-      seed_nodes = req.delta->touched();
     }
     if (has_delta) {
       m_delta_size_.observe(static_cast<double>(req.delta->size()));
@@ -464,14 +470,8 @@ void Server::execute(Pending& pending) {
       resp.graph_version = resolved.current->version;
     }
 
-    bp::BpOptions opts = req.options;
+    bp::BpOptions opts = budgeted(req.options, req.deadline);
     opts.with_stop(req.cancel);
-    if (req.deadline.host_seconds > 0.0) {
-      opts.with_host_deadline(req.deadline.host_seconds);
-    }
-    if (req.deadline.modelled_seconds > 0.0) {
-      opts.with_modelled_deadline(req.deadline.modelled_seconds);
-    }
 
     // Warm start (DESIGN.md §5h/§5j). The cache retains one converged
     // state per (graph version, engine): the version's CachedGraph::key
@@ -525,15 +525,20 @@ void Server::execute(Pending& pending) {
 
     // Retain converged beliefs as the version's state for the next warm
     // request. An evidence delta's fixed point belongs to its own evidence,
-    // not to the version, so it stores nothing. Non-converged or non-ok
-    // runs retain nothing — a partial fixed point would poison later warm
-    // starts.
+    // not to the version, so it stores nothing; nor does a run whose
+    // version a mutation superseded meanwhile, since no request resolves
+    // that version again. Non-converged or non-ok runs retain nothing — a
+    // partial fixed point would poison later warm starts.
     const bool evidence_only = has_delta && !mutates;
     if (wants_warm && !evidence_only &&
         resp.status == util::StatusCode::kOk && result.stats.converged) {
-      cache_.warm_store(resolved.current->key, kind,
-                        std::make_shared<const std::vector<graph::BeliefVec>>(
-                            result.beliefs));
+      const auto latest = dynamic_current(resolved.parsed->key);
+      if (latest == nullptr || latest == resolved.current) {
+        cache_.warm_store(
+            resolved.current->key, kind,
+            std::make_shared<const std::vector<graph::BeliefVec>>(
+                result.beliefs));
+      }
     }
     resp.result = std::move(result);
   } catch (const std::exception& e) {
@@ -595,6 +600,11 @@ void Server::execute_batch(Pending& pending) {
            "batch member options differ from the batch head");
       continue;
     }
+    if (req.deadline != ref.deadline) {
+      fail(i, util::StatusCode::kInvalidArgument,
+           "batch member deadline differs from the batch head");
+      continue;
+    }
     live.push_back(i);
   }
   if (live.empty()) return;
@@ -629,9 +639,9 @@ void Server::execute_batch(Pending& pending) {
   }
   if (fused_members.empty()) return;
 
-  // Fuse, run once, scatter. Per-member cancel tokens cannot stop a
-  // shared run, so they are honoured at the boundaries: before the run
-  // (above) and at scatter time below.
+  // Fuse, run once under the members' shared deadline, scatter. Per-member
+  // cancel tokens cannot stop a shared run, so they are honoured at the
+  // boundaries: before the run (above) and at scatter time below.
   try {
     const graph::GraphUnion fused = graph::disjoint_union(
         std::span<const graph::FactorGraph* const>(parts));
@@ -642,8 +652,10 @@ void Server::execute_batch(Pending& pending) {
     m_batch_occupancy_.observe(static_cast<double>(fused_members.size()));
 
     const auto engine = bp::make_default_engine(kind);
-    const bp::BpResult result =
-        run_engine(*engine, g, ref.options, pool_, pool_mu_);
+    const bp::BpResult result = run_engine(
+        *engine, g, budgeted(ref.options, ref.deadline), pool_, pool_mu_);
+    const bool expired =
+        result.stats.stop_reason == bp::runtime::StopReason::kDeadline;
 
     const bool is_ldpc = graph::is_ldpc(g.family());
     for (std::size_t k = 0; k < fused_members.size(); ++k) {
@@ -653,7 +665,8 @@ void Server::execute_batch(Pending& pending) {
       resp.cache_hit = graphs[i].cache_hit;
       resp.graph_version =
           graphs[i].current != nullptr ? graphs[i].current->version : 0;
-      resp.status = pending.requests[i].cancel.stop_requested()
+      resp.status = expired ? util::StatusCode::kDeadlineExceeded
+                    : pending.requests[i].cancel.stop_requested()
                         ? util::StatusCode::kCancelled
                         : util::StatusCode::kOk;
       // Per-member view of the fused run: shared iteration/convergence

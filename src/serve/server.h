@@ -128,11 +128,13 @@ class Server {
   /// per-member LDPC syndrome status re-checked per part). Every member
   /// still counts individually in the accounting identity. Members must be
   /// fusable with the batch head: same factor family, same options, same
-  /// engine override, no reorder, no evidence — a member that is not gets
-  /// kInvalidArgument while the rest of the batch proceeds; a member whose
-  /// cancel token fired resolves kCancelled (before the run when already
-  /// fired, at scatter time when it fired mid-run). Returns one future per
-  /// member, index-aligned with `requests`.
+  /// deadline, same engine override, no reorder, no evidence — a member
+  /// that is not gets kInvalidArgument while the rest of the batch
+  /// proceeds. The fused run takes the head's deadline; when it fires,
+  /// every fused member resolves kDeadlineExceeded. Otherwise a member
+  /// whose cancel token fired resolves kCancelled (before the run when
+  /// already fired, at scatter time when it fired mid-run). Returns one
+  /// future per member, index-aligned with `requests`.
   [[nodiscard]] std::vector<std::future<Response>> submit_batch(
       std::vector<Request> requests);
 

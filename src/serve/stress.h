@@ -39,7 +39,8 @@ struct StressConfig {
                                      bp::EngineKind::kCpuEdge,
                                      bp::EngineKind::kResidual};
 
-  /// Deadline attached to every Nth request (0 = none).
+  /// Deadline attached to every Nth request (0 = none). Must stay 0 when
+  /// `batch` > 1: fused batch members share their head's deadline.
   std::size_t deadline_every = 0;
   Deadline deadline;
 

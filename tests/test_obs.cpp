@@ -15,6 +15,7 @@
 #include <stop_token>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -263,7 +264,10 @@ TEST(Spans, JsonlHasOneObjectPerLine) {
 // ---------------------------------------------------------------------------
 
 std::pair<std::string, std::string> write_graph() {
-  const auto dir = std::filesystem::temp_directory_path() / "credo_obs_ut";
+  // Per-process directory: concurrent copies of this suite must not
+  // overwrite each other's fixtures.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("credo_obs_ut_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   graph::BeliefConfig cfg;
   cfg.beliefs = 2;

@@ -238,7 +238,6 @@ TEST(GraphCache, DistinctEntriesPerReorderMode) {
   EXPECT_EQ(cache.fetch(nodes, edges, ReorderMode::kRcm).hit, true);
   EXPECT_EQ(none.entry->graph->permutation(), nullptr);
   ASSERT_NE(rcm.entry->graph->permutation(), nullptr);
-  EXPECT_EQ(rcm.entry->reorder, ReorderMode::kRcm);
   EXPECT_EQ(rcm.entry->graph->reorder_mode(), ReorderMode::kRcm);
 }
 

@@ -312,7 +312,8 @@ TEST(BulkResidual, SeededWarmRunAgreesWithColdRun) {
   while (g.observed(target)) ++target;
   graph::GraphDelta delta;
   delta.observe(target, 1);
-  const auto changed = graph::with_delta(g, delta);
+  std::vector<NodeId> touched;
+  const auto changed = graph::with_delta(g, delta, &touched);
   const auto cold = run(EngineKind::kBulkResidual, changed, opts);
   const auto warm = run(
       EngineKind::kBulkResidual, changed,
@@ -321,7 +322,7 @@ TEST(BulkResidual, SeededWarmRunAgreesWithColdRun) {
               std::make_shared<const std::vector<graph::BeliefVec>>(
                   before.beliefs))
           .with_frontier_seed(
-              std::make_shared<const std::vector<NodeId>>(delta.touched())));
+              std::make_shared<const std::vector<NodeId>>(touched)));
   ASSERT_TRUE(cold.stats.converged);
   EXPECT_TRUE(warm.stats.converged);
   EXPECT_GT(warm.stats.frontier_seeded, 0u);

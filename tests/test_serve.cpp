@@ -151,7 +151,7 @@ TEST(GraphCache, ChangedFileContentsMissAndReparse) {
   io::write_mtx_belief(g2, nodes, edges);
   const auto after = cache.fetch(nodes, edges);
   EXPECT_FALSE(after.hit);  // content hash changed -> new key
-  EXPECT_NE(before.entry->content_hash, after.entry->content_hash);
+  EXPECT_NE(before.entry->key, after.entry->key);
   EXPECT_EQ(after.entry->graph->num_nodes(), g2.num_nodes());
   EXPECT_EQ(cache.stats().misses, 2u);
 }
@@ -924,6 +924,50 @@ TEST(ServerBatch, CancellationMidBatchKeepsAccountingIdentity) {
   EXPECT_EQ(stats.submitted, 4u);
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.cancelled, 2u);
+  EXPECT_EQ(stats.submitted, stats.finished());
+}
+
+TEST(ServerBatch, FusedRunHonoursTheMembersDeadline) {
+  // Without its budget the fused run would take 20,000 sweeps (about a
+  // second); a 1 ms host budget stops it after a few, and every fused
+  // member reports the expiry. A member with another deadline is not
+  // fusable.
+  const auto g = std::make_shared<const FactorGraph>(small_random());
+  const auto opts = bp::BpOptions{}
+                        .with_max_iterations(20000)
+                        .with_convergence_threshold(1e-30f)
+                        .with_queue_threshold(1e-32f);
+  const auto member = [&](double host_seconds) {
+    return Request{}
+        .with_preloaded(g)
+        .with_options(opts)
+        .with_engine(bp::EngineKind::kCpuNode)
+        .with_deadline(Deadline{}.with_host_seconds(host_seconds));
+  };
+  Server server(plain_server(1));
+  std::vector<Request> batch;
+  batch.push_back(member(1e-3));
+  batch.push_back(member(1e-3));
+  batch.push_back(member(0.0));
+  auto futures = server.submit_batch(std::move(batch));
+  ASSERT_EQ(futures.size(), 3u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE("batch member " + std::to_string(i));
+    const Response resp = futures[i].get();
+    EXPECT_EQ(resp.status, util::StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(resp.result.stats.stop_reason,
+              bp::runtime::StopReason::kDeadline);
+    EXPECT_LT(resp.result.stats.iterations, 20000u);
+    EXPECT_EQ(resp.result.beliefs.size(), g->num_nodes());
+  }
+  const Response other = futures[2].get();
+  EXPECT_EQ(other.status, util::StatusCode::kInvalidArgument);
+  EXPECT_NE(other.error.find("deadline"), std::string::npos) << other.error;
+
+  server.shutdown();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.deadline_expired, 2u);
+  EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.submitted, stats.finished());
 }
 

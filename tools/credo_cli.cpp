@@ -606,6 +606,11 @@ int cmd_serve(const Args& args) {
   stress.deadline_every =
       static_cast<std::size_t>(args.number("deadline-every", 0));
   stress.deadline.host_seconds = args.number("deadline-ms", 0) / 1000.0;
+  if (stress.deadline_every > 0 && stress.batch > 1) {
+    throw util::InvalidArgument(
+        "--deadline-every and --batch are mutually exclusive (fused batch "
+        "members must share one deadline)");
+  }
   stress.cancel_every =
       static_cast<std::size_t>(args.number("cancel-every", 0));
   // --churn K: every Kth request carries a topology mutation batch, so the
