@@ -1,7 +1,9 @@
 #include "io/mtx_belief.h"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -68,6 +70,23 @@ struct LineReader {
   }
 };
 
+/// How many `min_line`-byte lines the rest of `in` can hold, or max() for
+/// a stream that cannot seek. Reservations are capped by it, so a
+/// dimensions line that claims more entries than its file holds ends in
+/// "truncated" instead of a failed allocation.
+std::uint64_t lines_left(std::istream& in, std::uint64_t min_line) {
+  if (!in.good()) return 0;  // at the end already
+  const auto here = in.tellg();
+  if (here < 0 || !in.seekg(0, std::ios::end)) {
+    in.clear();
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  const auto end = in.tellg();
+  in.seekg(here);
+  return end > here ? static_cast<std::uint64_t>(end - here) / min_line + 1
+                    : 1;
+}
+
 /// Parses "N N N" / "N N M" dimension lines; returns {nodes, entries}.
 std::pair<std::uint64_t, std::uint64_t> parse_dims(LineReader& r,
                                                    std::string_view l) {
@@ -122,8 +141,12 @@ graph::FactorGraph read_mtx_belief_streams(std::istream& nodes,
   if (!ndims) nr.fail("missing node dimensions line");
   const auto [n_nodes, n_entries] = parse_dims(nr, *ndims);
   if (n_entries != n_nodes) nr.fail("node file entry count must equal N");
-  arity.reserve(n_nodes);
-  b.reserve(static_cast<NodeId>(n_nodes), 0);
+  // "1 1 1\n" is the shortest node line.
+  const auto reserved_nodes = static_cast<NodeId>(
+      std::min<std::uint64_t>({n_nodes, lines_left(nodes, 6),
+                               std::numeric_limits<NodeId>::max()}));
+  arity.reserve(reserved_nodes);
+  b.reserve(reserved_nodes, 0);
 
   for (std::uint64_t i = 0; i < n_nodes; ++i) {
     const auto l = nr.next();
@@ -235,7 +258,8 @@ graph::FactorGraph read_mtx_belief_streams(std::istream& nodes,
   if (e_nodes != n_nodes) {
     er.fail("edge file node count disagrees with node file");
   }
-  b.reserve(static_cast<NodeId>(n_nodes), e_count);
+  // "1 2\n" is the shortest edge line.
+  b.reserve(reserved_nodes, std::min(e_count, lines_left(edges, 4)));
   JointMatrix scratch;  // reused across edge lines
   for (std::uint64_t i = 0; i < e_count; ++i) {
     const auto el = er.next();

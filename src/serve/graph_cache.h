@@ -2,12 +2,19 @@
 //
 // The §3.2 study made MTX parsing cheap, but it is still the dominant cost
 // of a small inference request — and a serving workload hits the same
-// handful of graphs over and over. The cache keys each entry by the file
-// pair's paths *and* a content hash (FNV-1a over the raw bytes), so a
-// changed file re-parses under a new key while repeat requests reuse the
-// parsed FactorGraph and its precomputed GraphMetadata. Hashing streams the
-// files once without parsing; entries are handed out as shared_ptrs so an
-// eviction never invalidates an in-flight run.
+// handful of graphs over and over. An entry is addressed by its file
+// pair's paths and reorder mode, and it records the identity of both files
+// (device, inode, size, mtime and ctime, read with open + fstat). A fetch
+// that sees the recorded identities again is a hit and reads no byte of
+// either file. Both files are read and hashed only when the entry is new,
+// an identity changed, or the recorded identities are too fresh to trust:
+// git's racy-clean rule, which trusts them only when both files' mtime and
+// ctime were at least 2 s older than the clock when they were taken, so a
+// same-size rewrite within one timestamp tick is still re-hashed. Keys
+// stay content-based (CachedGraph::key = paths + content hash + reorder
+// mode): a `touch` that changes no byte re-hashes and keeps its entry,
+// and a rewritten pair replaces it. Entries are handed out as shared_ptrs
+// so an eviction never invalidates an in-flight run.
 //
 // Alongside the parsed graphs the cache keeps a *warm-state* side table
 // (DESIGN.md §5h): one converged belief vector per (graph version key,
@@ -17,7 +24,7 @@
 // a re-parse after eviction still warm-starts. Warm hits and resident
 // bytes are exported as credo_cache_warm_hits_total / credo_cache_warm_bytes.
 //
-// Thread-safe. Concurrent first fetches of the same key may parse twice
+// Thread-safe. Concurrent first fetches of the same files may parse twice
 // (both count as misses, one insert wins); correctness is unaffected.
 #pragma once
 
@@ -41,8 +48,9 @@ namespace credo::serve {
 /// reorder mode the graph went through the locality pass at load time
 /// (graph/reorder.h) and carries its permutation; engines un-permute
 /// result beliefs, so responses are in the file's original node ids either
-/// way. `key` is the entry's full cache key (paths + content hash +
-/// reorder mode) — the stable address warm state is filed under.
+/// way. `key` is the entry's content key (paths + content hash + reorder
+/// mode) — the stable address warm state and mutated versions are filed
+/// under, whether a fetch hit on the files' identities or re-hashed them.
 struct CachedGraph {
   /// Shared with the DynamicGraph that produced it, for mutated versions:
   /// publishing a version copies no graph.
@@ -61,6 +69,7 @@ struct CachedGraph {
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::uint64_t content_hashes = 0;  // fetches that read and hashed both files
   std::uint64_t evictions = 0;
   std::uint64_t warm_hits = 0;    // warm_lookup found retained beliefs
   std::uint64_t warm_misses = 0;  // warm_lookup came back empty
@@ -75,11 +84,11 @@ struct CacheStats {
 
 class GraphCache {
  public:
-  /// Holds at most `capacity` parsed graphs (>= 1). Hit/miss/eviction
-  /// counters are mirrored into `registry` (the process-wide
-  /// obs::MetricsRegistry::global() when null) as
-  /// credo_graph_cache_{hits,misses,evictions}_total, so a live scrape
-  /// sees cache behaviour without polling CacheStats.
+  /// Holds at most `capacity` parsed graphs (>= 1). Hit, miss, content
+  /// hash and eviction counters are mirrored into `registry` (the
+  /// process-wide obs::MetricsRegistry::global() when null) as
+  /// credo_graph_cache_{hits,misses,content_hashes,evictions}_total, so a
+  /// live scrape sees cache behaviour without polling CacheStats.
   explicit GraphCache(std::size_t capacity,
                       obs::MetricsRegistry* registry = nullptr);
 
@@ -89,9 +98,10 @@ class GraphCache {
   };
 
   /// Returns the parsed graph for the file pair, loading (and, when `mode`
-  /// is not kNone, reordering) it on a miss. The reorder mode is part of
-  /// the cache key: the same files fetched under different modes are
-  /// distinct entries, since their in-memory layouts differ.
+  /// is not kNone, reordering) it on a miss. Every fetch opens both files;
+  /// a hit on settled identities reads neither. The reorder mode is part
+  /// of the entry's address: the same files fetched under different modes
+  /// are distinct entries, since their in-memory layouts differ.
   /// Throws util::IoError / util::ParseError like io::read_mtx_belief.
   [[nodiscard]] Fetched fetch(
       const std::string& nodes_path, const std::string& edges_path,
@@ -124,8 +134,25 @@ class GraphCache {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
+  /// What fstat reports for one open file. A write changes its ctime even
+  /// when it keeps the size and the mtime is set back; a rename over the
+  /// path changes the inode.
+  struct FileIdentity {
+    std::uint64_t device = 0;
+    std::uint64_t inode = 0;
+    std::int64_t size = 0;
+    std::int64_t mtime_ns = 0;
+    std::int64_t ctime_ns = 0;
+    bool operator==(const FileIdentity&) const = default;
+  };
+  /// One LRU slot per (paths, reorder mode). The identities are those the
+  /// value's bytes were hashed under; `settled` says they were old enough
+  /// to trust when taken.
   struct Entry {
-    std::string key;
+    std::string slot;
+    FileIdentity nodes;
+    FileIdentity edges;
+    bool settled = false;
     std::shared_ptr<const CachedGraph> value;
   };
   struct WarmEntry {
@@ -133,17 +160,19 @@ class GraphCache {
     std::shared_ptr<const std::vector<graph::BeliefVec>> beliefs;
   };
 
+  static FileIdentity identify(int fd, const std::string& path);
   void warm_bytes_update_locked();
 
   std::size_t capacity_;
   obs::Counter& hits_;
   obs::Counter& misses_;
+  obs::Counter& content_hashes_;
   obs::Counter& evictions_;
   obs::Counter& warm_hits_;
   obs::Gauge& warm_bytes_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;  // by slot
   std::list<WarmEntry> warm_lru_;
   std::unordered_map<std::string, std::list<WarmEntry>::iterator> warm_index_;
   CacheStats stats_;

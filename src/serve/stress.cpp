@@ -60,6 +60,9 @@ util::Table StressReport::table() const {
   t.add_row({"cache misses", util::Table::num(misses, 9)});
   t.add_row({"cache hit rate",
              util::Table::num(fetches > 0.0 ? hits / fetches : 0.0, 4)});
+  t.add_row({"cache content hashes",
+             util::Table::num(
+                 counter("credo_graph_cache_content_hashes_total"), 9)});
   t.add_row({"warm hits",
              util::Table::num(counter("credo_cache_warm_hits_total"), 9)});
   t.add_row({"run p50 s", util::Table::num(service_p50, 4)});

@@ -1,11 +1,17 @@
 // Tests for the io module: MTX-belief round trips (property-based over
 // random graphs), BIF and XML-BIF parsing/writing, the XML mini-parser,
-// malformed-input rejection, and format conversion.
+// malformed-input rejection, a seeded fuzz of the MTX-belief parser, and
+// format conversion.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <unistd.h>
+#include <vector>
 
 #include "bp/engine.h"
 #include "graph/generators.h"
@@ -18,6 +24,7 @@
 #include "io/xml.h"
 #include "io/xmlbif.h"
 #include "util/error.h"
+#include "util/prng.h"
 
 namespace credo::io {
 namespace {
@@ -234,7 +241,16 @@ INSTANTIATE_TEST_SUITE_P(
         BadMtxCase{"edge_node_count_mismatch", kGoodNodes,
                    "%%MatrixMarket credo joints\n3 3 0\n"},
         BadMtxCase{"bad_dims", kGoodNodes,
-                   "%%MatrixMarket credo joints\n2 3 0\n"}),
+                   "%%MatrixMarket credo joints\n2 3 0\n"},
+        // Counts no file of this size can hold: once an allocation
+        // failure (std::bad_alloc, an abort under ASan).
+        BadMtxCase{"node_count_beyond_the_file",
+                   "%%MatrixMarket credo beliefs\n"
+                   "100000000000 100000000000 100000000000\n1 1 0.5 0.5\n",
+                   "%%MatrixMarket credo joints\n2 2 0\n"},
+        BadMtxCase{"edge_count_beyond_the_file", kGoodNodes,
+                   "%%MatrixMarket credo joints\n2 2 100000000000\n"
+                   "1 2 0.5 0.5 0.5 0.5\n"}),
     [](const ::testing::TestParamInfo<BadMtxCase>& info) {
       return info.param.name;
     });
@@ -247,6 +263,114 @@ TEST(MtxBelief, ObservedMarkerParses) {
   EXPECT_TRUE(g.observed(0));
   EXPECT_FALSE(g.observed(1));
   EXPECT_FLOAT_EQ(g.prior(0)[0], 1.0f);
+}
+
+// The parser on the serve cache's miss path must turn any malformed pair
+// into one of its declared errors. Each case takes a valid pair (4x4
+// arity-3 grids, per-edge and shared joints) and applies one to four
+// seeded byte-level mutations to one of its files: a bit flip, an insert
+// of a format-significant or arbitrary byte, a deletion of up to eight
+// bytes, or a truncation. Any other exception fails the case and prints
+// the input; a crash fails the run (and the sanitizer build reports it).
+// Inputs it finds go into MtxRejects above.
+
+/// One seeded mutation of `text`.
+void mutate(std::string& text, util::Prng& rng) {
+  static constexpr std::string_view kSignificant = "0123456789.-+eE* \n%";
+  const std::size_t at = rng.uniform(text.size() + 1);
+  switch (rng.uniform(4)) {
+    case 0:
+      if (at < text.size()) {
+        text[at] = static_cast<char>(text[at] ^ (1 << rng.uniform(8)));
+      }
+      break;
+    case 1:
+      text.insert(at, 1,
+                  rng.uniform(2) == 0
+                      ? kSignificant[rng.uniform(kSignificant.size())]
+                      : static_cast<char>(rng.uniform(256)));
+      break;
+    case 2:
+      if (at < text.size()) text.erase(at, 1 + rng.uniform(8));
+      break;
+    default:
+      text.resize(at);
+      break;
+  }
+}
+
+/// `text` with non-printable bytes escaped, for a failure message.
+std::string printable(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '\n') {
+      out += "\\n";
+    } else if (u < 0x20 || u >= 0x7f) {
+      static constexpr char kHex[] = "0123456789abcdef";
+      out += "\\x";
+      out += kHex[u >> 4];
+      out += kHex[u & 0xf];
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+TEST(MtxBeliefFuzz, MutatedPairsParseOrThrowADeclaredError) {
+  struct Pair {
+    std::string nodes, edges;
+  };
+  std::vector<Pair> bases;
+  for (const bool shared : {false, true}) {
+    graph::BeliefConfig cfg;
+    cfg.beliefs = 3;
+    cfg.shared_joint = shared;
+    cfg.observed_fraction = 0.2;
+    cfg.seed = 5;
+    std::ostringstream n;
+    std::ostringstream e;
+    write_mtx_belief_streams(graph::grid(4, 4, cfg), n, e);
+    bases.push_back({n.str(), e.str()});
+  }
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("credo_io_fuzz_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string npath = (dir / "nodes.mtx").string();
+  const std::string epath = (dir / "edges.mtx").string();
+
+  util::Prng rng(2025);
+  constexpr int kCases = 3000;
+  int parsed = 0, parse_errors = 0, io_errors = 0, invalid = 0;
+  for (int i = 0; i < kCases; ++i) {
+    Pair p = bases[i % bases.size()];
+    std::string& target = rng.uniform(2) == 0 ? p.nodes : p.edges;
+    for (std::uint64_t m = 1 + rng.uniform(4); m > 0; --m) mutate(target, rng);
+    std::ofstream(npath, std::ios::binary) << p.nodes;
+    std::ofstream(epath, std::ios::binary) << p.edges;
+    try {
+      (void)read_mtx_belief(npath, epath);
+      ++parsed;
+    } catch (const util::ParseError&) {
+      ++parse_errors;
+    } catch (const util::IoError&) {
+      ++io_errors;
+    } catch (const util::InvalidArgument&) {
+      ++invalid;
+    } catch (const std::exception& ex) {
+      ADD_FAILURE() << "case " << i << " threw " << ex.what()
+                    << "\nnodes: " << printable(p.nodes)
+                    << "\nedges: " << printable(p.edges);
+    }
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(parsed, 0);  // some mutations keep a pair valid
+  EXPECT_GT(parse_errors, kCases / 2);
+  RecordProperty("parsed", parsed);
+  RecordProperty("parse_errors", parse_errors);
+  RecordProperty("io_errors", io_errors);
+  RecordProperty("invalid_arguments", invalid);
 }
 
 // ---------------------------------------------------------------------------

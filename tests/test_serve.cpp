@@ -1,11 +1,13 @@
-// Tests for the serve layer (DESIGN.md §5c): GraphCache hit/miss/LRU and
-// content-hash keying, Server admission control and accounting, cooperative
-// cancellation and deadlines end to end, and the concurrency stress the
-// layer must survive — many concurrent clients against one server, beliefs
-// bit-identical to single-threaded runs, every request accounted for
-// exactly once.
+// Tests for the serve layer (DESIGN.md §5c): GraphCache hit/miss/LRU,
+// content-hash keys, and hits served from the files' identities (fresh,
+// rewritten, renamed, touched and deleted files against the 2-s guard),
+// Server admission control and accounting, cooperative cancellation and
+// deadlines end to end, and the concurrency stress the layer must survive
+// — many concurrent clients against one server, beliefs bit-identical to
+// single-threaded runs, every request accounted for exactly once.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -33,17 +35,29 @@ namespace {
 
 using graph::FactorGraph;
 
-/// Writes `g` as an MTX-belief pair under a per-process temp dir (so
-/// concurrent copies of this suite do not overwrite each other's files);
-/// returns the paths.
-std::pair<std::string, std::string> write_graph(const FactorGraph& g,
-                                                const std::string& name) {
+/// A per-process temp dir, so concurrent copies of this suite do not
+/// overwrite each other's files; returns `name`'s pair paths in it.
+std::pair<std::string, std::string> pair_paths(const std::string& name) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("credo_serve_ut_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const std::string prefix = (dir / name).string();
-  io::write_mtx_belief(g, prefix + "_nodes.mtx", prefix + "_edges.mtx");
   return {prefix + "_nodes.mtx", prefix + "_edges.mtx"};
+}
+
+/// Writes `g` as an MTX-belief pair; returns the paths.
+std::pair<std::string, std::string> write_graph(const FactorGraph& g,
+                                                const std::string& name) {
+  auto paths = pair_paths(name);
+  io::write_mtx_belief(g, paths.first, paths.second);
+  return paths;
+}
+
+/// Writes `text` to `path`, in place when the file exists (same inode).
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+  ASSERT_TRUE(out.flush()) << path;
 }
 
 FactorGraph small_grid() {
@@ -194,6 +208,145 @@ TEST(GraphCache, WarmStateSurvivesGraphEviction) {
 }
 
 // ---------------------------------------------------------------------------
+// GraphCache: hits served from the files' identities
+// ---------------------------------------------------------------------------
+
+// Two node files of the same size that differ in node 1's prior, and an
+// edge file that fits both.
+constexpr const char* kNodesA =
+    "%%MatrixMarket credo beliefs\n3 3 3\n1 1 0.25 0.75\n2 2 0.50 0.50\n"
+    "3 3 0.40 0.60\n";
+constexpr const char* kNodesB =
+    "%%MatrixMarket credo beliefs\n3 3 3\n1 1 0.75 0.25\n2 2 0.50 0.50\n"
+    "3 3 0.40 0.60\n";
+constexpr const char* kEdges =
+    "%%MatrixMarket credo joints\n%%shared-joint 2 0.9 0.1 0.1 0.9\n"
+    "3 3 4\n1 2\n2 1\n2 3\n3 2\n";
+
+/// Each case but the first fetches its own pair, written once per suite
+/// run and then left alone for longer than the cache's 2-s guard, so its
+/// identities are settled from the first fetch on. (The Server case is
+/// further down, after plain_server.)
+class GraphCacheIdentity : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    for (const char* name : {"id_settled", "id_same_size", "id_renamed",
+                             "id_touched", "id_deleted", "id_server"}) {
+      const auto [nodes, edges] = pair_paths(name);
+      write_text(nodes, kNodesA);
+      write_text(edges, kEdges);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+  }
+
+  /// Fetches a settled pair into `cache` for the first time: a miss that
+  /// hashes once.
+  static GraphCache::Fetched first_fetch(GraphCache& cache,
+                                         const std::pair<std::string,
+                                                         std::string>& p) {
+    auto f = cache.fetch(p.first, p.second);
+    EXPECT_FALSE(f.hit);
+    EXPECT_EQ(cache.stats().content_hashes, 1u);
+    return f;
+  }
+
+  static float first_prior(const GraphCache::Fetched& f) {
+    return f.entry->graph->prior(0)[0];
+  }
+};
+
+TEST_F(GraphCacheIdentity, FreshFilesAreHashedOnEveryFetch) {
+  // Written just now: the identities are too fresh to trust, so a same-
+  // size rewrite within the same timestamp tick could hide behind them.
+  const auto [nodes, edges] = pair_paths("id_fresh");
+  write_text(nodes, kNodesA);
+  write_text(edges, kEdges);
+  GraphCache cache(2);
+  const auto first = cache.fetch(nodes, edges);
+  const auto second = cache.fetch(nodes, edges);
+  EXPECT_FALSE(first.hit);
+  EXPECT_TRUE(second.hit);
+  EXPECT_EQ(first.entry.get(), second.entry.get());
+  EXPECT_EQ(cache.stats().content_hashes, 2u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST_F(GraphCacheIdentity, SettledFilesHitWithoutReading) {
+  const auto p = pair_paths("id_settled");
+  GraphCache cache(2);
+  const auto first = first_fetch(cache, p);
+  for (int i = 0; i < 10; ++i) {
+    const auto again = cache.fetch(p.first, p.second);
+    EXPECT_TRUE(again.hit);
+    EXPECT_EQ(again.entry.get(), first.entry.get());
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.content_hashes, 1u);
+  EXPECT_EQ(stats.hits, 10u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+TEST_F(GraphCacheIdentity, SameSizeRewriteWithTheOldMtimeMisses) {
+  // Same inode, same size, mtime restored: only the ctime tells.
+  const auto p = pair_paths("id_same_size");
+  GraphCache cache(2);
+  const auto before = first_fetch(cache, p);
+  EXPECT_FLOAT_EQ(first_prior(before), 0.25f);
+  const auto mtime = std::filesystem::last_write_time(p.first);
+  write_text(p.first, kNodesB);
+  std::filesystem::last_write_time(p.first, mtime);
+  ASSERT_EQ(std::filesystem::last_write_time(p.first), mtime);
+  ASSERT_EQ(std::filesystem::file_size(p.first),
+            std::string(kNodesA).size());
+
+  const auto after = cache.fetch(p.first, p.second);
+  EXPECT_FALSE(after.hit);
+  EXPECT_FLOAT_EQ(first_prior(after), 0.75f);
+  EXPECT_NE(after.entry->key, before.entry->key);
+  EXPECT_EQ(cache.stats().content_hashes, 2u);
+  EXPECT_EQ(cache.size(), 1u);  // the rewrite replaced its entry
+}
+
+TEST_F(GraphCacheIdentity, RenameOverTheFileMisses) {
+  const auto p = pair_paths("id_renamed");
+  GraphCache cache(2);
+  const auto before = first_fetch(cache, p);
+  const std::string staged = p.first + ".new";
+  write_text(staged, kNodesB);
+  std::filesystem::rename(staged, p.first);  // a new inode at the path
+
+  const auto after = cache.fetch(p.first, p.second);
+  EXPECT_FALSE(after.hit);
+  EXPECT_FLOAT_EQ(first_prior(after), 0.75f);
+  EXPECT_NE(after.entry->key, before.entry->key);
+}
+
+TEST_F(GraphCacheIdentity, TouchRehashesAndKeepsTheEntry) {
+  const auto p = pair_paths("id_touched");
+  GraphCache cache(2);
+  const auto before = first_fetch(cache, p);
+  EXPECT_TRUE(cache.fetch(p.first, p.second).hit);
+  EXPECT_EQ(cache.stats().content_hashes, 1u);
+  std::filesystem::last_write_time(
+      p.first, std::filesystem::file_time_type::clock::now());
+
+  const auto after = cache.fetch(p.first, p.second);
+  EXPECT_TRUE(after.hit);  // same bytes: the content key still matches
+  EXPECT_EQ(after.entry.get(), before.entry.get());
+  EXPECT_EQ(after.entry->key, before.entry->key);
+  EXPECT_EQ(cache.stats().content_hashes, 2u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST_F(GraphCacheIdentity, DeletedFileThrowsInsteadOfServingTheEntry) {
+  const auto p = pair_paths("id_deleted");
+  GraphCache cache(2);
+  (void)first_fetch(cache, p);
+  std::filesystem::remove(p.first);
+  EXPECT_THROW((void)cache.fetch(p.first, p.second), util::IoError);
+}
+
+// ---------------------------------------------------------------------------
 // Server: basic execution
 // ---------------------------------------------------------------------------
 
@@ -276,6 +429,35 @@ TEST(Server, BadGraphPathReportsError) {
   server.shutdown();
   EXPECT_EQ(server.stats().failed, 1u);
   EXPECT_EQ(server.stats().submitted, server.stats().finished());
+}
+
+TEST_F(GraphCacheIdentity, ServerFailsOnAMalformedRewriteAndRecovers) {
+  const auto p = pair_paths("id_server");
+  Server server(plain_server(1));
+  const auto send = [&] {
+    return server
+        .submit(Request{}
+                    .with_graph(GraphKey::files(p.first, p.second))
+                    .with_options(test_options())
+                    .with_engine(bp::EngineKind::kCpuNode))
+        .get();
+  };
+  const Response cached = send();
+  ASSERT_TRUE(cached.ok()) << cached.error;
+
+  write_text(p.second, "%%MatrixMarket credo joints\n3 3 1\n1 99\n");
+  const Response malformed = send();
+  EXPECT_EQ(malformed.status, util::StatusCode::kParse) << malformed.error;
+
+  write_text(p.second, kEdges);
+  const Response restored = send();
+  EXPECT_EQ(restored.status, util::StatusCode::kOk) << restored.error;
+  EXPECT_TRUE(restored.cache_hit);  // the entry's bytes again
+  server.shutdown();
+  const auto stats = server.stats().cache;
+  EXPECT_EQ(stats.content_hashes, 3u);
+  EXPECT_EQ(stats.misses, 1u);  // the malformed bytes never loaded
+  EXPECT_EQ(stats.hits, 1u);
 }
 
 // ---------------------------------------------------------------------------
