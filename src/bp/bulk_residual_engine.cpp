@@ -39,15 +39,18 @@ class BulkResidualEngine final : public Engine {
 
  protected:
   [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
-                               runtime::BeliefState& state) const override {
-    return graph::is_ldpc(g.family()) ? drain<LdpcKernel>(g, opts, state)
-                                      : drain<TabularKernel>(g, opts, state);
+                               runtime::BeliefState& state,
+                               Frontier& frontier) const override {
+    return graph::is_ldpc(g.family())
+               ? drain<LdpcKernel>(g, opts, state, frontier)
+               : drain<TabularKernel>(g, opts, state, frontier);
   }
 
  private:
   template <typename Kernel>
   [[nodiscard]] BpStats drain(const FactorGraph& g, const BpOptions& opts,
-                              runtime::BeliefState& state) const {
+                              runtime::BeliefState& state,
+                              Frontier& frontier) const {
     BpStats stats;
     Team team(hardware(), opts, stats.counters);
     perf::Meter main_meter(stats.counters);
@@ -97,6 +100,7 @@ class BulkResidualEngine final : public Engine {
         });
     kernel.finish(stats, main_meter);
     finish(stats, team.prof, team.sinks);
+    frontier = sched.release();
     return stats;
   }
 };

@@ -76,7 +76,7 @@ template <typename Kernel, typename Backend>
 void node_sweep(const FactorGraph& g, const BpOptions& opts,
                 const perf::HardwareProfile& prof, Backend& backend,
                 std::span<WorkerSink> sinks, runtime::BeliefState& state,
-                BpStats& stats) {
+                BpStats& stats, Frontier& frontier) {
   perf::Meter main_meter(stats.counters);
   const auto& in = g.in_csr();
 
@@ -150,6 +150,7 @@ void node_sweep(const FactorGraph& g, const BpOptions& opts,
       [] { return 0.0; },  // delta is never deferred on the CPU
       [&] { return snapshot_time(stats.counters, sinks, prof); });
   kernel.finish(stats, main_meter);
+  if (sched.queued()) frontier = sched.release();
 }
 
 class NodeEngine final : public Engine {
@@ -158,21 +159,25 @@ class NodeEngine final : public Engine {
 
  protected:
   [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
-                               runtime::BeliefState& state) const override {
+                               runtime::BeliefState& state,
+                               Frontier& frontier) const override {
     // Per-graph family dispatch (§5g): decided once, before any loop.
-    return graph::is_ldpc(g.family()) ? run<LdpcKernel>(g, opts, state)
-                                      : run<TabularKernel>(g, opts, state);
+    return graph::is_ldpc(g.family())
+               ? run<LdpcKernel>(g, opts, state, frontier)
+               : run<TabularKernel>(g, opts, state, frontier);
   }
 
  private:
   template <typename Kernel>
   [[nodiscard]] BpStats run(const FactorGraph& g, const BpOptions& opts,
-                            runtime::BeliefState& state) const {
+                            runtime::BeliefState& state,
+                            Frontier& frontier) const {
     return run_on_backend(
         *this, opts,
         [&](auto& backend, std::span<WorkerSink> sinks,
             const perf::HardwareProfile& prof, BpStats& stats) {
-          node_sweep<Kernel>(g, opts, prof, backend, sinks, state, stats);
+          node_sweep<Kernel>(g, opts, prof, backend, sinks, state, stats,
+                             frontier);
         });
   }
 };
@@ -317,7 +322,8 @@ class EdgeEngine final : public Engine {
 
  protected:
   [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
-                               runtime::BeliefState& state) const override {
+                               runtime::BeliefState& state,
+                               Frontier& /*frontier*/) const override {
     // Families without log-space accumulators sweep Jacobi-style. The work
     // queue has no incremental form there, so queued runs sweep densely.
     if (graph::is_ldpc(g.family())) {

@@ -146,9 +146,12 @@ BpResult Engine::run(const graph::FactorGraph& g,
   }
   runtime::BeliefState state(g, eff);
   BpResult result;
-  result.stats = do_run(g, eff, state);
+  result.stats = do_run(g, eff, state, result.frontier);
   if (eff.frontier_seed) {
     result.stats.frontier_seeded = eff.frontier_seed->size();
+  }
+  if (result.frontier && perm != nullptr) {
+    for (graph::NodeId& v : *result.frontier) v = perm->to_old(v);
   }
   // The one write of BpResult::beliefs, fused with the un-permute: the
   // locality pass renumbers nodes at build time, and results leave the

@@ -75,10 +75,24 @@ enum class EngineKind {
 [[nodiscard]] std::optional<EngineKind> engine_from_name(
     std::string_view name) noexcept;
 
+/// A run's open frontier: the nodes its schedule still held when it
+/// stopped (BpResult::frontier).
+using Frontier = std::optional<std::vector<graph::NodeId>>;
+
 /// Result of a propagation: final beliefs plus run statistics.
 struct BpResult {
   std::vector<graph::BeliefVec> beliefs;
   BpStats stats;
+
+  /// The nodes the run's schedule still held when it stopped, in the
+  /// caller's original ids (DESIGN.md §5h): NodeFrontier's next round for
+  /// queued or seeded c-node/omp-node runs, the still-active set of the
+  /// residual and bulk-residual schedules. Empty when the queue drained.
+  /// nullopt for dense sweeps and for the edge, device and tree engines,
+  /// which cannot resume from one. Kept out of BpStats, which callers
+  /// retain per run; resuming from it (init_beliefs = beliefs,
+  /// frontier_seed = frontier) picks the run up where it stopped.
+  Frontier frontier;
 };
 
 /// A belief-propagation engine bound to a hardware profile.
@@ -115,10 +129,13 @@ class Engine {
   /// Engine implementation hook; `opts` arrives validated. Runs on
   /// `state` — packed in g's internal ids, holding the priors and any warm
   /// overlay — and leaves the final beliefs in it; returns the run's stats
-  /// without the host-time fields, which run() stamps.
+  /// without the host-time fields, which run() stamps. Engines whose
+  /// schedule keeps a node queue hand its remainder to `frontier`, in g's
+  /// internal ids; run() maps it to the caller's.
   [[nodiscard]] virtual BpStats do_run(const graph::FactorGraph& g,
                                        const BpOptions& opts,
-                                       runtime::BeliefState& state) const = 0;
+                                       runtime::BeliefState& state,
+                                       Frontier& frontier) const = 0;
 
  private:
   EngineKind kind_;

@@ -211,7 +211,8 @@ class CudaNodeEngine final : public Engine {
 
  protected:
   [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
-                               runtime::BeliefState& state) const override {
+                               runtime::BeliefState& state,
+                               Frontier& /*frontier*/) const override {
     Device dev(hardware());
     DeviceGraph d = upload(dev, g, kind());
     const NodeId n = g.num_nodes();
@@ -380,7 +381,8 @@ class DeviceEdgeEngine final : public Engine {
 
  protected:
   [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
-                               runtime::BeliefState& state) const override {
+                               runtime::BeliefState& state,
+                               Frontier& /*frontier*/) const override {
     // OpenACC gives no control fine enough for a work queue (§2.4).
     return opts.work_queue && kind() == EngineKind::kCudaEdge
                ? run_queued(g, opts, state)

@@ -40,15 +40,18 @@ class ResidualEngine final : public Engine {
 
  protected:
   [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
-                               runtime::BeliefState& state) const override {
-    return graph::is_ldpc(g.family()) ? drain<LdpcKernel>(g, opts, state)
-                                      : drain<TabularKernel>(g, opts, state);
+                               runtime::BeliefState& state,
+                               Frontier& frontier) const override {
+    return graph::is_ldpc(g.family())
+               ? drain<LdpcKernel>(g, opts, state, frontier)
+               : drain<TabularKernel>(g, opts, state, frontier);
   }
 
  private:
   template <typename Kernel>
   [[nodiscard]] BpStats drain(const FactorGraph& g, const BpOptions& opts,
-                              runtime::BeliefState& state) const {
+                              runtime::BeliefState& state,
+                              Frontier& frontier) const {
     BpStats stats;
     perf::Meter meter(stats.counters);
 
@@ -64,6 +67,7 @@ class ResidualEngine final : public Engine {
         [&] { return perf::model_time(stats.counters, hardware()); });
     kernel.finish(stats, meter);
     finish(stats, hardware());
+    frontier = sched.open();
     return stats;
   }
 };

@@ -128,6 +128,17 @@ void ResidualSchedule::compact() {
   pq_ = std::priority_queue<Entry>(std::less<Entry>(), std::move(keep));
 }
 
+std::vector<graph::NodeId> ResidualSchedule::open() const {
+  // A node is live exactly while it holds a current-version heap entry,
+  // and every such entry carries a residual above the bar: start() and
+  // record() push only those, and pop() and record() clear the flag.
+  std::vector<graph::NodeId> nodes;
+  for (graph::NodeId v = 0; v < live_.size(); ++v) {
+    if (live_[v] != 0) nodes.push_back(v);
+  }
+  return nodes;
+}
+
 void ResidualSchedule::record(graph::NodeId v, float delta) {
   residual_[v] = 0.0f;
   ++version_[v];  // invalidate any queued entry for v

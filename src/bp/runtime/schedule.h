@@ -119,6 +119,13 @@ class NodeFrontier {
   /// keeping the order within each side, and returns how many there are.
   std::uint64_t partition(graph::NodeId split);
 
+  /// Queue mode, once the run has stopped: hands over the round the queue
+  /// holds for next (empty when it drained) — the run's open frontier,
+  /// BpResult::frontier. Unmetered; the schedule is spent afterwards.
+  [[nodiscard]] std::vector<graph::NodeId> release() noexcept {
+    return std::move(queue_);
+  }
+
  private:
   struct alignas(64) Fragment {
     std::vector<graph::NodeId> nodes;
@@ -232,6 +239,11 @@ class ResidualSchedule {
   [[nodiscard]] bool empty() const noexcept { return pq_.empty(); }
   [[nodiscard]] std::uint64_t pending() const noexcept { return pq_.size(); }
 
+  /// The nodes still waiting to run — a current heap entry above the
+  /// queue bar — in ascending id order: the run's open frontier once it
+  /// has stopped (BpResult::frontier). Unmetered.
+  [[nodiscard]] std::vector<graph::NodeId> open() const;
+
  private:
   void push_entry(graph::NodeId v, float prio);
   void compact();
@@ -298,6 +310,13 @@ class BulkResidualSchedule {
   [[nodiscard]] bool drained() const noexcept { return active_.empty(); }
   [[nodiscard]] std::uint64_t pending() const noexcept {
     return active_.size();
+  }
+
+  /// Between rounds, once the run has stopped: hands over the active set —
+  /// the run's open frontier (BpResult::frontier). Unmetered; the schedule
+  /// is spent afterwards.
+  [[nodiscard]] std::vector<graph::NodeId> release() noexcept {
+    return std::move(active_);
   }
 
  private:

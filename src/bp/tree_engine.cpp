@@ -41,7 +41,8 @@ class TreeEngine final : public Engine {
 
  protected:
   [[nodiscard]] BpStats do_run(const FactorGraph& g, const BpOptions& opts,
-                               runtime::BeliefState& state) const override {
+                               runtime::BeliefState& state,
+                               Frontier& /*frontier*/) const override {
     BpStats stats;
     perf::Meter meter(stats.counters);
     const NodeId n = g.num_nodes();

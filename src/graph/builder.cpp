@@ -183,7 +183,6 @@ FactorGraph GraphBuilder::finalize() {
   g.priors_ = std::move(priors_);
   g.observed_ = std::move(observed_);
   if (any_names_) g.names_ = std::move(names_);
-  g.edges_ = std::move(sorted);
   if (family_ != FactorFamily::kTabular) {
     g.joints_ = std::make_shared<JointStore>(JointStore::closed_form());
   } else if (shared_.has_value()) {
@@ -195,8 +194,11 @@ FactorGraph GraphBuilder::finalize() {
         JointStore::per_edge_from(std::move(permuted)));
   }
   *this = GraphBuilder();  // frees the insertion-order lists first
-  g.in_csr_ = Csr::by_target(n, g.edges_);
-  g.out_csr_ = std::move(out);
+  FactorGraph::Topology topo;
+  topo.in = Csr::by_target(n, sorted);
+  topo.out = std::move(out);
+  topo.edges = std::move(sorted);
+  g.topo_ = std::make_shared<const FactorGraph::Topology>(std::move(topo));
   return g;
 }
 

@@ -132,7 +132,8 @@ class DeltaAccess {
     };
     const NodeId base_n = g.num_nodes();
 
-    // Evidence-only: a structural copy with the node arrays rewritten.
+    // Evidence-only: a copy that shares g's topology, joint store and
+    // permutation, so only the node arrays are copied and rewritten.
     // A topology batch builds a fresh graph below, its node arrays
     // reserved once and the batch's new nodes appended first (new_node(j)
     // may be named before its add_node op).
@@ -191,7 +192,7 @@ class DeltaAccess {
     std::unordered_map<EdgeId, std::shared_ptr<const JointMatrix>> joint;
     const auto find = [&](NodeId u, NodeId v) -> std::optional<EdgeId> {
       if (u < base_n) {
-        for (const Csr::Entry& e : g.out_csr_.neighbors(u)) {
+        for (const Csr::Entry& e : g.out_csr().neighbors(u)) {
           if (e.node == v && dead[e.edge] == 0) return e.edge;
         }
       }
@@ -278,10 +279,10 @@ class DeltaAccess {
             dead[e] = 1;
             hit.push_back(other);
           };
-          for (const Csr::Entry& e : g.out_csr_.neighbors(a)) {
+          for (const Csr::Entry& e : g.out_csr().neighbors(a)) {
             kill(e.edge, e.node);
           }
-          for (const Csr::Entry& e : g.in_csr_.neighbors(a)) {
+          for (const Csr::Entry& e : g.in_csr().neighbors(a)) {
             kill(e.edge, e.node);
           }
           for (EdgeId j = 0; j < added.size(); ++j) {
@@ -380,14 +381,15 @@ class DeltaAccess {
       return added[x].src < added[y].src;
     });
     std::vector<JointMatrix> joints;
-    out.edges_.reserve(m + added.size());
+    std::vector<DirectedEdge> edges;
+    edges.reserve(m + added.size());
     if (!shared) joints.reserve(m + added.size());
     std::size_t next = 0;
     for (NodeId r = 0; r < n; ++r) {
       if (r < base_n) {
-        for (const Csr::Entry& e : g.out_csr_.neighbors(r)) {
+        for (const Csr::Entry& e : g.out_csr().neighbors(r)) {
           if (dead[e.edge] != 0) continue;
-          out.edges_.push_back(DirectedEdge{r, e.node});
+          edges.push_back(DirectedEdge{r, e.node});
           if (shared) continue;
           const auto it = joint.find(e.edge);
           joints.push_back(it != joint.end() ? *it->second
@@ -397,15 +399,14 @@ class DeltaAccess {
       for (; next < fresh.size() && added[fresh[next]].src == r; ++next) {
         const EdgeId j = fresh[next];
         if (dead[m + j] != 0) continue;
-        out.edges_.push_back(added[j]);
+        edges.push_back(added[j]);
         if (!shared) joints.push_back(*joint.at(m + j));
       }
     }
     out.joints_ = shared ? g.joints_
                          : std::make_shared<const JointStore>(
                                JointStore::per_edge_from(std::move(joints)));
-    out.in_csr_ = Csr::by_target(n, out.edges_);
-    out.out_csr_ = Csr::by_source(n, out.edges_);
+    out.set_edges(std::move(edges), n);
     out.family_ = g.family_;
     return out;
   }

@@ -155,7 +155,7 @@ class FactorGraph {
     return static_cast<NodeId>(priors_.size());
   }
   [[nodiscard]] std::uint64_t num_edges() const noexcept {
-    return edges_.size();
+    return topo_->edges.size();
   }
 
   /// Arity (number of states) of node `v`.
@@ -174,17 +174,17 @@ class FactorGraph {
   }
 
   [[nodiscard]] const std::vector<DirectedEdge>& edges() const noexcept {
-    return edges_;
+    return topo_->edges;
   }
   [[nodiscard]] const DirectedEdge& edge(EdgeId e) const noexcept {
-    return edges_[e];
+    return topo_->edges[e];
   }
 
   /// In-edge index: in_csr().neighbors(v) are the parents the Node engine
   /// pulls from.
-  [[nodiscard]] const Csr& in_csr() const noexcept { return in_csr_; }
+  [[nodiscard]] const Csr& in_csr() const noexcept { return topo_->in; }
   /// Out-edge index.
-  [[nodiscard]] const Csr& out_csr() const noexcept { return out_csr_; }
+  [[nodiscard]] const Csr& out_csr() const noexcept { return topo_->out; }
 
   [[nodiscard]] const JointStore& joints() const noexcept { return *joints_; }
 
@@ -241,18 +241,31 @@ class FactorGraph {
   friend class ReorderAccess;  // graph/reorder.cpp
   friend class DeltaAccess;    // graph/delta.cpp
 
+  /// The structure: the directed edge list, sorted as its builder left it,
+  /// and its CSR indices in both orientations. Immutable once built and
+  /// shared like the joint store, so a graph copy that changes only
+  /// evidence (graph::with_delta) copies none of it.
+  struct Topology {
+    std::vector<DirectedEdge> edges;
+    Csr in;
+    Csr out;
+  };
+
+  /// Publishes `edges` with both CSRs built over `num_nodes` nodes.
+  void set_edges(std::vector<DirectedEdge> edges, NodeId num_nodes);
+
   std::vector<BeliefVec> priors_;
   std::vector<std::uint8_t> observed_;
   std::vector<std::string> names_;
-  std::vector<DirectedEdge> edges_;
+  std::shared_ptr<const Topology> topo_ = empty_topology();
   std::shared_ptr<const JointStore> joints_ =
       std::make_shared<JointStore>(JointStore::per_edge());
-  Csr in_csr_;
-  Csr out_csr_;
   ReorderMode reorder_ = ReorderMode::kNone;
   std::shared_ptr<const Permutation> perm_;
   FactorFamily family_ = FactorFamily::kTabular;
   NodeId ldpc_variables_ = 0;
+
+  static const std::shared_ptr<const Topology>& empty_topology();
 };
 
 }  // namespace credo::graph

@@ -255,18 +255,19 @@ class ReorderAccess {
 
     // Remap endpoints, then sort edges (stably) carrying the original edge
     // ids along for the joint-store permutation.
-    const auto m = static_cast<EdgeId>(g.edges_.size());
+    const auto& edges = g.edges();
+    const auto m = static_cast<EdgeId>(edges.size());
     std::vector<DirectedEdge> mapped(m);
     for (EdgeId e = 0; e < m; ++e) {
-      mapped[e] = {perm.to_new(g.edges_[e].src), perm.to_new(g.edges_[e].dst)};
+      mapped[e] = {perm.to_new(edges[e].src), perm.to_new(edges[e].dst)};
     }
     std::vector<EdgeId> order(m);
     for (EdgeId e = 0; e < m; ++e) order[e] = e;
     std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
       return less(mapped[a], mapped[b]);
     });
-    out.edges_.resize(m);
-    for (EdgeId e = 0; e < m; ++e) out.edges_[e] = mapped[order[e]];
+    std::vector<DirectedEdge> sorted(m);
+    for (EdgeId e = 0; e < m; ++e) sorted[e] = mapped[order[e]];
 
     if (g.joints_->is_shared() || g.joints_->is_closed_form()) {
       // No per-edge payload to permute: share the immutable store itself.
@@ -278,8 +279,7 @@ class ReorderAccess {
           JointStore::per_edge_from(std::move(permuted)));
     }
 
-    out.in_csr_ = Csr::by_target(n, out.edges_);
-    out.out_csr_ = Csr::by_source(n, out.edges_);
+    out.set_edges(std::move(sorted), n);
     return out;
   }
 

@@ -45,6 +45,8 @@ void write_span_json(std::ostream& os, const Span& span) {
      << ",\"error\":\"" << json_escape(span.error) << '"'
      << ",\"cache_hit\":" << (span.cache_hit ? "true" : "false")
      << ",\"iterations\":" << span.iterations             //
+     << ",\"warm\":\"" << json_escape(span.warm) << '"'    //
+     << ",\"seed_nodes\":" << span.seed_nodes             //
      << ",\"queue_s\":" << seconds(span.queue_s)          //
      << ",\"parse_s\":" << seconds(span.parse_s)          //
      << ",\"run_s\":" << seconds(span.run_s)              //

@@ -54,6 +54,14 @@ struct Span {
   /// BP iterations the run performed (0 when it never ran).
   std::uint32_t iterations = 0;
 
+  /// How a warm run started (DESIGN.md §5h): "resumed" from the stored
+  /// run's open frontier, "seeded" from an evidence delta's touched nodes
+  /// alone, or "full_sweep"; empty for runs from the priors.
+  std::string warm;
+
+  /// Nodes a seeded run's schedule started from (0 when unseeded).
+  std::uint64_t seed_nodes = 0;
+
   [[nodiscard]] double total_wall_s() const noexcept {
     return queue_s + parse_s + run_s + unpermute_s;
   }

@@ -17,18 +17,29 @@
 // so an eviction never invalidates an in-flight run.
 //
 // Alongside the parsed graphs the cache keeps a *warm-state* side table
-// (DESIGN.md §5h): one converged belief vector per (graph version key,
-// engine) so a repeat request can start from the previous fixed point
-// instead of the priors. The side table is independent of the
-// graph LRU — evicting a parsed graph does NOT drop its warm beliefs, so
-// a re-parse after eviction still warm-starts. Warm hits and resident
-// bytes are exported as credo_cache_warm_hits_total / credo_cache_warm_bytes.
+// (DESIGN.md §5h): one converged run's state per (graph version key,
+// engine) — its beliefs, its open frontier and the queue bar that
+// frontier was produced under — so a repeat request can start from the
+// previous fixed point instead of the priors, and a queued one can resume
+// the stored run's work queue instead of sweeping every node. The side
+// table is independent of the graph LRU — evicting a parsed graph does
+// NOT drop its warm state, so a re-parse after eviction still
+// warm-starts. Warm hits and resident bytes (beliefs and frontiers) are
+// exported as credo_cache_warm_hits_total / credo_cache_warm_bytes.
 //
-// Thread-safe. Concurrent first fetches of the same files may parse twice
-// (both count as misses, one insert wins); correctness is unaffected.
+// Thread-safe. Fills are single-flight: the first fetch that must load a
+// pair whose identities are settled registers one in-flight load for its
+// slot, and fetches of the same identities that arrive before it lands
+// wait on it instead of hashing and parsing again — the whole fill counts
+// one miss and one content hash, the waiters count hits, and a failed
+// load rethrows its exception in every waiter. Fetches of files too fresh
+// to trust still hash (and, on a new key, parse) on their own: a
+// same-size rewrite within one timestamp tick must not be served a fill's
+// older bytes.
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -66,6 +77,22 @@ struct CachedGraph {
   std::uint64_t version = 0;
 };
 
+/// One converged run's state, retained per (graph version, engine)
+/// (DESIGN.md §5h). Null `beliefs` means no state is retained.
+struct WarmState {
+  /// Converged beliefs, in the graph's original node ids.
+  std::shared_ptr<const std::vector<graph::BeliefVec>> beliefs;
+
+  /// The run's open frontier (bp::BpResult::frontier) in original ids, or
+  /// null when its schedule kept none (a dense sweep, or an engine
+  /// without a node queue). Empty when the run's queue drained.
+  std::shared_ptr<const std::vector<graph::NodeId>> frontier;
+
+  /// The BpOptions::queue_threshold the frontier was produced under: a
+  /// node outside it last moved by no more than this.
+  float queue_threshold = 0.0f;
+};
+
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -101,32 +128,35 @@ class GraphCache {
   /// is not kNone, reordering) it on a miss. Every fetch opens both files;
   /// a hit on settled identities reads neither. The reorder mode is part
   /// of the entry's address: the same files fetched under different modes
-  /// are distinct entries, since their in-memory layouts differ.
-  /// Throws util::IoError / util::ParseError like io::read_mtx_belief.
+  /// are distinct entries, since their in-memory layouts differ. A fetch
+  /// that waited on another fetch's in-flight load of the same settled
+  /// identities is a hit. Throws util::IoError / util::ParseError like
+  /// io::read_mtx_belief — a waiter rethrows the load's failure.
   [[nodiscard]] Fetched fetch(
       const std::string& nodes_path, const std::string& edges_path,
       graph::ReorderMode mode = graph::ReorderMode::kNone);
 
-  /// Retained converged beliefs of `engine` on the graph version
-  /// `graph_key` (a CachedGraph::key), or null. A hit bumps the entry in
+  /// Retained state of `engine` on the graph version `graph_key` (a
+  /// CachedGraph::key), or an empty WarmState. A hit bumps the entry in
   /// the warm LRU and counts in warm_hits / credo_cache_warm_hits_total; a
   /// miss counts in warm_misses.
-  [[nodiscard]] std::shared_ptr<const std::vector<graph::BeliefVec>>
-  warm_lookup(const std::string& graph_key, bp::EngineKind engine);
+  [[nodiscard]] WarmState warm_lookup(const std::string& graph_key,
+                                      bp::EngineKind engine);
 
-  /// Retains `beliefs` (original node ids) for (graph key, engine),
-  /// replacing any previous state under the same pair. The warm table is
-  /// its own LRU with 2x the graph capacity, deliberately NOT tied to
-  /// graph entries: a graph eviction must not cost the warm state, or a
-  /// re-parse after cache pressure would also pay a cold re-converge.
+  /// Retains `state` for (graph key, engine), replacing any previous state
+  /// under the same pair; a state without beliefs is ignored. The warm
+  /// table is its own LRU with 2x the graph capacity, deliberately NOT
+  /// tied to graph entries: a graph eviction must not cost the warm
+  /// state, or a re-parse after cache pressure would also pay a cold
+  /// re-converge.
   void warm_store(const std::string& graph_key, bp::EngineKind engine,
-                  std::shared_ptr<const std::vector<graph::BeliefVec>> beliefs);
+                  WarmState state);
 
   /// warm_lookup that also drops the entry: a mutation moves its version's
   /// state to the next version, since no request resolves a superseded
   /// version again.
-  [[nodiscard]] std::shared_ptr<const std::vector<graph::BeliefVec>>
-  warm_take(const std::string& graph_key, bp::EngineKind engine);
+  [[nodiscard]] WarmState warm_take(const std::string& graph_key,
+                                    bp::EngineKind engine);
 
   [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
@@ -157,7 +187,14 @@ class GraphCache {
   };
   struct WarmEntry {
     std::string key;
-    std::shared_ptr<const std::vector<graph::BeliefVec>> beliefs;
+    WarmState state;
+  };
+  /// A slot's in-flight load: the settled identities it reads, and the
+  /// entry (or failure) it resolves to.
+  struct Fill {
+    FileIdentity nodes;
+    FileIdentity edges;
+    std::shared_future<std::shared_ptr<const CachedGraph>> done;
   };
 
   static FileIdentity identify(int fd, const std::string& path);
@@ -173,6 +210,7 @@ class GraphCache {
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;  // by slot
+  std::unordered_map<std::string, Fill> fills_;  // in-flight loads, by slot
   std::list<WarmEntry> warm_lru_;
   std::unordered_map<std::string, std::list<WarmEntry>::iterator> warm_index_;
   CacheStats stats_;

@@ -285,6 +285,10 @@ struct Request {
 struct Response {
   util::StatusCode status = util::StatusCode::kError;
   bp::EngineKind engine = bp::EngineKind::kCpuNode;
+
+  /// The run's result. When the server retains the run's state for later
+  /// warm requests, the frontier moves into the warm table and
+  /// `result.frontier` is left nullopt.
   bp::BpResult result;
   bool cache_hit = false;
 
@@ -296,8 +300,10 @@ struct Response {
   bool warm_start = false;
 
   /// Fraction of the graph's nodes on the initial schedule: 1.0 for a
-  /// full cold (or plain warm) run, `seeded / num_nodes` when an evidence
-  /// delta seeded the frontier from its touched region only.
+  /// full sweep, `seeded / num_nodes` when the schedule started from a
+  /// seed — an evidence delta's touched region, the stored run's open
+  /// frontier (DESIGN.md §5h), or both; 0 when a resumed run's stored
+  /// frontier was empty.
   double frontier_fraction = 1.0;
 
   /// Reason text for kRejected and the error codes.

@@ -23,6 +23,12 @@ constexpr const char* kRequestsTotalHelp =
     "Requests finished, by terminal status (submitted == sum over statuses "
     "after drain)";
 
+/// How a warm run started, the `start` label of credo_warm_runs_total:
+/// from the stored run's open frontier (with a delta's touched nodes, if
+/// any), from a delta's touched nodes alone, or over every node.
+enum WarmStart : std::uint8_t { kResumed, kSeeded, kFullSweep };
+constexpr const char* kWarmStartNames[] = {"resumed", "seeded", "full_sweep"};
+
 /// The BpOptions knobs that must agree for two requests to share one
 /// fused engine run. Scheduling/pool knobs follow the batch head.
 bool fusable_options(const bp::BpOptions& a, const bp::BpOptions& b) noexcept {
@@ -104,7 +110,19 @@ Server::Server(ServerOptions options)
       m_mutations_(metrics_.counter(
           "credo_mutations_total",
           "Topology mutation batches accepted and applied to a dynamic "
-          "graph")) {
+          "graph")),
+      m_warm_seed_nodes_(metrics_.histogram(
+          "credo_warm_seed_nodes",
+          "Nodes a seeded warm run's schedule started from",
+          obs::decade_buckets(8))) {
+  for (const WarmStart start : {kResumed, kSeeded, kFullSweep}) {
+    m_warm_runs_[start] = &metrics_.counter(
+        "credo_warm_runs_total",
+        "Warm-started engine runs, by how they started: resumed from the "
+        "stored open frontier, seeded from a delta's touched nodes alone, "
+        "or a full sweep",
+        {{"start", kWarmStartNames[start]}});
+  }
   const util::StatusCode categories[5] = {
       util::StatusCode::kOk, util::StatusCode::kRejected,
       util::StatusCode::kCancelled, util::StatusCode::kDeadlineExceeded,
@@ -392,12 +410,13 @@ util::Status Server::apply_mutation(const graph::GraphDelta& delta,
   // Move the engine's warm state across the version bump: the old fixed
   // point with the touched region (and any new nodes) reset to priors is
   // a nearly-converged starting point for the new topology, and nothing
-  // resolves the superseded version again, so its entry goes.
-  if (auto old_warm = cache_.warm_take(old_key, kind); old_warm != nullptr) {
-    cache_.warm_store(
-        next->key, kind,
-        std::make_shared<const std::vector<graph::BeliefVec>>(
-            entry->dyn.patch_beliefs(*old_warm)));
+  // resolves the superseded version again, so its entry goes. Node ids
+  // are stable across versions, so the open frontier carries as it is.
+  if (WarmState warm = cache_.warm_take(old_key, kind);
+      warm.beliefs != nullptr) {
+    warm.beliefs = std::make_shared<const std::vector<graph::BeliefVec>>(
+        entry->dyn.patch_beliefs(*warm.beliefs));
+    cache_.warm_store(next->key, kind, std::move(warm));
   }
   entry->current = next;
   resolved.current = std::move(next);
@@ -476,24 +495,43 @@ void Server::execute(Pending& pending) {
     // Warm start (DESIGN.md §5h/§5j). The cache retains one converged
     // state per (graph version, engine): the version's CachedGraph::key
     // carries its "#vN", and a mutation migrated the state to the new
-    // version above. An evidence delta starts from that state and is
-    // additionally seeded from its touched nodes, so only the perturbed
-    // neighbourhood re-converges. Any miss, or an engine without warm
-    // support, falls back to a cold full run — warm state is an
-    // accelerator, never a correctness dependency.
+    // version above. A queued request on an engine that takes seeds
+    // resumes the stored run's work queue: it starts from the stored open
+    // frontier when its queue bar is no tighter than the one that
+    // frontier was produced under — every node outside it last moved by
+    // no more than the bar, so the queue would drop it after one update
+    // anyway. An evidence delta is seeded from its touched nodes, plus
+    // that frontier when it qualifies, so only the perturbed
+    // neighbourhood re-converges. Every other warm request sweeps every
+    // node. Any miss, or an engine without warm support, falls back to a
+    // cold full run — warm state is an accelerator, never a correctness
+    // dependency.
     const bool wants_warm =
         (req.warm_start || has_delta) && resolved.current != nullptr &&
         bp::engine_supports_warm_start(kind, g->family());
+    WarmStart start = kFullSweep;
     if (wants_warm) {
-      auto warm = cache_.warm_lookup(resolved.current->key, kind);
-      if (warm != nullptr && warm->size() == g->num_nodes()) {
-        opts.with_init_beliefs(std::move(warm));
+      WarmState warm = cache_.warm_lookup(resolved.current->key, kind);
+      if (warm.beliefs != nullptr && warm.beliefs->size() == g->num_nodes()) {
+        opts.with_init_beliefs(std::move(warm.beliefs));
         resp.warm_start = true;
-        if (has_delta && !seed_nodes.empty() &&
-            bp::engine_supports_frontier_seed(kind, g->family())) {
+        const bool seeds =
+            bp::engine_supports_frontier_seed(kind, g->family());
+        const bool resume = seeds && warm.frontier != nullptr &&
+                            opts.work_queue &&
+                            opts.queue_threshold >= warm.queue_threshold;
+        if (has_delta && !seed_nodes.empty() && seeds) {
+          if (resume) {
+            seed_nodes.insert(seed_nodes.end(), warm.frontier->begin(),
+                              warm.frontier->end());
+          }
           opts.with_frontier_seed(
               std::make_shared<const std::vector<graph::NodeId>>(
                   std::move(seed_nodes)));
+          start = resume ? kResumed : kSeeded;
+        } else if (resume) {
+          opts.with_frontier_seed(std::move(warm.frontier));
+          start = kResumed;
         }
       }
     }
@@ -505,10 +543,19 @@ void Server::execute(Pending& pending) {
     span.run_s = run_timer.seconds() - span.unpermute_s;
     span.run_modelled_s = result.stats.modelled_seconds();
     span.iterations = result.stats.iterations;
-    if (result.stats.frontier_seeded > 0 && g->num_nodes() > 0) {
+    if (opts.frontier_seed != nullptr && g->num_nodes() > 0) {
       resp.frontier_fraction =
           static_cast<double>(result.stats.frontier_seeded) /
           static_cast<double>(g->num_nodes());
+    }
+    if (resp.warm_start) {
+      m_warm_runs_[start]->inc();
+      span.warm = kWarmStartNames[start];
+      if (opts.frontier_seed != nullptr) {
+        span.seed_nodes = result.stats.frontier_seeded;
+        m_warm_seed_nodes_.observe(
+            static_cast<double>(result.stats.frontier_seeded));
+      }
     }
 
     switch (result.stats.stop_reason) {
@@ -523,21 +570,29 @@ void Server::execute(Pending& pending) {
         break;
     }
 
-    // Retain converged beliefs as the version's state for the next warm
-    // request. An evidence delta's fixed point belongs to its own evidence,
-    // not to the version, so it stores nothing; nor does a run whose
-    // version a mutation superseded meanwhile, since no request resolves
-    // that version again. Non-converged or non-ok runs retain nothing — a
-    // partial fixed point would poison later warm starts.
+    // Retain the converged run as the version's state for the next warm
+    // request: its beliefs, and its open frontier (moved, not copied)
+    // with the queue bar it was produced under. An evidence delta's fixed
+    // point belongs to its own evidence, not to the version, so it stores
+    // nothing; nor does a run whose version a mutation superseded
+    // meanwhile, since no request resolves that version again.
+    // Non-converged or non-ok runs retain nothing — a partial fixed point
+    // would poison later warm starts.
     const bool evidence_only = has_delta && !mutates;
     if (wants_warm && !evidence_only &&
         resp.status == util::StatusCode::kOk && result.stats.converged) {
       const auto latest = dynamic_current(resolved.parsed->key);
       if (latest == nullptr || latest == resolved.current) {
-        cache_.warm_store(
-            resolved.current->key, kind,
-            std::make_shared<const std::vector<graph::BeliefVec>>(
-                result.beliefs));
+        WarmState state;
+        state.beliefs = std::make_shared<const std::vector<graph::BeliefVec>>(
+            result.beliefs);
+        if (result.frontier) {
+          state.frontier = std::make_shared<const std::vector<graph::NodeId>>(
+              std::move(*result.frontier));
+          result.frontier.reset();
+        }
+        state.queue_threshold = opts.queue_threshold;
+        cache_.warm_store(resolved.current->key, kind, std::move(state));
       }
     }
     resp.result = std::move(result);

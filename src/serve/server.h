@@ -16,8 +16,10 @@
 // credo_requests_total{status=...} series in the attached
 // obs::MetricsRegistry (the process-wide one by default); queue wait and
 // run time feed separate histograms, the cache reports hits/misses/
-// evictions, and — when a SpanLog is attached — each request leaves one
-// Span tracing its queue/parse/run/unpermute phases and terminal status.
+// evictions, warm runs count by how they started
+// (credo_warm_runs_total{start=...}) with their seed sizes in a histogram,
+// and — when a SpanLog is attached — each request leaves one Span tracing
+// its queue/parse/run/unpermute phases, warm start and terminal status.
 //
 // Concurrency model: requests run on the server's worker threads; graphs
 // are immutable after parse, so any number of requests share one cached
@@ -223,9 +225,10 @@ class Server {
   /// Applies a topology-carrying delta to the graph's DynamicEntry
   /// (creating it from the parsed entry on first mutation), publishes the
   /// new snapshot as `resolved.current`, and moves the engine's warm state
-  /// to it with only the touched region reset. `touched` receives the
-  /// frontier seed. A failed validation returns the error status and
-  /// mutates nothing.
+  /// to it — beliefs with only the touched region reset, open frontier
+  /// and its queue bar as they were. `touched` receives the frontier
+  /// seed. A failed validation returns the error status and mutates
+  /// nothing.
   [[nodiscard]] util::Status apply_mutation(const graph::GraphDelta& delta,
                                             bp::EngineKind kind,
                                             Resolved& resolved,
@@ -250,6 +253,8 @@ class Server {
   obs::Histogram& m_batch_occupancy_;
   obs::Histogram& m_delta_size_;
   obs::Counter& m_mutations_;
+  obs::Counter* m_warm_runs_[3];  // indexed by how the warm run started
+  obs::Histogram& m_warm_seed_nodes_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

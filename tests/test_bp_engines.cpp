@@ -19,6 +19,7 @@
 #include "graph/generators.h"
 #include "graph/ldpc.h"
 #include "graph/metadata.h"
+#include "graph/reorder.h"
 #include "perf/profiles.h"
 #include "util/error.h"
 #include "util/prng.h"
@@ -459,6 +460,7 @@ TEST(BpEngines, OmpNodeMatchesCNodeAtOneWorker) {
         << c.name;
     EXPECT_EQ(got.stats.elements_processed, want.stats.elements_processed)
         << c.name;
+    EXPECT_EQ(got.frontier, want.frontier) << c.name;
     expect_counters_equal_but_team_charges(got.stats.counters,
                                            want.stats.counters, c.name);
   }
@@ -513,6 +515,147 @@ TEST(BpEngines, WorkQueueMatchesFullProcessing) {
     EXPECT_LT(max_belief_gap(full, queued), 0.02f)
         << "engine " << bp::engine_name(kind);
     EXPECT_TRUE(queued.stats.converged);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Open frontier (BpResult::frontier, DESIGN.md §5h)
+// ---------------------------------------------------------------------------
+
+/// The engines whose schedule keeps a node queue (omp-node at one worker).
+constexpr std::array<EngineKind, 4> kQueueKinds = {
+    EngineKind::kCpuNode, EngineKind::kOmpNode, EngineKind::kResidual,
+    EngineKind::kBulkResidual};
+
+BpOptions queued_opts() {
+  BpOptions o = default_opts();
+  o.work_queue = true;
+  o.threads = 1;
+  return o;
+}
+
+/// A random arity-3 prior.
+graph::BeliefVec random_prior(util::Prng& rng) {
+  const std::array<float, 3> raw = {0.2f + rng.uniform01f(),
+                                    0.2f + rng.uniform01f(),
+                                    0.2f + rng.uniform01f()};
+  const float sum = raw[0] + raw[1] + raw[2];
+  const std::array<float, 3> p = {raw[0] / sum, raw[1] / sum, raw[2] / sum};
+  return graph::BeliefVec(std::span<const float>(p));
+}
+
+/// One directed ring through every node in a shuffled order, cut by a few
+/// observed nodes. Every node has exactly one out-edge, so its out-CSR row
+/// reads the same under any edge order, and a relabeled twin of a
+/// reordered ring runs bit for bit like it on every engine. Strong
+/// coupling keeps every schedule busy for many sweeps.
+FactorGraph ring_graph() {
+  util::Prng rng(17);
+  graph::GraphBuilder b;
+  const graph::NodeId n = 300;
+  for (graph::NodeId v = 0; v < n; ++v) b.add_node(random_prior(rng));
+  for (graph::NodeId v = 0; v < n; v += 100) b.observe(v, 1);
+  std::vector<graph::NodeId> ring(n);
+  for (graph::NodeId v = 0; v < n; ++v) ring[v] = v;
+  for (graph::NodeId i = n; i > 1; --i) {
+    std::swap(ring[i - 1], ring[rng.uniform(i)]);
+  }
+  for (graph::NodeId i = 0; i < n; ++i) {
+    b.add_edge(ring[i], ring[(i + 1) % n],
+               graph::JointMatrix::diffusion(3, 0.9f));
+  }
+  return b.finalize();
+}
+
+TEST(BpEngines, FrontierIsNulloptWithoutANodeQueue) {
+  const auto g = small_graph(3);
+  BpOptions dense = default_opts();
+  dense.threads = 1;
+  for (const EngineKind kind : {EngineKind::kCpuNode, EngineKind::kOmpNode}) {
+    EXPECT_FALSE(bp::make_default_engine(kind)->run(g, dense).frontier)
+        << bp::engine_slug(kind);
+  }
+  // The edge and device engines cannot resume from one, queued or not.
+  for (const EngineKind kind :
+       {EngineKind::kCpuEdge, EngineKind::kOmpEdge, EngineKind::kCudaNode,
+        EngineKind::kCudaEdge, EngineKind::kAccEdge}) {
+    EXPECT_FALSE(bp::make_default_engine(kind)->run(g, queued_opts()).frontier)
+        << bp::engine_slug(kind);
+  }
+  BeliefConfig cfg;
+  cfg.beliefs = 2;
+  cfg.seed = 5;
+  const auto tree = graph::random_tree(64, cfg);
+  EXPECT_FALSE(bp::make_default_engine(EngineKind::kTree)
+                   ->run(tree, queued_opts())
+                   .frontier);
+}
+
+TEST(BpEngines, FrontierIsTheOpenQueueInCallerIds) {
+  // A BFS-reordered graph and its relabeled twin, which has the same
+  // internal layout but records no permutation, run bit for bit alike: the
+  // reordered run's frontier must be the twin's, mapped to caller ids.
+  const auto g = ring_graph();
+  const auto reordered = graph::reordered(g, graph::ReorderMode::kBfs);
+  const graph::Permutation& perm = *reordered.permutation();
+  const auto twin = graph::relabeled(g, perm);
+  BpOptions opts = queued_opts();
+  opts.max_iterations = 1;  // stop with work left
+  for (const EngineKind kind : kQueueKinds) {
+    const std::string slug(bp::engine_slug(kind));
+    const auto engine = bp::make_default_engine(kind);
+    const auto got = engine->run(reordered, opts);
+    const auto inner = engine->run(twin, opts);
+    ASSERT_TRUE(got.frontier.has_value()) << slug;
+    ASSERT_TRUE(inner.frontier.has_value()) << slug;
+    EXPECT_FALSE(got.frontier->empty()) << slug;
+    std::vector<graph::NodeId> want;
+    for (const graph::NodeId v : *inner.frontier) {
+      want.push_back(perm.to_old(v));
+    }
+    EXPECT_EQ(*got.frontier, want) << slug;
+    for (const graph::NodeId v : *got.frontier) {
+      EXPECT_FALSE(g.observed(v)) << slug << " node " << v;
+    }
+  }
+}
+
+TEST(BpEngines, FrontierIsEmptyOnceTheQueueDrainsAndResumesToNoWork) {
+  // A chain DAG 0 -> 1 -> ... : one sweep fixes every belief, so the next
+  // moves nothing and every queue drains. The global threshold sits below
+  // any nonzero belief change, so only the drain can end these runs.
+  util::Prng rng(9);
+  graph::GraphBuilder b;
+  const graph::NodeId n = 40;
+  for (graph::NodeId v = 0; v < n; ++v) b.add_node(random_prior(rng));
+  for (graph::NodeId v = 0; v + 1 < n; ++v) {
+    b.add_edge(v, v + 1, graph::JointMatrix::diffusion(3, 0.7f));
+  }
+  const auto g = b.finalize();
+  BpOptions opts = queued_opts();
+  opts.convergence_threshold = 1e-20f;
+  opts.queue_threshold = 1e-21f;
+  for (const EngineKind kind : kQueueKinds) {
+    const std::string slug(bp::engine_slug(kind));
+    const auto engine = bp::make_default_engine(kind);
+    const auto cold = engine->run(g, opts);
+    ASSERT_TRUE(cold.stats.converged) << slug;
+    ASSERT_TRUE(cold.frontier.has_value()) << slug;
+    EXPECT_TRUE(cold.frontier->empty()) << slug;
+
+    // Resuming from the empty frontier has nothing to do.
+    BpOptions resume = opts;
+    resume.init_beliefs =
+        std::make_shared<const std::vector<graph::BeliefVec>>(cold.beliefs);
+    resume.frontier_seed =
+        std::make_shared<const std::vector<graph::NodeId>>(*cold.frontier);
+    const auto again = engine->run(g, resume);
+    EXPECT_TRUE(again.stats.converged) << slug;
+    EXPECT_EQ(again.stats.elements_processed, 0u) << slug;
+    EXPECT_EQ(again.stats.frontier_seeded, 0u) << slug;
+    ASSERT_TRUE(again.frontier.has_value()) << slug;
+    EXPECT_TRUE(again.frontier->empty()) << slug;
+    EXPECT_EQ(differing_nodes(again, cold), 0u) << slug;
   }
 }
 

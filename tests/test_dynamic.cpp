@@ -1249,6 +1249,94 @@ TEST(ServerMutation, WarmStateMigratesAcrossTheVersionBump) {
   server.shutdown();
 }
 
+class MutationResume : public ::testing::TestWithParam<graph::ReorderMode> {
+};
+
+TEST_P(MutationResume, MutationCarriesTheFrontierToTheNextVersion) {
+  // The stored run's open frontier moves with its beliefs to version 1:
+  // the mutation's run is seeded with the touched nodes and that frontier,
+  // and the next warm repeat resumes the mutation run's own frontier.
+  const graph::ReorderMode mode = GetParam();
+  const auto [nodes, edges] = write_graph(
+      serve_grid(),
+      "mutate_resume_" + std::string(graph::reorder_mode_name(mode)));
+  const auto parsed =
+      graph::reordered(io::read_mtx_belief(nodes, edges), mode);
+  const auto kind = bp::EngineKind::kCpuNode;
+  const auto engine = bp::make_default_engine(kind);
+  const auto opts = serve_options().with_work_queue();
+  Server server(plain_server(1));
+  const auto base = [&] {
+    return Request{}
+        .with_graph(GraphKey::files(nodes, edges).with_reorder(mode))
+        .with_options(opts)
+        .with_engine(kind)
+        .with_warm_start();
+  };
+  const auto resumed = [&](const graph::FactorGraph& g,
+                           const std::vector<graph::BeliefVec>& beliefs,
+                           const std::vector<graph::NodeId>& seed) {
+    return engine->run(
+        g, bp::BpOptions(opts)
+               .with_init_beliefs(
+                   std::make_shared<const std::vector<graph::BeliefVec>>(
+                       beliefs))
+               .with_frontier_seed(
+                   std::make_shared<const std::vector<graph::NodeId>>(seed)));
+  };
+  const auto expect_same = [](const Response& got, const bp::BpResult& want) {
+    ASSERT_EQ(got.result.beliefs.size(), want.beliefs.size());
+    for (std::size_t v = 0; v < want.beliefs.size(); ++v) {
+      for (std::uint32_t s = 0; s < want.beliefs[v].size; ++s) {
+        ASSERT_EQ(got.result.beliefs[v].v[s], want.beliefs[v].v[s])
+            << "node " << v;
+      }
+    }
+    EXPECT_EQ(got.result.stats.elements_processed,
+              want.stats.elements_processed);
+    EXPECT_EQ(got.result.stats.frontier_seeded, want.stats.frontier_seeded);
+  };
+
+  const Response cold = server.submit(base()).get();
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  const auto stored = engine->run(parsed, opts);
+  ASSERT_TRUE(stored.frontier.has_value());
+  ASSERT_FALSE(stored.frontier->empty());
+
+  // A new edge between two existing nodes, as the server applies it.
+  graph::GraphDelta wire;
+  wire.add_edge(0, 9, graph::JointMatrix::diffusion(2, 0.8f));
+  auto dyn = graph::DynamicGraph::from_graph(parsed);
+  ASSERT_TRUE(dyn.apply(wire).is_ok());
+  const auto snapshot = dyn.snapshot();
+  std::vector<graph::NodeId> seed = dyn.last_touched();
+  seed.insert(seed.end(), stored.frontier->begin(), stored.frontier->end());
+  const auto mutation =
+      resumed(*snapshot, dyn.patch_beliefs(stored.beliefs), seed);
+  ASSERT_TRUE(mutation.frontier.has_value());
+
+  const Response mutated = server.submit(base().with_delta(wire)).get();
+  ASSERT_TRUE(mutated.ok()) << mutated.error;
+  EXPECT_EQ(mutated.graph_version, 1u);
+  EXPECT_TRUE(mutated.warm_start);
+  expect_same(mutated, mutation);
+
+  const Response repeat = server.submit(base()).get();
+  ASSERT_TRUE(repeat.ok()) << repeat.error;
+  EXPECT_EQ(repeat.graph_version, 1u);
+  expect_same(repeat,
+              resumed(*snapshot, mutation.beliefs, *mutation.frontier));
+  server.shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, MutationResume,
+                         ::testing::Values(graph::ReorderMode::kNone,
+                                           graph::ReorderMode::kBfs),
+                         [](const auto& info) {
+                           return std::string(
+                               graph::reorder_mode_name(info.param));
+                         });
+
 TEST(ServerMutation, MutationMovesTheWarmStateToTheNewVersion) {
   // Nothing resolves a superseded version again, so the mutation moves its
   // warm state to the new version instead of leaving a stale copy behind.

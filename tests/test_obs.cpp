@@ -246,6 +246,8 @@ TEST(Spans, JsonlHasOneObjectPerLine) {
   s.status = "ok";
   s.queue_s = 0.25;
   s.iterations = 7;
+  s.warm = "resumed";
+  s.seed_nodes = 12;
   log.record(std::move(s));
   std::ostringstream os;
   log.write_jsonl(os);
@@ -254,6 +256,8 @@ TEST(Spans, JsonlHasOneObjectPerLine) {
   EXPECT_NE(line.find("\\\"quotes\\\""), std::string::npos) << line;
   EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos) << line;
   EXPECT_NE(line.find("\"iterations\":7"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"warm\":\"resumed\""), std::string::npos) << line;
+  EXPECT_NE(line.find("\"seed_nodes\":12"), std::string::npos) << line;
   EXPECT_EQ(line.back(), '\n');
   EXPECT_EQ(std::count(line.begin(), line.end(), '\n'), 1);
 }

@@ -1,10 +1,12 @@
 // Tests for the serve layer (DESIGN.md §5c): GraphCache hit/miss/LRU,
 // content-hash keys, and hits served from the files' identities (fresh,
 // rewritten, renamed, touched and deleted files against the 2-s guard),
-// Server admission control and accounting, cooperative cancellation and
-// deadlines end to end, and the concurrency stress the layer must survive
-// — many concurrent clients against one server, beliefs bit-identical to
-// single-threaded runs, every request accounted for exactly once.
+// single-flight fills, warm repeats that resume the stored run's open
+// frontier (DESIGN.md §5h), Server admission control and accounting,
+// cooperative cancellation and deadlines end to end, and the concurrency
+// stress the layer must survive — many concurrent clients against one
+// server, beliefs bit-identical to single-threaded runs, every request
+// accounted for exactly once.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <latch>
 #include <map>
 #include <sstream>
 #include <stop_token>
@@ -25,7 +28,10 @@
 #include "graph/delta.h"
 #include "graph/generators.h"
 #include "graph/ldpc.h"
+#include "graph/reorder.h"
 #include "io/mtx_belief.h"
+#include "obs/metrics.h"
+#include "obs/span.h"
 #include "serve/graph_cache.h"
 #include "serve/server.h"
 #include "serve/stress.h"
@@ -187,24 +193,49 @@ TEST(GraphCache, WarmStateSurvivesGraphEviction) {
 
   const auto beliefs = std::make_shared<const std::vector<graph::BeliefVec>>(
       a.entry->graph->num_nodes(), graph::BeliefVec::uniform(2));
-  cache.warm_store(key, bp::EngineKind::kCpuNode, beliefs);
+  WarmState state;
+  state.beliefs = beliefs;
+  cache.warm_store(key, bp::EngineKind::kCpuNode, state);
   EXPECT_EQ(cache.warm_size(), 1u);
-  EXPECT_EQ(cache.warm_lookup(key, bp::EngineKind::kCpuNode).get(),
-            beliefs.get());
+  EXPECT_EQ(cache.warm_lookup(key, bp::EngineKind::kCpuNode).beliefs,
+            beliefs);
   // Another engine's state is another entry.
-  EXPECT_EQ(cache.warm_lookup(key, bp::EngineKind::kResidual), nullptr);
+  EXPECT_EQ(cache.warm_lookup(key, bp::EngineKind::kResidual).beliefs,
+            nullptr);
 
   // Evicting the parsed graph must NOT drop the warm beliefs: a re-parse
   // after cache pressure still warm-starts (the §5h retention satellite).
   (void)cache.fetch(pb.first, pb.second);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.warm_lookup(key, bp::EngineKind::kCpuNode).get(),
-            beliefs.get());
+  EXPECT_EQ(cache.warm_lookup(key, bp::EngineKind::kCpuNode).beliefs,
+            beliefs);
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.warm_hits, 2u);
   EXPECT_EQ(stats.warm_misses, 1u);
+}
+
+TEST(GraphCache, WarmBytesCountBeliefsAndFrontiers) {
+  obs::MetricsRegistry registry;
+  GraphCache cache(1, &registry);
+  const auto warm_bytes = [&] {
+    return registry.snapshot().gauges.at("credo_cache_warm_bytes");
+  };
+  WarmState state;
+  state.beliefs = std::make_shared<const std::vector<graph::BeliefVec>>(
+      10, graph::BeliefVec::uniform(2));
+  state.frontier = std::make_shared<const std::vector<graph::NodeId>>(
+      std::initializer_list<graph::NodeId>{1, 4, 7});
+  cache.warm_store("g#v0", bp::EngineKind::kCpuNode, state);
+  EXPECT_EQ(warm_bytes(), 10 * sizeof(graph::BeliefVec) +
+                              3 * sizeof(graph::NodeId));
+  state.frontier = nullptr;  // a dense run's state: beliefs only
+  cache.warm_store("g#v0", bp::EngineKind::kResidual, state);
+  EXPECT_EQ(warm_bytes(), 20 * sizeof(graph::BeliefVec) +
+                              3 * sizeof(graph::NodeId));
+  (void)cache.warm_take("g#v0", bp::EngineKind::kCpuNode);
+  EXPECT_EQ(warm_bytes(), 10 * sizeof(graph::BeliefVec));
 }
 
 // ---------------------------------------------------------------------------
@@ -236,7 +267,30 @@ class GraphCacheIdentity : public ::testing::Test {
       write_text(nodes, kNodesA);
       write_text(edges, kEdges);
     }
+    // Large enough that a load takes milliseconds, so concurrent first
+    // fetches of it overlap; the bad pair fails only on its last line.
+    graph::BeliefConfig cfg;
+    cfg.beliefs = 2;
+    cfg.seed = 3;
+    const FactorGraph big = graph::uniform_random(20000, 60000, cfg);
+    (void)write_graph(big, "id_flight");
+    const auto bad = write_graph(big, "id_flight_bad");
+    std::stringstream text;
+    text << std::ifstream(bad.second).rdbuf();
+    std::string edges = text.str();
+    edges.erase(edges.rfind('\n', edges.size() - 2) + 1);
+    write_text(bad.second, edges + "1 99999999\n");
     std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+  }
+
+  /// Removes the two large pairs (3.7 MB), which would otherwise pile up
+  /// in the temp directory over repeated suite runs.
+  static void TearDownTestSuite() {
+    for (const char* name : {"id_flight", "id_flight_bad"}) {
+      const auto [nodes, edges] = pair_paths(name);
+      std::filesystem::remove(nodes);
+      std::filesystem::remove(edges);
+    }
   }
 
   /// Fetches a settled pair into `cache` for the first time: a miss that
@@ -429,6 +483,76 @@ TEST(Server, BadGraphPathReportsError) {
   server.shutdown();
   EXPECT_EQ(server.stats().failed, 1u);
   EXPECT_EQ(server.stats().submitted, server.stats().finished());
+}
+
+/// Fetches `p` from `threads` threads released together; each slot holds
+/// the fetch's result, or is empty with the error in `errors`. A parse
+/// error is recorded by type alone: the waiters catch one shared exception
+/// object, and ThreadSanitizer reports its message read racing the last
+/// holder's free, since the reference count that orders them lives in the
+/// uninstrumented C++ runtime.
+std::vector<GraphCache::Fetched> fetch_together(
+    GraphCache& cache, const std::pair<std::string, std::string>& p,
+    int threads, std::vector<std::string>& errors) {
+  std::vector<GraphCache::Fetched> got(threads);
+  errors.assign(threads, "");
+  std::latch start(threads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      start.arrive_and_wait();
+      try {
+        got[t] = cache.fetch(p.first, p.second);
+      } catch (const util::ParseError&) {
+        errors[t] = "parse error";
+      } catch (const std::exception& e) {
+        errors[t] = e.what();
+      }
+    });
+  }
+  for (auto& t : pool) t.join();
+  return got;
+}
+
+TEST_F(GraphCacheIdentity, ConcurrentFirstFetchesShareOneLoad) {
+  // The first fetch of the settled pair loads it; the others wait on that
+  // load (or, arriving after it, hit the entry): one miss, one content
+  // hash, one entry, however the fetches interleave.
+  const auto p = pair_paths("id_flight");
+  GraphCache cache(2);
+  constexpr int kThreads = 6;
+  std::vector<std::string> errors;
+  const auto got = fetch_together(cache, p, kThreads, errors);
+  int loaded = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(errors[t], "") << "thread " << t;
+    EXPECT_EQ(got[t].entry.get(), got[0].entry.get()) << "thread " << t;
+    loaded += got[t].hit ? 0 : 1;
+  }
+  EXPECT_EQ(loaded, 1);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.content_hashes, 1u);
+  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1));
+}
+
+TEST_F(GraphCacheIdentity, AFailedLoadReachesEveryWaiter) {
+  // Every fetch either ran a failing load or waited on one: each gets the
+  // parse error, nothing is cached and nothing counts as a miss or a hit.
+  const auto p = pair_paths("id_flight_bad");
+  GraphCache cache(2);
+  constexpr int kThreads = 6;
+  std::vector<std::string> errors;
+  (void)fetch_together(cache, p, kThreads, errors);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(errors[t], "parse error") << "thread " << t;
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_GE(stats.content_hashes, 1u);
+  EXPECT_LE(stats.content_hashes, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST_F(GraphCacheIdentity, ServerFailsOnAMalformedRewriteAndRecovers) {
@@ -958,6 +1082,238 @@ TEST(Server, DeltaRequestReadsTheVersionStateAndStoresNothing) {
   expect_beliefs_identical(g, repeat.result.beliefs, reference.beliefs);
   server.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Resuming the stored run's work queue (DESIGN.md §5h): a queued warm
+// request under a bar no tighter than the stored one seeds its run with the
+// stored open frontier; every other warm request sweeps every node.
+// ---------------------------------------------------------------------------
+
+/// A direct run from `beliefs`, seeded with `seed` when one is given —
+/// what the server must reproduce bit for bit.
+bp::BpResult direct_run(const FactorGraph& g, bp::EngineKind kind,
+                        bp::BpOptions opts,
+                        const std::vector<graph::BeliefVec>& beliefs,
+                        const std::vector<graph::NodeId>* seed = nullptr) {
+  opts.with_init_beliefs(
+      std::make_shared<const std::vector<graph::BeliefVec>>(beliefs));
+  if (seed != nullptr) {
+    opts.with_frontier_seed(
+        std::make_shared<const std::vector<graph::NodeId>>(*seed));
+  }
+  return bp::make_default_engine(kind)->run(g, opts);
+}
+
+/// Server options reporting into `registry` (and `spans`, when given).
+ServerOptions observed_server(obs::MetricsRegistry& registry,
+                              obs::SpanLog* spans = nullptr) {
+  ServerOptions o = plain_server(1);
+  o.metrics = &registry;
+  o.spans = spans;
+  return o;
+}
+
+std::uint64_t warm_runs(obs::MetricsRegistry& registry, const char* start) {
+  return registry.snapshot().counter(
+      std::string("credo_warm_runs_total{start=\"") + start + "\"}");
+}
+
+void expect_same_run(const FactorGraph& g, const Response& got,
+                     const bp::BpResult& want) {
+  expect_beliefs_identical(g, got.result.beliefs, want.beliefs);
+  EXPECT_EQ(got.result.stats.iterations, want.stats.iterations);
+  EXPECT_EQ(got.result.stats.elements_processed,
+            want.stats.elements_processed);
+  EXPECT_EQ(got.result.stats.frontier_seeded, want.stats.frontier_seeded);
+}
+
+TEST(Server, QueuedWarmRepeatResumesTheStoredFrontier) {
+  const auto [nodes, edges] = write_graph(small_random(), "resume_frontier");
+  const auto g = io::read_mtx_belief(nodes, edges);
+  const auto kind = bp::EngineKind::kCpuNode;
+  const auto opts = test_options().with_max_iterations(100).with_work_queue();
+  obs::MetricsRegistry registry;
+  obs::SpanLog spans(16);
+  Server server(observed_server(registry, &spans));
+  const Request base = Request{}
+                           .with_files(nodes, edges)
+                           .with_options(opts)
+                           .with_engine(kind)
+                           .with_warm_start();
+
+  // No state yet: a cold queued run, stored with its open frontier, which
+  // moves into the warm table instead of staying in the response.
+  const Response cold = server.submit(base).get();
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  EXPECT_FALSE(cold.warm_start);
+  EXPECT_FALSE(cold.result.frontier.has_value());
+  bp::BpResult want = bp::make_default_engine(kind)->run(g, opts);
+  expect_beliefs_identical(g, cold.result.beliefs, want.beliefs);
+
+  // Each repeat resumes the state the previous run left: bit for bit a
+  // direct run from its beliefs seeded with its frontier, and less work
+  // than sweeping every node from them.
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    ASSERT_TRUE(want.frontier.has_value());
+    const auto full = direct_run(g, kind, opts, want.beliefs);
+    want = direct_run(g, kind, opts, want.beliefs, &*want.frontier);
+    const Response warm = server.submit(base).get();
+    ASSERT_TRUE(warm.ok()) << warm.error;
+    EXPECT_TRUE(warm.warm_start);
+    ASSERT_TRUE(warm.result.stats.converged);
+    expect_same_run(g, warm, want);
+    EXPECT_LT(warm.result.stats.elements_processed,
+              full.stats.elements_processed);
+    EXPECT_DOUBLE_EQ(warm.frontier_fraction,
+                     static_cast<double>(want.stats.frontier_seeded) /
+                         static_cast<double>(g.num_nodes()));
+  }
+  server.shutdown();
+  EXPECT_EQ(warm_runs(registry, "resumed"), 2u);
+  EXPECT_EQ(warm_runs(registry, "full_sweep"), 0u);
+  EXPECT_EQ(registry.snapshot().histogram("credo_warm_seed_nodes").count, 2u);
+  const auto recorded = spans.snapshot();
+  ASSERT_EQ(recorded.size(), 3u);
+  EXPECT_EQ(recorded[0].warm, "");
+  EXPECT_EQ(recorded[2].warm, "resumed");
+  EXPECT_EQ(recorded[2].seed_nodes, want.stats.frontier_seeded);
+}
+
+TEST(Server, ResumingADrainedQueueDoesNoWork) {
+  // Under a coarse queue bar the stored frontier drains; once it has, a
+  // repeat has nothing to resume.
+  const auto [nodes, edges] = write_graph(small_random(), "resume_drained");
+  const auto g = io::read_mtx_belief(nodes, edges);
+  const auto kind = bp::EngineKind::kCpuNode;
+  const auto opts = test_options()
+                        .with_max_iterations(100)
+                        .with_work_queue()
+                        .with_queue_threshold(1e-4f);
+  Server server(plain_server(1));
+  const Request base = Request{}
+                           .with_files(nodes, edges)
+                           .with_options(opts)
+                           .with_engine(kind)
+                           .with_warm_start();
+  ASSERT_TRUE(server.submit(base).get().ok());
+  bp::BpResult want = bp::make_default_engine(kind)->run(g, opts);
+  for (int repeat = 0; !want.frontier->empty(); ++repeat) {
+    ASSERT_LT(repeat, 20) << "the queue never drained";
+    want = direct_run(g, kind, opts, want.beliefs, &*want.frontier);
+    ASSERT_TRUE(server.submit(base).get().ok());
+  }
+  const Response idle = server.submit(base).get();
+  ASSERT_TRUE(idle.ok()) << idle.error;
+  EXPECT_TRUE(idle.warm_start);
+  EXPECT_TRUE(idle.result.stats.converged);
+  EXPECT_EQ(idle.result.stats.elements_processed, 0u);
+  EXPECT_EQ(idle.frontier_fraction, 0.0);
+  expect_beliefs_identical(g, idle.result.beliefs, want.beliefs);
+  server.shutdown();
+}
+
+TEST(Server, WarmRequestsThatCannotResumeSweepEveryNode) {
+  // A tighter queue bar, dense options and an engine without seed support
+  // each sweep every node from the stored beliefs, exactly as a direct run
+  // from them without a seed.
+  const auto [nodes, edges] = write_graph(small_random(), "resume_refused");
+  const auto g = io::read_mtx_belief(nodes, edges);
+  const auto queued =
+      test_options().with_max_iterations(100).with_work_queue();
+  obs::MetricsRegistry registry;
+  Server server(observed_server(registry));
+  const auto request = [&](bp::EngineKind kind, const bp::BpOptions& o) {
+    return Request{}
+        .with_files(nodes, edges)
+        .with_options(o)
+        .with_engine(kind)
+        .with_warm_start();
+  };
+  const auto expect_full_sweep = [&](bp::EngineKind kind,
+                                     const bp::BpOptions& o,
+                                     const std::vector<graph::BeliefVec>&
+                                         from) {
+    const Response r = server.submit(request(kind, o)).get();
+    EXPECT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(r.warm_start);
+    EXPECT_DOUBLE_EQ(r.frontier_fraction, 1.0);
+    expect_same_run(g, r, direct_run(g, kind, o, from));
+    return r;
+  };
+
+  const auto node = bp::EngineKind::kCpuNode;
+  const Response cold = server.submit(request(node, queued)).get();
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  const Response tighter = expect_full_sweep(
+      node, bp::BpOptions(queued).with_queue_threshold(1e-8f),
+      cold.result.beliefs);
+  (void)expect_full_sweep(node, bp::BpOptions(queued).with_work_queue(false),
+                          tighter.result.beliefs);
+
+  // c-edge takes warm starts but not seeds: its queued repeat sweeps.
+  const auto edge = bp::EngineKind::kCpuEdge;
+  const Response edge_cold = server.submit(request(edge, queued)).get();
+  ASSERT_TRUE(edge_cold.ok()) << edge_cold.error;
+  EXPECT_FALSE(edge_cold.warm_start);
+  (void)expect_full_sweep(edge, queued, edge_cold.result.beliefs);
+
+  server.shutdown();
+  EXPECT_EQ(warm_runs(registry, "full_sweep"), 3u);
+  EXPECT_EQ(warm_runs(registry, "resumed"), 0u);
+  EXPECT_EQ(registry.snapshot().histogram("credo_warm_seed_nodes").count, 0u);
+}
+
+class DeltaResume : public ::testing::TestWithParam<graph::ReorderMode> {};
+
+TEST_P(DeltaResume, EvidenceDeltaSeedsTouchedNodesAndTheStoredFrontier) {
+  const graph::ReorderMode mode = GetParam();
+  const auto [nodes, edges] = write_graph(
+      small_random(),
+      "delta_resume_" + std::string(graph::reorder_mode_name(mode)));
+  const auto g = graph::reordered(io::read_mtx_belief(nodes, edges), mode);
+  const auto kind = bp::EngineKind::kCpuNode;
+  const auto opts = test_options().with_max_iterations(100).with_work_queue();
+  obs::MetricsRegistry registry;
+  Server server(observed_server(registry));
+  const Request base =
+      Request{}
+          .with_graph(GraphKey::files(nodes, edges).with_reorder(mode))
+          .with_options(opts)
+          .with_engine(kind)
+          .with_warm_start();
+
+  const Response cold = server.submit(base).get();
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  const auto stored = bp::make_default_engine(kind)->run(g, opts);
+  expect_beliefs_identical(g, cold.result.beliefs, stored.beliefs);
+  ASSERT_TRUE(stored.frontier.has_value());
+  ASSERT_FALSE(stored.frontier->empty());
+
+  // Caller ids throughout: the touched nodes, the frontier, the beliefs.
+  graph::NodeId target = 1;
+  while (g.observed(target)) ++target;
+  graph::GraphDelta delta;
+  delta.observe(target, 2);
+  std::vector<graph::NodeId> seed;
+  const auto evidenced = graph::with_delta(g, delta, &seed);
+  seed.insert(seed.end(), stored.frontier->begin(), stored.frontier->end());
+  const auto want = direct_run(evidenced, kind, opts, stored.beliefs, &seed);
+
+  const Response got = server.submit(Request(base).with_delta(delta)).get();
+  ASSERT_TRUE(got.ok()) << got.error;
+  EXPECT_TRUE(got.warm_start);
+  expect_same_run(g, got, want);
+  server.shutdown();
+  EXPECT_EQ(warm_runs(registry, "resumed"), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, DeltaResume,
+                         ::testing::Values(graph::ReorderMode::kNone,
+                                           graph::ReorderMode::kBfs),
+                         [](const auto& info) {
+                           return std::string(
+                               graph::reorder_mode_name(info.param));
+                         });
 
 // ---------------------------------------------------------------------------
 // Batched request fusion (DESIGN.md §5h)

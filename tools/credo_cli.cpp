@@ -573,6 +573,9 @@ int cmd_serve(const Args& args) {
       static_cast<std::uint32_t>(args.number("iters", 50));
   stress.options.convergence_threshold =
       static_cast<float>(args.number("threshold", 1e-3));
+  // Queued like `credo run`, so a --warm 1 repeat can resume the stored
+  // run's work queue (DESIGN.md §5h).
+  stress.options.work_queue = true;
 
   serve::ServerOptions sopts;
   sopts.workers = static_cast<unsigned>(args.number("workers", 3));
