@@ -150,7 +150,9 @@ void node_sweep(const FactorGraph& g, const BpOptions& opts,
       [] { return 0.0; },  // delta is never deferred on the CPU
       [&] { return snapshot_time(stats.counters, sinks, prof); });
   kernel.finish(stats, main_meter);
-  if (sched.queued()) frontier = sched.release();
+  // Only a seeded queue wakes the children of the nodes it keeps, so only
+  // its remainder accounts for all the work left (DESIGN.md §5h).
+  if (sched.seeded()) frontier = sched.release();
 }
 
 class NodeEngine final : public Engine {

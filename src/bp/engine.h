@@ -85,11 +85,15 @@ struct BpResult {
   BpStats stats;
 
   /// The nodes the run's schedule still held when it stopped, in the
-  /// caller's original ids (DESIGN.md §5h): NodeFrontier's next round for
-  /// queued or seeded c-node/omp-node runs, the still-active set of the
-  /// residual and bulk-residual schedules. Empty when the queue drained.
-  /// nullopt for dense sweeps and for the edge, device and tree engines,
-  /// which cannot resume from one. Kept out of BpStats, which callers
+  /// caller's original ids (DESIGN.md §5h), for schedules that wake the
+  /// children of every node that moved by more than the queue bar: the
+  /// next round of a seeded c-node/omp-node queue, the still-active set of
+  /// the residual and bulk-residual schedules. A node outside it has been
+  /// updated since each of its parents last moved by more than the bar in
+  /// this run. Empty when the queue drained. nullopt for dense sweeps, for
+  /// unseeded §3.5 queues (which re-enqueue a node alone, so a node they
+  /// dropped early never sees its parents' later changes), and for the
+  /// edge, device and tree engines. Kept out of BpStats, which callers
   /// retain per run; resuming from it (init_beliefs = beliefs,
   /// frontier_seed = frontier) picks the run up where it stopped.
   Frontier frontier;
@@ -130,8 +134,9 @@ class Engine {
   /// `state` — packed in g's internal ids, holding the priors and any warm
   /// overlay — and leaves the final beliefs in it; returns the run's stats
   /// without the host-time fields, which run() stamps. Engines whose
-  /// schedule keeps a node queue hand its remainder to `frontier`, in g's
-  /// internal ids; run() maps it to the caller's.
+  /// schedule wakes the children of moved nodes hand its remainder to
+  /// `frontier` (BpResult::frontier), in g's internal ids; run() maps it
+  /// to the caller's.
   [[nodiscard]] virtual BpStats do_run(const graph::FactorGraph& g,
                                        const BpOptions& opts,
                                        runtime::BeliefState& state,

@@ -122,8 +122,10 @@ struct BpOptions {
   /// where vanilla loopy BP oscillates (Bouttier et al.'s circular-BP
   /// analysis, PAPERS.md); this floor — effective damping is
   /// max(damping, frontier_damping) — stabilizes the perturbed region
-  /// without slowing cold full runs, which ignore it. 0 (the default)
-  /// leaves `damping` alone. Must be in [0, 1).
+  /// without slowing cold full runs, which ignore it. serve::Server keeps
+  /// it for delta requests only: the warm repeats it seeds without a
+  /// perturbation (§5h) run at `damping`. 0 (the default) leaves `damping`
+  /// alone. Must be in [0, 1).
   float frontier_damping = 0.0f;
 
   // -------------------------------------------------------------------------

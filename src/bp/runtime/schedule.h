@@ -74,6 +74,7 @@ class NodeFrontier {
                const std::vector<graph::NodeId>* seed = nullptr);
 
   [[nodiscard]] bool queued() const noexcept { return use_queue_; }
+  [[nodiscard]] bool seeded() const noexcept { return g_ != nullptr; }
 
   std::uint64_t begin_iteration(std::uint32_t /*iter*/) noexcept {
     if (use_queue_) ++round_;
@@ -119,9 +120,11 @@ class NodeFrontier {
   /// keeping the order within each side, and returns how many there are.
   std::uint64_t partition(graph::NodeId split);
 
-  /// Queue mode, once the run has stopped: hands over the round the queue
+  /// Seeded mode, once the run has stopped: hands over the round the queue
   /// holds for next (empty when it drained) — the run's open frontier,
-  /// BpResult::frontier. Unmetered; the schedule is spent afterwards.
+  /// BpResult::frontier. An unseeded queue's remainder is no such account:
+  /// a node it dropped never sees its parents' later changes. Unmetered;
+  /// the schedule is spent afterwards.
   [[nodiscard]] std::vector<graph::NodeId> release() noexcept {
     return std::move(queue_);
   }

@@ -55,11 +55,12 @@ struct Span {
   std::uint32_t iterations = 0;
 
   /// How a warm run started (DESIGN.md §5h): "resumed" from the stored
-  /// run's open frontier, "seeded" from an evidence delta's touched nodes
-  /// alone, or "full_sweep"; empty for runs from the priors.
+  /// run's open frontier, "seeded" from a delta's touched nodes alone, or
+  /// "full_sweep"; empty for runs from the priors.
   std::string warm;
 
-  /// Nodes a seeded run's schedule started from (0 when unseeded).
+  /// Nodes a resumed or seeded warm run's schedule started from (0 for
+  /// full sweeps and runs from the priors).
   std::uint64_t seed_nodes = 0;
 
   [[nodiscard]] double total_wall_s() const noexcept {

@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <optional>
 #include <system_error>
 #include <utility>
 
@@ -195,10 +194,6 @@ GraphCache::Fetched GraphCache::fetch(const std::string& nodes_path,
       kSettleNs;
 
   std::shared_ptr<const CachedGraph> seen;  // the slot's entry, if any
-  // Single flight: the slot's in-flight load this fetch waits on, or the
-  // promise it resolves as that load.
-  std::shared_future<std::shared_ptr<const CachedGraph>> in_flight;
-  std::optional<std::promise<std::shared_ptr<const CachedGraph>>> filling;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(slot);
@@ -212,111 +207,71 @@ GraphCache::Fetched GraphCache::fetch(const std::string& nodes_path,
       }
       seen = e.value;
     }
-    // Only settled identities name the bytes another fetch is reading.
-    if (settled) {
-      const auto f = fills_.find(slot);
-      if (f == fills_.end()) {
-        filling.emplace();
-        fills_.emplace(slot,
-                       Fill{nodes, edges, filling->get_future().share()});
-      } else if (f->second.nodes == nodes && f->second.edges == edges) {
-        in_flight = f->second.done;
-      }
-    }
-  }
-  if (in_flight.valid()) {
-    std::shared_ptr<const CachedGraph> value = in_flight.get();  // or throws
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.hits;
-    hits_.inc();
-    return {std::move(value), true};
   }
 
-  const auto load = [&]() -> Fetched {
-    // New entry, changed identity or one too fresh to trust: hash both
-    // files outside the lock, so file I/O does not serialize the cache.
-    const std::uint64_t h =
-        hash_file(edges_file.fd(), edges_path,
-                  hash_file(nodes_file.fd(), nodes_path, 0));
-    const std::string key = paths + std::to_string(h) + '|' + mode_name;
+  // New entry, changed identity or one too fresh to trust: hash both
+  // files outside the lock, so file I/O does not serialize the cache.
+  const std::uint64_t h =
+      hash_file(edges_file.fd(), edges_path,
+                hash_file(nodes_file.fd(), nodes_path, 0));
+  const std::string key = paths + std::to_string(h) + '|' + mode_name;
 
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.content_hashes;
-      content_hashes_.inc();
-      // Only the entry seen before hashing can make this a hit: a fetch
-      // that found the slot empty loads the files, so on settled files
-      // content hashes equal misses however fetches interleave.
-      if (seen != nullptr && seen->key == key) {
-        // Same bytes as the entry (a touch, or files written under 2 s
-        // ago): keep it, under the identities just taken.
-        ++stats_.hits;
-        hits_.inc();
-        const auto it = index_.find(slot);
-        if (it != index_.end() && it->second->value == seen) {
-          it->second->nodes = nodes;
-          it->second->edges = edges;
-          it->second->settled = settled;
-        }
-        return {std::move(seen), true};
-      }
-    }
-
-    // Miss: parse outside the lock so loads of distinct graphs overlap.
-    auto loaded = std::make_shared<CachedGraph>();
-    loaded->graph = std::make_shared<const graph::FactorGraph>(
-        graph::reordered(io::read_mtx_belief(nodes_path, edges_path), mode));
-    loaded->metadata = graph::compute_metadata(*loaded->graph);
-    loaded->key = key;
-
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    misses_.inc();
-    const auto it = index_.find(slot);
-    if (it != index_.end()) {
-      Entry& e = *it->second;
-      lru_.splice(lru_.begin(), lru_, it->second);
-      // A concurrent fetch of the same bytes may have filled the slot
-      // first: the two parses are interchangeable, so reuse its entry.
-      // Otherwise the pair was rewritten, and the new contents replace
-      // the old entry.
-      if (e.value->key != key) {
-        e.nodes = nodes;
-        e.edges = edges;
-        e.settled = settled;
-        e.value = std::move(loaded);
+    ++stats_.content_hashes;
+    content_hashes_.inc();
+    // Only the entry seen before hashing can make this a hit: a fetch
+    // that found the slot empty loads the files, so on settled files
+    // content hashes equal misses however fetches interleave.
+    if (seen != nullptr && seen->key == key) {
+      // Same bytes as the entry (a touch, or files written under 2 s
+      // ago): keep it, under the identities just taken.
+      ++stats_.hits;
+      hits_.inc();
+      const auto it = index_.find(slot);
+      if (it != index_.end() && it->second->value == seen) {
+        it->second->nodes = nodes;
+        it->second->edges = edges;
+        it->second->settled = settled;
       }
-      return {e.value, false};
+      return {std::move(seen), true};
     }
-    lru_.push_front(Entry{slot, nodes, edges, settled, std::move(loaded)});
-    index_[slot] = lru_.begin();
-    while (lru_.size() > capacity_) {
-      index_.erase(lru_.back().slot);
-      lru_.pop_back();  // shared_ptr keeps in-flight users safe
-      ++stats_.evictions;
-      evictions_.inc();
-    }
-    return {lru_.front().value, false};
-  };
-  if (!filling) return load();
-
-  // The fill ends once its entry is in the index (a fetch in between hits
-  // the entry): the record goes, then every waiter gets the entry or the
-  // failure.
-  const auto end_fill = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    fills_.erase(slot);
-  };
-  try {
-    Fetched got = load();
-    end_fill();
-    filling->set_value(got.entry);
-    return got;
-  } catch (...) {
-    end_fill();
-    filling->set_exception(std::current_exception());
-    throw;
   }
+
+  // Miss: parse outside the lock so loads of distinct graphs overlap.
+  auto loaded = std::make_shared<CachedGraph>();
+  loaded->graph = std::make_shared<const graph::FactorGraph>(
+      graph::reordered(io::read_mtx_belief(nodes_path, edges_path), mode));
+  loaded->metadata = graph::compute_metadata(*loaded->graph);
+  loaded->key = key;
+
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.misses;
+  misses_.inc();
+  const auto it = index_.find(slot);
+  if (it != index_.end()) {
+    Entry& e = *it->second;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    // A concurrent fetch of the same bytes may have filled the slot first:
+    // the two parses are interchangeable, so reuse its entry. Otherwise
+    // the pair was rewritten, and the new contents replace the old entry.
+    if (e.value->key != key) {
+      e.nodes = nodes;
+      e.edges = edges;
+      e.settled = settled;
+      e.value = std::move(loaded);
+    }
+    return {e.value, false};
+  }
+  lru_.push_front(Entry{slot, nodes, edges, settled, std::move(loaded)});
+  index_[slot] = lru_.begin();
+  while (lru_.size() > capacity_) {
+    index_.erase(lru_.back().slot);
+    lru_.pop_back();  // shared_ptr keeps in-flight users safe
+    ++stats_.evictions;
+    evictions_.inc();
+  }
+  return {lru_.front().value, false};
 }
 
 WarmState GraphCache::warm_lookup(const std::string& graph_key,

@@ -27,19 +27,11 @@
 // warm-starts. Warm hits and resident bytes (beliefs and frontiers) are
 // exported as credo_cache_warm_hits_total / credo_cache_warm_bytes.
 //
-// Thread-safe. Fills are single-flight: the first fetch that must load a
-// pair whose identities are settled registers one in-flight load for its
-// slot, and fetches of the same identities that arrive before it lands
-// wait on it instead of hashing and parsing again — the whole fill counts
-// one miss and one content hash, the waiters count hits, and a failed
-// load rethrows its exception in every waiter. Fetches of files too fresh
-// to trust still hash (and, on a new key, parse) on their own: a
-// same-size rewrite within one timestamp tick must not be served a fill's
-// older bytes.
+// Thread-safe. Concurrent first fetches of the same files may parse twice
+// (both count as misses, one insert wins); correctness is unaffected.
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -83,13 +75,16 @@ struct WarmState {
   /// Converged beliefs, in the graph's original node ids.
   std::shared_ptr<const std::vector<graph::BeliefVec>> beliefs;
 
-  /// The run's open frontier (bp::BpResult::frontier) in original ids, or
-  /// null when its schedule kept none (a dense sweep, or an engine
-  /// without a node queue). Empty when the run's queue drained.
+  /// The run's open frontier (bp::BpResult::frontier) in original ids:
+  /// every node not yet settled under `queue_threshold`. Null when the run
+  /// left no such account — a dense or unseeded-queue run, an engine
+  /// without a child-waking schedule, or a run seeded from a delta's
+  /// touched nodes alone, which never visited the rest. Empty when the
+  /// run's queue drained.
   std::shared_ptr<const std::vector<graph::NodeId>> frontier;
 
   /// The BpOptions::queue_threshold the frontier was produced under: a
-  /// node outside it last moved by no more than this.
+  /// node outside it has seen every move of its parents above this.
   float queue_threshold = 0.0f;
 };
 
@@ -128,10 +123,8 @@ class GraphCache {
   /// is not kNone, reordering) it on a miss. Every fetch opens both files;
   /// a hit on settled identities reads neither. The reorder mode is part
   /// of the entry's address: the same files fetched under different modes
-  /// are distinct entries, since their in-memory layouts differ. A fetch
-  /// that waited on another fetch's in-flight load of the same settled
-  /// identities is a hit. Throws util::IoError / util::ParseError like
-  /// io::read_mtx_belief — a waiter rethrows the load's failure.
+  /// are distinct entries, since their in-memory layouts differ.
+  /// Throws util::IoError / util::ParseError like io::read_mtx_belief.
   [[nodiscard]] Fetched fetch(
       const std::string& nodes_path, const std::string& edges_path,
       graph::ReorderMode mode = graph::ReorderMode::kNone);
@@ -189,13 +182,6 @@ class GraphCache {
     std::string key;
     WarmState state;
   };
-  /// A slot's in-flight load: the settled identities it reads, and the
-  /// entry (or failure) it resolves to.
-  struct Fill {
-    FileIdentity nodes;
-    FileIdentity edges;
-    std::shared_future<std::shared_ptr<const CachedGraph>> done;
-  };
 
   static FileIdentity identify(int fd, const std::string& path);
   void warm_bytes_update_locked();
@@ -210,7 +196,6 @@ class GraphCache {
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;  // by slot
-  std::unordered_map<std::string, Fill> fills_;  // in-flight loads, by slot
   std::list<WarmEntry> warm_lru_;
   std::unordered_map<std::string, std::list<WarmEntry>::iterator> warm_index_;
   CacheStats stats_;

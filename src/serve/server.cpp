@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <chrono>
+#include <numeric>
 #include <utility>
 
 #include "credo/suite.h"
@@ -113,7 +114,7 @@ Server::Server(ServerOptions options)
           "graph")),
       m_warm_seed_nodes_(metrics_.histogram(
           "credo_warm_seed_nodes",
-          "Nodes a seeded warm run's schedule started from",
+          "Nodes a resumed or delta-seeded warm run's schedule started from",
           obs::decade_buckets(8))) {
   for (const WarmStart start : {kResumed, kSeeded, kFullSweep}) {
     m_warm_runs_[start] = &metrics_.counter(
@@ -411,11 +412,18 @@ util::Status Server::apply_mutation(const graph::GraphDelta& delta,
   // point with the touched region (and any new nodes) reset to priors is
   // a nearly-converged starting point for the new topology, and nothing
   // resolves the superseded version again, so its entry goes. Node ids
-  // are stable across versions, so the open frontier carries as it is.
+  // are stable across versions, so the open frontier carries over, joined
+  // by the touched nodes: a repeat that resumes it before this request's
+  // own run lands must re-converge the region the reset left at priors.
   if (WarmState warm = cache_.warm_take(old_key, kind);
       warm.beliefs != nullptr) {
     warm.beliefs = std::make_shared<const std::vector<graph::BeliefVec>>(
         entry->dyn.patch_beliefs(*warm.beliefs));
+    if (warm.frontier != nullptr) {
+      auto open = std::make_shared<std::vector<graph::NodeId>>(*warm.frontier);
+      open->insert(open->end(), touched.begin(), touched.end());
+      warm.frontier = std::move(open);
+    }
     cache_.warm_store(next->key, kind, std::move(warm));
   }
   entry->current = next;
@@ -496,15 +504,18 @@ void Server::execute(Pending& pending) {
     // state per (graph version, engine): the version's CachedGraph::key
     // carries its "#vN", and a mutation migrated the state to the new
     // version above. A queued request on an engine that takes seeds
-    // resumes the stored run's work queue: it starts from the stored open
-    // frontier when its queue bar is no tighter than the one that
-    // frontier was produced under — every node outside it last moved by
-    // no more than the bar, so the queue would drop it after one update
-    // anyway. An evidence delta is seeded from its touched nodes, plus
-    // that frontier when it qualifies, so only the perturbed
-    // neighbourhood re-converges. Every other warm request sweeps every
-    // node. Any miss, or an engine without warm support, falls back to a
-    // cold full run — warm state is an accelerator, never a correctness
+    // resumes the stored run's work queue when the state holds an open
+    // frontier produced under a queue bar no tighter than its own: the
+    // frontier is stored only when the run that left it started from every
+    // node or from such a frontier, and that run's schedule woke the
+    // children of every node it moved by more than the bar, so no node
+    // outside it has a parent move it has not seen. An evidence delta is
+    // seeded from its touched nodes, plus that frontier when it qualifies,
+    // so only the perturbed neighbourhood re-converges. Any other queued
+    // warm request on such an engine sweeps every node as a seed, leaving
+    // a frontier the next repeat can resume; the rest sweep every node
+    // unseeded. Any miss, or an engine without warm support, falls back to
+    // a cold full run — warm state is an accelerator, never a correctness
     // dependency.
     const bool wants_warm =
         (req.warm_start || has_delta) && resolved.current != nullptr &&
@@ -517,8 +528,8 @@ void Server::execute(Pending& pending) {
         resp.warm_start = true;
         const bool seeds =
             bp::engine_supports_frontier_seed(kind, g->family());
-        const bool resume = seeds && warm.frontier != nullptr &&
-                            opts.work_queue &&
+        const bool queued = seeds && opts.work_queue;
+        const bool resume = queued && warm.frontier != nullptr &&
                             opts.queue_threshold >= warm.queue_threshold;
         if (has_delta && !seed_nodes.empty() && seeds) {
           if (resume) {
@@ -532,9 +543,18 @@ void Server::execute(Pending& pending) {
         } else if (resume) {
           opts.with_frontier_seed(std::move(warm.frontier));
           start = kResumed;
+        } else if (queued) {
+          std::vector<graph::NodeId> every(g->num_nodes());
+          std::iota(every.begin(), every.end(), graph::NodeId{0});
+          opts.with_frontier_seed(
+              std::make_shared<const std::vector<graph::NodeId>>(
+                  std::move(every)));
         }
       }
     }
+    // The frontier damping floor is for regions a delta perturbed; a
+    // repeat continues the stored run at the caller's own damping.
+    if (!has_delta) opts.frontier_damping = 0.0f;
 
     const util::Timer run_timer;
     const auto engine = bp::make_default_engine(kind);
@@ -543,7 +563,8 @@ void Server::execute(Pending& pending) {
     span.run_s = run_timer.seconds() - span.unpermute_s;
     span.run_modelled_s = result.stats.modelled_seconds();
     span.iterations = result.stats.iterations;
-    if (opts.frontier_seed != nullptr && g->num_nodes() > 0) {
+    const bool partial = opts.frontier_seed != nullptr && start != kFullSweep;
+    if (partial && g->num_nodes() > 0) {
       resp.frontier_fraction =
           static_cast<double>(result.stats.frontier_seeded) /
           static_cast<double>(g->num_nodes());
@@ -551,7 +572,7 @@ void Server::execute(Pending& pending) {
     if (resp.warm_start) {
       m_warm_runs_[start]->inc();
       span.warm = kWarmStartNames[start];
-      if (opts.frontier_seed != nullptr) {
+      if (partial) {
         span.seed_nodes = result.stats.frontier_seeded;
         m_warm_seed_nodes_.observe(
             static_cast<double>(result.stats.frontier_seeded));
@@ -572,7 +593,9 @@ void Server::execute(Pending& pending) {
 
     // Retain the converged run as the version's state for the next warm
     // request: its beliefs, and its open frontier (moved, not copied)
-    // with the queue bar it was produced under. An evidence delta's fixed
+    // with the queue bar it was produced under — unless the run started
+    // from a delta's touched nodes alone, whose frontier says nothing of
+    // the nodes the stored state left unsettled. An evidence delta's fixed
     // point belongs to its own evidence, not to the version, so it stores
     // nothing; nor does a run whose version a mutation superseded
     // meanwhile, since no request resolves that version again.
@@ -586,7 +609,7 @@ void Server::execute(Pending& pending) {
         WarmState state;
         state.beliefs = std::make_shared<const std::vector<graph::BeliefVec>>(
             result.beliefs);
-        if (result.frontier) {
+        if (result.frontier && start != kSeeded) {
           state.frontier = std::make_shared<const std::vector<graph::NodeId>>(
               std::move(*result.frontier));
           result.frontier.reset();

@@ -1253,9 +1253,11 @@ class MutationResume : public ::testing::TestWithParam<graph::ReorderMode> {
 };
 
 TEST_P(MutationResume, MutationCarriesTheFrontierToTheNextVersion) {
-  // The stored run's open frontier moves with its beliefs to version 1:
-  // the mutation's run is seeded with the touched nodes and that frontier,
-  // and the next warm repeat resumes the mutation run's own frontier.
+  // The stored run's open frontier moves with its beliefs to the next
+  // version, joined by the touched nodes: the mutation's run is seeded
+  // with both, and the next warm repeat resumes the mutation run's own
+  // frontier. A mutation whose run does not converge stores nothing, so a
+  // repeat resumes the carried state itself.
   const graph::ReorderMode mode = GetParam();
   const auto [nodes, edges] = write_graph(
       serve_grid(),
@@ -1297,11 +1299,17 @@ TEST_P(MutationResume, MutationCarriesTheFrontierToTheNextVersion) {
     EXPECT_EQ(got.result.stats.frontier_seeded, want.stats.frontier_seeded);
   };
 
+  // A cold run stores no frontier; the first repeat sweeps every node and
+  // stores its own.
   const Response cold = server.submit(base()).get();
   ASSERT_TRUE(cold.ok()) << cold.error;
-  const auto stored = engine->run(parsed, opts);
+  std::vector<graph::NodeId> every(parsed.num_nodes());
+  for (graph::NodeId v = 0; v < parsed.num_nodes(); ++v) every[v] = v;
+  const auto stored = resumed(parsed, cold.result.beliefs, every);
+  const Response sweep = server.submit(base()).get();
+  ASSERT_TRUE(sweep.ok()) << sweep.error;
+  expect_same(sweep, stored);
   ASSERT_TRUE(stored.frontier.has_value());
-  ASSERT_FALSE(stored.frontier->empty());
 
   // A new edge between two existing nodes, as the server applies it.
   graph::GraphDelta wire;
@@ -1324,8 +1332,34 @@ TEST_P(MutationResume, MutationCarriesTheFrontierToTheNextVersion) {
   const Response repeat = server.submit(base()).get();
   ASSERT_TRUE(repeat.ok()) << repeat.error;
   EXPECT_EQ(repeat.graph_version, 1u);
-  expect_same(repeat,
-              resumed(*snapshot, mutation.beliefs, *mutation.frontier));
+  const auto at_v1 = resumed(*snapshot, mutation.beliefs, *mutation.frontier);
+  expect_same(repeat, at_v1);
+  ASSERT_TRUE(at_v1.frontier.has_value());
+
+  // One iteration cannot settle the reset region: nothing is stored, and
+  // version 2 keeps the carried state — the touched nodes at their priors
+  // and on the frontier, so a repeat re-converges them.
+  graph::GraphDelta rewire;
+  rewire.add_edge(5, 30, graph::JointMatrix::diffusion(2, 0.8f));
+  ASSERT_TRUE(dyn.apply(rewire).is_ok());
+  const auto snapshot2 = dyn.snapshot();
+  const Response unsettled =
+      server
+          .submit(base()
+                      .with_options(bp::BpOptions(opts).with_max_iterations(1))
+                      .with_delta(rewire))
+          .get();
+  ASSERT_TRUE(unsettled.ok()) << unsettled.error;
+  EXPECT_EQ(unsettled.graph_version, 2u);
+  ASSERT_FALSE(unsettled.result.stats.converged);
+  std::vector<graph::NodeId> carried = *at_v1.frontier;
+  carried.insert(carried.end(), dyn.last_touched().begin(),
+                 dyn.last_touched().end());
+  const Response repeat2 = server.submit(base()).get();
+  ASSERT_TRUE(repeat2.ok()) << repeat2.error;
+  EXPECT_EQ(repeat2.graph_version, 2u);
+  expect_same(repeat2,
+              resumed(*snapshot2, dyn.patch_beliefs(at_v1.beliefs), carried));
   server.shutdown();
 }
 

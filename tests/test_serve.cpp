@@ -1,20 +1,21 @@
 // Tests for the serve layer (DESIGN.md §5c): GraphCache hit/miss/LRU,
 // content-hash keys, and hits served from the files' identities (fresh,
 // rewritten, renamed, touched and deleted files against the 2-s guard),
-// single-flight fills, warm repeats that resume the stored run's open
-// frontier (DESIGN.md §5h), Server admission control and accounting,
-// cooperative cancellation and deadlines end to end, and the concurrency
-// stress the layer must survive — many concurrent clients against one
-// server, beliefs bit-identical to single-threaded runs, every request
-// accounted for exactly once.
+// warm repeats that resume the stored run's open frontier (DESIGN.md
+// §5h), Server admission control and accounting, cooperative cancellation
+// and deadlines end to end, and the concurrency stress the layer must
+// survive — many concurrent clients against one server, beliefs
+// bit-identical to single-threaded runs, every request accounted for
+// exactly once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <future>
-#include <latch>
 #include <map>
 #include <sstream>
 #include <stop_token>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "bp/engine.h"
+#include "graph/builder.h"
 #include "graph/delta.h"
 #include "graph/generators.h"
 #include "graph/ldpc.h"
@@ -267,30 +269,7 @@ class GraphCacheIdentity : public ::testing::Test {
       write_text(nodes, kNodesA);
       write_text(edges, kEdges);
     }
-    // Large enough that a load takes milliseconds, so concurrent first
-    // fetches of it overlap; the bad pair fails only on its last line.
-    graph::BeliefConfig cfg;
-    cfg.beliefs = 2;
-    cfg.seed = 3;
-    const FactorGraph big = graph::uniform_random(20000, 60000, cfg);
-    (void)write_graph(big, "id_flight");
-    const auto bad = write_graph(big, "id_flight_bad");
-    std::stringstream text;
-    text << std::ifstream(bad.second).rdbuf();
-    std::string edges = text.str();
-    edges.erase(edges.rfind('\n', edges.size() - 2) + 1);
-    write_text(bad.second, edges + "1 99999999\n");
     std::this_thread::sleep_for(std::chrono::milliseconds(2500));
-  }
-
-  /// Removes the two large pairs (3.7 MB), which would otherwise pile up
-  /// in the temp directory over repeated suite runs.
-  static void TearDownTestSuite() {
-    for (const char* name : {"id_flight", "id_flight_bad"}) {
-      const auto [nodes, edges] = pair_paths(name);
-      std::filesystem::remove(nodes);
-      std::filesystem::remove(edges);
-    }
   }
 
   /// Fetches a settled pair into `cache` for the first time: a miss that
@@ -483,76 +462,6 @@ TEST(Server, BadGraphPathReportsError) {
   server.shutdown();
   EXPECT_EQ(server.stats().failed, 1u);
   EXPECT_EQ(server.stats().submitted, server.stats().finished());
-}
-
-/// Fetches `p` from `threads` threads released together; each slot holds
-/// the fetch's result, or is empty with the error in `errors`. A parse
-/// error is recorded by type alone: the waiters catch one shared exception
-/// object, and ThreadSanitizer reports its message read racing the last
-/// holder's free, since the reference count that orders them lives in the
-/// uninstrumented C++ runtime.
-std::vector<GraphCache::Fetched> fetch_together(
-    GraphCache& cache, const std::pair<std::string, std::string>& p,
-    int threads, std::vector<std::string>& errors) {
-  std::vector<GraphCache::Fetched> got(threads);
-  errors.assign(threads, "");
-  std::latch start(threads);
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      start.arrive_and_wait();
-      try {
-        got[t] = cache.fetch(p.first, p.second);
-      } catch (const util::ParseError&) {
-        errors[t] = "parse error";
-      } catch (const std::exception& e) {
-        errors[t] = e.what();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  return got;
-}
-
-TEST_F(GraphCacheIdentity, ConcurrentFirstFetchesShareOneLoad) {
-  // The first fetch of the settled pair loads it; the others wait on that
-  // load (or, arriving after it, hit the entry): one miss, one content
-  // hash, one entry, however the fetches interleave.
-  const auto p = pair_paths("id_flight");
-  GraphCache cache(2);
-  constexpr int kThreads = 6;
-  std::vector<std::string> errors;
-  const auto got = fetch_together(cache, p, kThreads, errors);
-  int loaded = 0;
-  for (int t = 0; t < kThreads; ++t) {
-    ASSERT_EQ(errors[t], "") << "thread " << t;
-    EXPECT_EQ(got[t].entry.get(), got[0].entry.get()) << "thread " << t;
-    loaded += got[t].hit ? 0 : 1;
-  }
-  EXPECT_EQ(loaded, 1);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.content_hashes, 1u);
-  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1));
-}
-
-TEST_F(GraphCacheIdentity, AFailedLoadReachesEveryWaiter) {
-  // Every fetch either ran a failing load or waited on one: each gets the
-  // parse error, nothing is cached and nothing counts as a miss or a hit.
-  const auto p = pair_paths("id_flight_bad");
-  GraphCache cache(2);
-  constexpr int kThreads = 6;
-  std::vector<std::string> errors;
-  (void)fetch_together(cache, p, kThreads, errors);
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(errors[t], "parse error") << "thread " << t;
-  }
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_GE(stats.content_hashes, 1u);
-  EXPECT_LE(stats.content_hashes, static_cast<std::uint64_t>(kThreads));
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST_F(GraphCacheIdentity, ServerFailsOnAMalformedRewriteAndRecovers) {
@@ -1086,7 +995,9 @@ TEST(Server, DeltaRequestReadsTheVersionStateAndStoresNothing) {
 // ---------------------------------------------------------------------------
 // Resuming the stored run's work queue (DESIGN.md §5h): a queued warm
 // request under a bar no tighter than the stored one seeds its run with the
-// stored open frontier; every other warm request sweeps every node.
+// stored open frontier. Without one it sweeps every node as a seed, which
+// leaves a frontier the next repeat resumes; unqueued requests and engines
+// without seed support sweep every node unseeded.
 // ---------------------------------------------------------------------------
 
 /// A direct run from `beliefs`, seeded with `seed` when one is given —
@@ -1102,6 +1013,13 @@ bp::BpResult direct_run(const FactorGraph& g, bp::EngineKind kind,
         std::make_shared<const std::vector<graph::NodeId>>(*seed));
   }
   return bp::make_default_engine(kind)->run(g, opts);
+}
+
+/// Every node of `g`: the seed of a full sweep that leaves a frontier.
+std::vector<graph::NodeId> every_node(const FactorGraph& g) {
+  std::vector<graph::NodeId> all(g.num_nodes());
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) all[v] = v;
+  return all;
 }
 
 /// Server options reporting into `registry` (and `spans`, when given).
@@ -1127,11 +1045,25 @@ void expect_same_run(const FactorGraph& g, const Response& got,
   EXPECT_EQ(got.result.stats.frontier_seeded, want.stats.frontier_seeded);
 }
 
+double max_abs_diff(const std::vector<graph::BeliefVec>& a,
+                    const std::vector<graph::BeliefVec>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double worst = 0.0;
+  for (std::size_t v = 0; v < a.size() && v < b.size(); ++v) {
+    for (std::uint32_t s = 0; s < a[v].size; ++s) {
+      worst = std::max(worst, static_cast<double>(std::abs(a[v].v[s] -
+                                                           b[v].v[s])));
+    }
+  }
+  return worst;
+}
+
 TEST(Server, QueuedWarmRepeatResumesTheStoredFrontier) {
   const auto [nodes, edges] = write_graph(small_random(), "resume_frontier");
   const auto g = io::read_mtx_belief(nodes, edges);
   const auto kind = bp::EngineKind::kCpuNode;
   const auto opts = test_options().with_max_iterations(100).with_work_queue();
+  const auto every = every_node(g);
   obs::MetricsRegistry registry;
   obs::SpanLog spans(16);
   Server server(observed_server(registry, &spans));
@@ -1141,21 +1073,31 @@ TEST(Server, QueuedWarmRepeatResumesTheStoredFrontier) {
                            .with_engine(kind)
                            .with_warm_start();
 
-  // No state yet: a cold queued run, stored with its open frontier, which
-  // moves into the warm table instead of staying in the response.
+  // No state yet: a cold queued run. Its unseeded queue leaves no
+  // frontier, so only its beliefs are stored.
   const Response cold = server.submit(base).get();
   ASSERT_TRUE(cold.ok()) << cold.error;
   EXPECT_FALSE(cold.warm_start);
   EXPECT_FALSE(cold.result.frontier.has_value());
-  bp::BpResult want = bp::make_default_engine(kind)->run(g, opts);
-  expect_beliefs_identical(g, cold.result.beliefs, want.beliefs);
+  expect_beliefs_identical(g, cold.result.beliefs,
+                           bp::make_default_engine(kind)->run(g, opts).beliefs);
 
-  // Each repeat resumes the state the previous run left: bit for bit a
-  // direct run from its beliefs seeded with its frontier, and less work
+  // The first repeat sweeps every node as a seed; its frontier moves into
+  // the warm table instead of staying in the response.
+  bp::BpResult want = direct_run(g, kind, opts, cold.result.beliefs, &every);
+  const Response sweep = server.submit(base).get();
+  ASSERT_TRUE(sweep.ok()) << sweep.error;
+  EXPECT_TRUE(sweep.warm_start);
+  expect_same_run(g, sweep, want);
+  EXPECT_FALSE(sweep.result.frontier.has_value());
+  EXPECT_DOUBLE_EQ(sweep.frontier_fraction, 1.0);
+
+  // Each later repeat resumes the state the previous run left: bit for bit
+  // a direct run from its beliefs seeded with its frontier, and less work
   // than sweeping every node from them.
   for (int repeat = 0; repeat < 2; ++repeat) {
     ASSERT_TRUE(want.frontier.has_value());
-    const auto full = direct_run(g, kind, opts, want.beliefs);
+    const auto full = direct_run(g, kind, opts, want.beliefs, &every);
     want = direct_run(g, kind, opts, want.beliefs, &*want.frontier);
     const Response warm = server.submit(base).get();
     ASSERT_TRUE(warm.ok()) << warm.error;
@@ -1170,13 +1112,15 @@ TEST(Server, QueuedWarmRepeatResumesTheStoredFrontier) {
   }
   server.shutdown();
   EXPECT_EQ(warm_runs(registry, "resumed"), 2u);
-  EXPECT_EQ(warm_runs(registry, "full_sweep"), 0u);
+  EXPECT_EQ(warm_runs(registry, "full_sweep"), 1u);
   EXPECT_EQ(registry.snapshot().histogram("credo_warm_seed_nodes").count, 2u);
   const auto recorded = spans.snapshot();
-  ASSERT_EQ(recorded.size(), 3u);
+  ASSERT_EQ(recorded.size(), 4u);
   EXPECT_EQ(recorded[0].warm, "");
-  EXPECT_EQ(recorded[2].warm, "resumed");
-  EXPECT_EQ(recorded[2].seed_nodes, want.stats.frontier_seeded);
+  EXPECT_EQ(recorded[1].warm, "full_sweep");
+  EXPECT_EQ(recorded[1].seed_nodes, 0u);
+  EXPECT_EQ(recorded[3].warm, "resumed");
+  EXPECT_EQ(recorded[3].seed_nodes, want.stats.frontier_seeded);
 }
 
 TEST(Server, ResumingADrainedQueueDoesNoWork) {
@@ -1189,14 +1133,17 @@ TEST(Server, ResumingADrainedQueueDoesNoWork) {
                         .with_max_iterations(100)
                         .with_work_queue()
                         .with_queue_threshold(1e-4f);
+  const auto every = every_node(g);
   Server server(plain_server(1));
   const Request base = Request{}
                            .with_files(nodes, edges)
                            .with_options(opts)
                            .with_engine(kind)
                            .with_warm_start();
-  ASSERT_TRUE(server.submit(base).get().ok());
-  bp::BpResult want = bp::make_default_engine(kind)->run(g, opts);
+  const Response cold = server.submit(base).get();
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  bp::BpResult want = direct_run(g, kind, opts, cold.result.beliefs, &every);
+  ASSERT_TRUE(server.submit(base).get().ok());  // the full sweep
   for (int repeat = 0; !want.frontier->empty(); ++repeat) {
     ASSERT_LT(repeat, 20) << "the queue never drained";
     want = direct_run(g, kind, opts, want.beliefs, &*want.frontier);
@@ -1212,14 +1159,64 @@ TEST(Server, ResumingADrainedQueueDoesNoWork) {
   server.shutdown();
 }
 
+TEST(Server, RepeatsAfterAnEarlyFrozenColdRunMatchAFullSweep) {
+  // A directed chain 29 -> 28 -> ... -> 0 from an observed head, every
+  // prior uniform. The cold queued run visits node v before its parent
+  // v + 1 has moved, finds it unchanged and drops it for good: the run
+  // drains with all but the head's child at their priors. Resuming what
+  // that queue held would return those beliefs forever; the repeats must
+  // instead end where a full sweep from the stored state ends.
+  graph::GraphBuilder b;
+  const graph::NodeId n = 30;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    b.add_node(graph::BeliefVec::uniform(2));
+  }
+  b.observe(n - 1, 0);
+  for (graph::NodeId v = 1; v < n; ++v) {
+    b.add_edge(v, v - 1, graph::JointMatrix::diffusion(2, 0.9f));
+  }
+  const auto [nodes, edges] = write_graph(b.finalize(), "resume_frozen");
+  const auto g = io::read_mtx_belief(nodes, edges);
+  const auto kind = bp::EngineKind::kCpuNode;
+  const auto opts = test_options()
+                        .with_max_iterations(100)
+                        .with_convergence_threshold(1e-6f)
+                        .with_queue_threshold(1e-9f)
+                        .with_work_queue();
+  obs::MetricsRegistry registry;
+  Server server(observed_server(registry));
+  const Request base = Request{}
+                           .with_files(nodes, edges)
+                           .with_options(opts)
+                           .with_engine(kind)
+                           .with_warm_start();
+  const Response cold = server.submit(base).get();
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  const auto dense = bp::BpOptions(opts).with_work_queue(false);
+  const auto full = direct_run(g, kind, dense, cold.result.beliefs);
+  ASSERT_TRUE(full.stats.converged);
+  EXPECT_GT(max_abs_diff(cold.result.beliefs, full.beliefs), 0.1);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    const Response warm = server.submit(base).get();
+    ASSERT_TRUE(warm.ok()) << warm.error;
+    EXPECT_TRUE(warm.warm_start);
+    EXPECT_LT(max_abs_diff(warm.result.beliefs, full.beliefs), 1e-5)
+        << "repeat " << repeat;
+  }
+  server.shutdown();
+  EXPECT_EQ(warm_runs(registry, "full_sweep"), 1u);
+  EXPECT_EQ(warm_runs(registry, "resumed"), 2u);
+}
+
 TEST(Server, WarmRequestsThatCannotResumeSweepEveryNode) {
-  // A tighter queue bar, dense options and an engine without seed support
-  // each sweep every node from the stored beliefs, exactly as a direct run
-  // from them without a seed.
+  // A tighter queue bar sweeps every node from the stored beliefs as a
+  // seed; dense options and an engine without seed support sweep them
+  // unseeded — each exactly as a direct run from those beliefs.
   const auto [nodes, edges] = write_graph(small_random(), "resume_refused");
   const auto g = io::read_mtx_belief(nodes, edges);
   const auto queued =
       test_options().with_max_iterations(100).with_work_queue();
+  const auto every = every_node(g);
   obs::MetricsRegistry registry;
   Server server(observed_server(registry));
   const auto request = [&](bp::EngineKind kind, const bp::BpOptions& o) {
@@ -1229,38 +1226,87 @@ TEST(Server, WarmRequestsThatCannotResumeSweepEveryNode) {
         .with_engine(kind)
         .with_warm_start();
   };
-  const auto expect_full_sweep = [&](bp::EngineKind kind,
-                                     const bp::BpOptions& o,
-                                     const std::vector<graph::BeliefVec>&
-                                         from) {
-    const Response r = server.submit(request(kind, o)).get();
-    EXPECT_TRUE(r.ok()) << r.error;
-    EXPECT_TRUE(r.warm_start);
-    EXPECT_DOUBLE_EQ(r.frontier_fraction, 1.0);
-    expect_same_run(g, r, direct_run(g, kind, o, from));
-    return r;
-  };
+  const auto expect_full_sweep =
+      [&](bp::EngineKind kind, const bp::BpOptions& o,
+          const std::vector<graph::BeliefVec>& from,
+          const std::vector<graph::NodeId>* seed) {
+        const Response r = server.submit(request(kind, o)).get();
+        EXPECT_TRUE(r.ok()) << r.error;
+        EXPECT_TRUE(r.warm_start);
+        EXPECT_DOUBLE_EQ(r.frontier_fraction, 1.0);
+        expect_same_run(g, r, direct_run(g, kind, o, from, seed));
+        return r;
+      };
 
   const auto node = bp::EngineKind::kCpuNode;
   const Response cold = server.submit(request(node, queued)).get();
   ASSERT_TRUE(cold.ok()) << cold.error;
+  const Response sweep = expect_full_sweep(node, queued, cold.result.beliefs,
+                                           &every);
   const Response tighter = expect_full_sweep(
       node, bp::BpOptions(queued).with_queue_threshold(1e-8f),
-      cold.result.beliefs);
+      sweep.result.beliefs, &every);
   (void)expect_full_sweep(node, bp::BpOptions(queued).with_work_queue(false),
-                          tighter.result.beliefs);
+                          tighter.result.beliefs, nullptr);
 
   // c-edge takes warm starts but not seeds: its queued repeat sweeps.
   const auto edge = bp::EngineKind::kCpuEdge;
   const Response edge_cold = server.submit(request(edge, queued)).get();
   ASSERT_TRUE(edge_cold.ok()) << edge_cold.error;
   EXPECT_FALSE(edge_cold.warm_start);
-  (void)expect_full_sweep(edge, queued, edge_cold.result.beliefs);
+  (void)expect_full_sweep(edge, queued, edge_cold.result.beliefs, nullptr);
 
   server.shutdown();
-  EXPECT_EQ(warm_runs(registry, "full_sweep"), 3u);
+  EXPECT_EQ(warm_runs(registry, "full_sweep"), 4u);
   EXPECT_EQ(warm_runs(registry, "resumed"), 0u);
   EXPECT_EQ(registry.snapshot().histogram("credo_warm_seed_nodes").count, 0u);
+}
+
+TEST(Server, WarmRepeatsRunAtTheCallersDamping) {
+  // frontier_damping floors the damping of runs a delta seeded (§5j). The
+  // repeats the server seeds itself, to sweep or to resume, run at the
+  // caller's damping; a delta still gets the floor.
+  const auto [nodes, edges] = write_graph(small_random(), "resume_damping");
+  const auto g = io::read_mtx_belief(nodes, edges);
+  const auto kind = bp::EngineKind::kCpuNode;
+  const auto floored = test_options()
+                           .with_max_iterations(100)
+                           .with_work_queue()
+                           .with_frontier_damping(0.5f);
+  const auto own = bp::BpOptions(floored).with_frontier_damping(0.0f);
+  const auto every = every_node(g);
+  Server server(plain_server(1));
+  const Request base = Request{}
+                           .with_files(nodes, edges)
+                           .with_options(floored)
+                           .with_engine(kind)
+                           .with_warm_start();
+  const Response cold = server.submit(base).get();
+  ASSERT_TRUE(cold.ok()) << cold.error;
+
+  const auto sweep = direct_run(g, kind, own, cold.result.beliefs, &every);
+  EXPECT_GT(max_abs_diff(
+                sweep.beliefs,
+                direct_run(g, kind, floored, cold.result.beliefs, &every)
+                    .beliefs),
+            0.0);
+  expect_same_run(g, server.submit(base).get(), sweep);
+  ASSERT_TRUE(sweep.frontier.has_value());
+  const auto resumed =
+      direct_run(g, kind, own, sweep.beliefs, &*sweep.frontier);
+  expect_same_run(g, server.submit(base).get(), resumed);
+
+  graph::NodeId target = 1;
+  while (g.observed(target)) ++target;
+  graph::GraphDelta delta;
+  delta.observe(target, 2);
+  std::vector<graph::NodeId> seed;
+  const auto evidenced = graph::with_delta(g, delta, &seed);
+  ASSERT_TRUE(resumed.frontier.has_value());
+  seed.insert(seed.end(), resumed.frontier->begin(), resumed.frontier->end());
+  expect_same_run(g, server.submit(Request(base).with_delta(delta)).get(),
+                  direct_run(evidenced, kind, floored, resumed.beliefs, &seed));
+  server.shutdown();
 }
 
 class DeltaResume : public ::testing::TestWithParam<graph::ReorderMode> {};
@@ -1282,10 +1328,14 @@ TEST_P(DeltaResume, EvidenceDeltaSeedsTouchedNodesAndTheStoredFrontier) {
           .with_engine(kind)
           .with_warm_start();
 
+  // A cold run, then a full sweep whose frontier the delta will resume.
   const Response cold = server.submit(base).get();
   ASSERT_TRUE(cold.ok()) << cold.error;
-  const auto stored = bp::make_default_engine(kind)->run(g, opts);
-  expect_beliefs_identical(g, cold.result.beliefs, stored.beliefs);
+  const Response sweep = server.submit(base).get();
+  ASSERT_TRUE(sweep.ok()) << sweep.error;
+  const auto every = every_node(g);
+  const auto stored = direct_run(g, kind, opts, cold.result.beliefs, &every);
+  expect_same_run(g, sweep, stored);
   ASSERT_TRUE(stored.frontier.has_value());
   ASSERT_FALSE(stored.frontier->empty());
 
